@@ -11,6 +11,7 @@ the argmax (ties and all-zero ensembles fall back to the lowest id).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 from .errors import OrthogonalDataset, UnmappedLabel, ValidationError
@@ -25,16 +26,31 @@ class ForeignPrediction:
     def validate(self, col: Collection):
         ds = col.dataset(self.dataset)
         known = {c.name for c in ds.classes}
-        unknown = sorted(set(self.posterior) - known)
-        if unknown:
+        if not known.issuperset(self.posterior):
+            unknown = sorted(set(self.posterior) - known)
             raise ValidationError(
                 f"foreign posterior for {self.dataset!r} names unknown classes {unknown}"
             )
-        total = sum(self.posterior.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(
-                f"foreign posterior for {self.dataset!r} sums to {total}, not 1"
-            )
+        # Sum and minimum run in C on the per-record path: a NaN or an
+        # infinity makes the sum miss 1, and a non-number makes either raise.
+        # Only a posterior that fails is walked in Python to name the class.
+        values = self.posterior.values()
+        try:
+            if abs(sum(values) - 1.0) <= 1e-9 and min(values) >= 0.0:
+                return
+        except (TypeError, ArithmeticError):
+            pass
+        total = 0.0
+        for cls, p in self.posterior.items():
+            if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ValidationError(
+                    f"foreign posterior for {self.dataset!r} gives class {cls!r} "
+                    f"the probability {p!r}, not a number in [0, 1]"
+                )
+            total += p
+        raise ValidationError(
+            f"foreign posterior for {self.dataset!r} sums to {total}, not 1"
+        )
 
 
 def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
@@ -126,7 +142,10 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
             ]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"line {lineno}: malformed record ({exc})")
-        label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps)
+        try:
+            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
         yield {
             "sample_id": record.get("sample_id", lineno),
             "pseudo_label": label,

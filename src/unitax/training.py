@@ -166,16 +166,27 @@ def _softmax(z):
 
 
 def _stack_training_data(data: ToyData):
-    """All (dataset, sample) pairs as flat arrays, in dataset order."""
-    points, datasets, labels, universals = [], [], [], []
+    """All (dataset, sample) pairs as flat arrays, in dataset order.
+
+    A point labelled by several datasets appears once per label.  ``row_of``
+    numbers the distinct points in first-occurrence order and gives each
+    row its point's number, so that training forwards each point once.
+    Points are distinct when their float64 bytes differ.
+    """
+    rows, datasets, labels, universals = [], [], [], []
     for ds_name in data.train:
         for s in data.train[ds_name]:
-            points.append(s.x)
+            rows.append(s.x)
             datasets.append(ds_name)
             labels.append(s.label)
             universals.append(s.true_universal)
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+    seen = {}
+    row_of = np.asarray([seen.setdefault(r.tobytes(), len(seen)) for r in rows],
+                        dtype=np.int64)
     return (
-        np.asarray(points, dtype=np.float64).reshape(-1, 2),
+        rows,
+        row_of,
         datasets,
         labels,
         np.asarray(universals, dtype=np.int64),
@@ -183,14 +194,39 @@ def _stack_training_data(data: ToyData):
 
 
 class _Objective:
-    """Loss and dL/dlogits for one mode over the full training batch."""
+    """Loss and dL/dlogits for one mode over the full training batch.
+
+    ``x`` holds each distinct training point once and ``row_of`` maps every
+    labelled (dataset, sample) row to its point.  Calling the objective on
+    the logits of ``x`` gathers them per row, evaluates the mode's loss on
+    the rows (still averaged over all labelled rows) and sums each row's
+    gradient back onto its point, so the MLP forwards and backwards every
+    point once whatever the number of datasets that label it.
+    """
 
     def __init__(self, mode, col, tax, maps, space, data: ToyData):
         self.mode = mode
         self.space = space
-        x, ds_names, labels, universals = _stack_training_data(data)
-        self.x = x
-        n, k = x.shape[0], space.k
+        rows, row_of, ds_names, labels, universals = _stack_training_data(data)
+        self.row_of = row_of
+        # Scatter groups by occurrence rank: the rank-r rows are the r-th
+        # copies of their points, so the destinations within a group are
+        # distinct.  Rank 0 holds one row per point, in point order.
+        copies = []
+        rank = []
+        for j in row_of.tolist():
+            if j == len(copies):
+                copies.append(0)
+            rank.append(copies[j])
+            copies[j] += 1
+        rank = np.asarray(rank, dtype=np.int64)
+        self.first_rows = np.flatnonzero(rank == 0)
+        self.x = rows[self.first_rows]
+        self.repeat_groups = []
+        for r in range(1, max(copies, default=1)):
+            sel = np.flatnonzero(rank == r)
+            self.repeat_groups.append((row_of[sel], sel))
+        n, k = len(row_of), space.k
         if mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
             mask = np.zeros((n, k), dtype=np.float64)
             if mode == "oracle":
@@ -226,11 +262,27 @@ class _Objective:
             self.ds_targets = np.asarray(
                 [space.datasets.index(ds) for ds in ds_names], dtype=np.int64
             )
-            self.sample_ds = ds_names
+            # Per dataset: its rows, its head's logit columns, the head
+            # targets of those rows and their positions.
+            self.heads = []
+            for ds in space.datasets:
+                sel = np.flatnonzero([s == ds for s in ds_names])
+                lo, hi = self.slices[ds]
+                t = self.head_targets[sel]
+                self.heads.append((sel, lo, hi, t, np.arange(len(t))))
         else:
             raise ValidationError(f"unknown mode {mode!r}")
 
     def __call__(self, logits: np.ndarray):
+        """Loss and gradient for the logits of the distinct points ``x``."""
+        loss, grad_rows = self.row_loss(logits[self.row_of])
+        grad = grad_rows[self.first_rows]
+        for dest, rows in self.repeat_groups:
+            grad[dest] += grad_rows[rows]
+        return loss, grad
+
+    def row_loss(self, logits: np.ndarray):
+        """Mean loss and its gradient for the logits of the labelled rows."""
         n = logits.shape[0]
         if self.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
             m = np.max(logits, axis=1, keepdims=True)
@@ -268,15 +320,12 @@ class _Objective:
             grad_ds = p_ds.copy()
             grad_ds[rows, self.ds_targets] -= 1.0
             grad[:, self.ds_offset:] = grad_ds
-            for d, ds in enumerate(self.space.datasets):
-                sel = np.asarray([s == ds for s in self.sample_ds])
-                lo, hi = self.slices[ds]
+            for sel, lo, hi, t, pos in self.heads:
                 p_cls = _softmax(logits[sel, lo:hi])
-                t = self.head_targets[sel]
-                loss[sel] += -np.log(np.maximum(p_cls[np.arange(len(t)), t], 1e-300))
+                loss[sel] += -np.log(np.maximum(p_cls[pos, t], 1e-300))
                 g = p_cls
-                g[np.arange(len(t)), t] -= 1.0
-                grad[np.ix_(sel.nonzero()[0], range(lo, hi))] = g
+                g[pos, t] -= 1.0
+                grad[sel, lo:hi] = g
         return float(np.mean(loss)), grad / n
 
 

@@ -177,3 +177,18 @@ def test_pseudo_label_subcommand(tmp_path, vehicle_file):
     records.write_text("not json\n")
     assert run(["pseudo-label", "--atoms", vehicle_file,
                 "--in", str(records), "--out", str(out)]) == 1
+
+
+def test_pseudo_label_rejects_nan_probability(tmp_path, vehicle_file, capsys):
+    records = tmp_path / "in.jsonl"
+    records.write_text(json.dumps({
+        "gt_dataset": "Vistas",
+        "gt_class": "car",
+        "foreign": {"VIPER": {"truck": float("nan")}},
+    }) + "\n")
+    assert "NaN" in records.read_text()
+    assert run(["pseudo-label", "--atoms", vehicle_file, "--in", str(records),
+                "--out", str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "line 1" in err and "'VIPER'" in err and "'truck'" in err
+    assert "Traceback" not in err

@@ -158,6 +158,23 @@ def test_foreign_prediction_validation():
         ForeignPrediction("VIPER", {"truck": 0.4, "car": 0.4}).validate(col)
 
 
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), float("-inf"), -0.5, "0.5", None, [0.5],
+])
+def test_foreign_prediction_rejects_invalid_probabilities(bad):
+    col, _, _, _ = rich_vehicle_setup()
+    foreign = ForeignPrediction("VIPER", {"truck": 0.5, "car": bad, "van": 0.5})
+    with pytest.raises(ValidationError, match="'VIPER'.*'car'"):
+        foreign.validate(col)
+
+
+def test_foreign_prediction_rejects_values_that_cancel_to_one():
+    col, _, _, _ = rich_vehicle_setup()
+    with pytest.raises(ValidationError, match="'VIPER'.*'truck'"):
+        ForeignPrediction("VIPER", {"truck": 1.5, "car": -0.5}).validate(col)
+    ForeignPrediction("VIPER", {"truck": 1, "car": 0}).validate(col)
+
+
 def test_unknown_ground_truth_rejected():
     col = collection_from_dict(problems.rider_collection())
     tax, maps = build_universal_from_atoms(col)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
     MODES,
     TrainConfig,
+    _Objective,
     build_space,
     dataset_scores,
     dead_logit_report,
@@ -161,3 +164,60 @@ def test_threaded_forward_is_bit_identical(monkeypatch):
     monkeypatch.setenv("UNITAX_THREADS", "4")
     threaded = universal_scores(result.space, result.model, data.test_points)
     assert np.array_equal(single, threaded)
+
+
+# ---------------------------------------------------------------------------
+# each distinct point goes through the MLP once
+
+
+def _labelled_rows(data):
+    """The duplicated training rows, stacked in dataset order."""
+    return np.asarray([s.x for ds in data.train for s in data.train[ds]],
+                      dtype=np.float64)
+
+
+def _check_against_duplicated_rows(objective, model, rows):
+    """Loss and gradient over the distinct points equal the loss over every
+    labelled row, with each row's gradient summed onto its point."""
+    loss, grad = objective(model.forward(objective.x))
+    ref_loss, ref_grad = objective.row_loss(model.forward(rows))
+    assert abs(loss - ref_loss) <= 1e-12
+    point_of = {p.tobytes(): j for j, p in enumerate(objective.x)}
+    summed = np.zeros_like(grad)
+    for row, g in zip(rows, ref_grad):
+        summed[point_of[row.tobytes()]] += g
+    assert np.max(np.abs(grad - summed)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,points,rows", [
+    ("two_split_problem", 1560, 3120),  # every point labelled twice
+    ("collapse_problem", 480, 640),     # some points labelled twice
+])
+def test_objective_forwards_each_point_once(mode, name, points, rows):
+    spec, tax, maps = problem_from_dict(getattr(problems, name)(0))
+    data = generate_toy(spec, maps)
+    result = train(TrainConfig(mode=mode, epochs=3, seed=0), spec, tax, maps, data)
+    objective = _Objective(mode, spec.collection, tax, maps, result.space, data)
+    assert objective.x.shape == (points, 2)
+    assert len({p.tobytes() for p in objective.x}) == points
+    assert len(objective.row_of) == rows
+    dup = _labelled_rows(data)
+    assert np.array_equal(objective.x[objective.row_of], dup)
+    _check_against_duplicated_rows(objective, result.model, dup)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_objective_sums_repeats_within_one_dataset(mode):
+    # p appears three times in D1 and once in D2; a scatter that loses
+    # updates to repeated destinations keeps only one of p's rows
+    spec, tax, maps = cross_problem()
+    data = generate_toy(spec, maps)
+    s0, s1 = data.train["D1"][:2]
+    t0 = dataclasses.replace(data.train["D2"][0], x=s0.x)
+    toy = dataclasses.replace(data, train={"D1": [s0, s1, s0, s0], "D2": [t0]})
+    result = train(TrainConfig(mode=mode, epochs=3, seed=0), spec, tax, maps, toy)
+    objective = _Objective(mode, spec.collection, tax, maps, result.space, toy)
+    assert objective.x.tolist() == [list(s0.x), list(s1.x)]
+    assert objective.row_of.tolist() == [0, 1, 0, 0, 0]
+    _check_against_duplicated_rows(objective, result.model, _labelled_rows(toy))
