@@ -68,14 +68,14 @@ def nll_plus_grad(logits: np.ndarray, label, maps: MappingSet) -> np.ndarray:
     """Analytic gradient of nll_plus with respect to the logits.
 
     Component v equals p(v) minus, for mapped v, p(v) renormalized over the
-    mapped set; it always sums to zero.
+    mapped set; it always sums to zero.  The renormalized posterior is the
+    softmax of the mapped logits, which stays defined when every mapped
+    posterior underflows to zero.
     """
     logits = np.asarray(logits, dtype=np.float64)
     mapped = _mapped_ids(label, maps)
-    p = universal_posteriors(logits)
-    grad = p.copy()
-    mass = np.sum(p[mapped])
-    grad[mapped] -= p[mapped] / mass
+    grad = universal_posteriors(logits)
+    grad[mapped] -= universal_posteriors(logits[mapped])
     return grad
 
 

@@ -24,36 +24,52 @@ class MlpModel:
         return self.weights + self.biases
 
     def forward(self, x: np.ndarray, cache: list = None) -> np.ndarray:
-        """Logits for inputs of shape (N, in_dim).  When ``cache`` is given,
-        the pre-ReLU activations needed by backward() are appended to it."""
+        """Logits for inputs of shape (N, in_dim).
+
+        When ``cache`` is given, forward() keeps in it what backward() needs:
+        the input, each hidden layer's post-ReLU activation and ReLU mask,
+        and room for the deltas and parameter gradients.  A cache that
+        already holds these buffers for as many rows is refilled in place,
+        so a training loop that hands one cache to every epoch allocates no
+        batch-sized array after the first; the returned logits then live in
+        the cache until the next call.  A fresh cache gets fresh arrays, and
+        without a cache no mask is kept.
+        """
         h = np.asarray(x, dtype=np.float64)
-        if cache is not None:
-            cache.append(h)
+        work = None if cache is None else _Buffers.of(cache, self.sizes, h)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            if work is None:
+                out = np.empty(h.shape[:-1] + w.shape[1:])
+            else:
+                out = work.acts[i]
+            np.matmul(h, w, out=out)
+            out += b
             if i < last:
-                h = np.maximum(h, 0.0)
-            if cache is not None and i < last:
-                cache.append(h)
+                if work is not None:
+                    np.greater(out, 0.0, out=work.masks[i])
+                np.maximum(out, 0.0, out=out)
+            h = out
         return h
 
     def backward(self, cache: list, grad_logits: np.ndarray):
         """Parameter gradients given upstream dL/dlogits.
 
-        ``cache`` holds [input, hidden1, hidden2, ...] post-ReLU activations
-        from forward().  Returns (weight grads, bias grads).
+        ``cache`` is the list forward() filled.  Returns (weight grads, bias
+        grads); they are buffers of the cache, overwritten by the next
+        backward() on it.
         """
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        work = cache[0]
         delta = np.asarray(grad_logits, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            a = cache[i]
-            grads_w[i] = a.T @ delta
-            grads_b[i] = np.sum(delta, axis=0)
+            a = work.x if i == 0 else work.acts[i - 1]
+            np.matmul(a.T, delta, out=work.grads_w[i])
+            np.matmul(work.ones, delta, out=work.grads_b[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (a > 0.0)
-        return grads_w, grads_b
+                np.matmul(delta, self.weights[i].T, out=work.deltas[i - 1])
+                delta = work.deltas[i - 1]
+                np.multiply(delta, work.masks[i - 1], out=delta)
+        return list(work.grads_w), list(work.grads_b)
 
     def to_dict(self) -> dict:
         return {
@@ -72,7 +88,11 @@ class MlpModel:
 
 
 class Adam:
-    """Full-batch Adam with fixed learning rate."""
+    """Full-batch Adam with fixed learning rate.
+
+    The moments of all parameters live in one flat vector each, so a step
+    is a few operations on whole vectors.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -80,18 +100,65 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        sizes = [p.size for p in params]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
+        self.grad = np.empty(sum(sizes))
+        self.update = np.empty(sum(sizes))
+        parts = np.split(self.update, np.cumsum(sizes)[:-1])
+        self.updates = [part.reshape(p.shape) for part, p in zip(parts, params)]
         self.t = 0
 
     def step(self, grads):
+        """One update, in place.
+
+        The bias corrections c1 = 1 - beta1**t and c2 = 1 - beta2**t are
+        folded into the step size and into eps:
+        lr * (m / c1) / (sqrt(v / c2) + eps) equals
+        (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)).
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        root_c2 = np.sqrt(1 - b2 ** self.t)
+        step = self.lr * root_c2 / (1 - b1 ** self.t)
+        eps = self.eps * root_c2
+        g, m, v, u = self.grad, self.m, self.v, self.update
+        np.concatenate([grad.reshape(-1) for grad in grads], out=g)
+        m *= b1
+        np.multiply(g, 1 - b1, out=u)
+        m += u
+        v *= b2
+        np.multiply(g, 1 - b2, out=u)
+        u *= g
+        v += u
+        np.sqrt(v, out=u)
+        u += eps
+        np.divide(m, u, out=u)
+        u *= step
+        for p, update in zip(self.params, self.updates):
+            p -= update
+
+
+class _Buffers:
+    """The arrays one forward() and backward() pair writes, for ``rows``
+    inputs to a network of layer widths ``sizes``."""
+
+    def __init__(self, sizes, rows):
+        layers = list(zip(sizes, sizes[1:]))
+        self.rows = rows
+        self.x = None
+        self.acts = [np.empty((rows, out)) for _, out in layers]
+        self.masks = [np.empty((rows, out), dtype=bool) for _, out in layers[:-1]]
+        self.deltas = [np.empty((rows, out)) for _, out in layers[:-1]]
+        self.grads_w = [np.empty((fan_in, out)) for fan_in, out in layers]
+        self.grads_b = [np.empty(out) for _, out in layers]
+        self.ones = np.ones(rows)
+
+    @classmethod
+    def of(cls, cache: list, sizes, x: np.ndarray) -> "_Buffers":
+        """The buffers held by ``cache`` for input ``x``; a cache that is
+        empty or sized for another batch gets new ones."""
+        if not cache or cache[0].rows != len(x):
+            cache[:] = [cls(sizes, len(x))]
+        cache[0].x = x
+        return cache[0]

@@ -14,7 +14,7 @@ import json
 import numbers
 from dataclasses import dataclass
 
-from .errors import OrthogonalDataset, UnmappedLabel, ValidationError
+from .errors import NotFound, OrthogonalDataset, UnmappedLabel, ValidationError
 from .taxonomy import Collection, MappingSet, UniversalTaxonomy
 
 
@@ -144,8 +144,8 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
             raise ValidationError(f"line {lineno}: malformed record ({exc})")
         try:
             label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
+        except (ValidationError, NotFound) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         yield {
             "sample_id": record.get("sample_id", lineno),
             "pseudo_label": label,

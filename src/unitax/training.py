@@ -21,6 +21,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,10 +160,19 @@ class TrainResult:
     loss_trace: list  # per-epoch mean loss
 
 
-def _softmax(z):
-    s = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(s)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _softmax(z, axis=-1, out=None, peak=None, total=None):
+    """Softmax of ``z`` over its class axis ``axis``.
+
+    Writes the probabilities into ``out``, the maximum over the axis into
+    ``peak`` and the sum of exp(z - peak) into ``total`` (both keep the
+    axis), allocating whichever is not given.
+    """
+    peak = np.max(z, axis=axis, keepdims=True, out=peak)
+    p = np.subtract(z, peak, out=out)
+    np.exp(p, out=p)
+    total = np.sum(p, axis=axis, keepdims=True, out=total)
+    p /= total
+    return p
 
 
 def _stack_training_data(data: ToyData):
@@ -193,15 +203,21 @@ def _stack_training_data(data: ToyData):
     )
 
 
+_UNIVERSAL = ("universal-nll-plus", "universal-nll-max", "oracle")
+
+
 class _Objective:
     """Loss and dL/dlogits for one mode over the full training batch.
 
     ``x`` holds each distinct training point once and ``row_of`` maps every
     labelled (dataset, sample) row to its point.  Calling the objective on
-    the logits of ``x`` gathers them per row, evaluates the mode's loss on
-    the rows (still averaged over all labelled rows) and sums each row's
-    gradient back onto its point, so the MLP forwards and backwards every
-    point once whatever the number of datasets that label it.
+    the logits of ``x`` gathers them per row into a class-major (K, rows)
+    array, so that every reduction over classes runs over contiguous
+    memory.  It evaluates the mode's loss there, still averaged over all
+    labelled rows, and sums each row's gradient back onto its point.  The
+    MLP thus forwards and backwards every point once, whatever the number
+    of datasets that label it.  The arrays a call writes come from
+    ``workspace()``; train() makes one and reuses it in every epoch.
     """
 
     def __init__(self, mode, col, tax, maps, space, data: ToyData):
@@ -209,32 +225,31 @@ class _Objective:
         self.space = space
         rows, row_of, ds_names, labels, universals = _stack_training_data(data)
         self.row_of = row_of
-        # Scatter groups by occurrence rank: the rank-r rows are the r-th
-        # copies of their points, so the destinations within a group are
-        # distinct.  Rank 0 holds one row per point, in point order.
+        self.n = n = len(row_of)
+        self.k = k = space.k
+        # copies[r][j] is the row of point j's r-th copy, or n when the
+        # point has fewer copies: column n of the rows' gradient stays 0.
+        points = int(row_of.max()) + 1 if n else 0
+        count = [0] * points
         copies = []
-        rank = []
-        for j in row_of.tolist():
-            if j == len(copies):
-                copies.append(0)
-            rank.append(copies[j])
-            copies[j] += 1
-        rank = np.asarray(rank, dtype=np.int64)
-        self.first_rows = np.flatnonzero(rank == 0)
-        self.x = rows[self.first_rows]
-        self.repeat_groups = []
-        for r in range(1, max(copies, default=1)):
-            sel = np.flatnonzero(rank == r)
-            self.repeat_groups.append((row_of[sel], sel))
-        n, k = len(row_of), space.k
-        if mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-            mask = np.zeros((n, k), dtype=np.float64)
+        for r, j in enumerate(row_of.tolist()):
+            if count[j] == len(copies):
+                copies.append(np.full(points, n, dtype=np.int64))
+            copies[count[j]][j] = r
+            count[j] += 1
+        self.copies = copies
+        self.x = rows[copies[0]] if copies else rows
+        cols = np.arange(n)
+        if mode in _UNIVERSAL:
+            in_set = np.zeros((k, n), dtype=np.float64)
             if mode == "oracle":
-                mask[np.arange(n), universals] = 1.0
+                in_set[universals, cols] = 1.0
             else:
                 for i, (ds, cls) in enumerate(zip(ds_names, labels)):
-                    mask[i, list(maps.mapped(ds, cls))] = 1.0
-            self.mask = mask
+                    in_set[list(maps.mapped(ds, cls)), i] = 1.0
+            self.in_set = in_set
+            self.off_set = np.where(in_set > 0, 0.0, -np.inf)
+            self.cols = cols
         elif mode in ("naive-concat", "partial-merge"):
             index = {}
             for idx, entry in enumerate(space.entries):
@@ -244,89 +259,131 @@ class _Objective:
                 else:
                     index[entry["name"]] = idx
             targets = [index[f"{ds}.{cls}"] for ds, cls in zip(ds_names, labels)]
-            self.targets = np.asarray(targets, dtype=np.int64)
+            # (classes, rows) blocks that each get a softmax, and the
+            # (class, row) positions of the labels.
+            self.blocks = [(slice(None), slice(None))]
+            self.targets = [(np.asarray(targets, dtype=np.int64), cols)]
         elif mode == "per-dataset-heads":
-            self.slices = {}
+            # The dataset head over every row, then each dataset's class
+            # head over that dataset's rows; rows are stacked dataset by
+            # dataset, so those are one range.
+            n_entries = len(space.entries)
+            ds_of = np.asarray([space.datasets.index(ds) for ds in ds_names],
+                               dtype=np.int64)
+            self.blocks = [(slice(n_entries, None), slice(None))]
             offset = 0
-            for ds in space.datasets:
+            for d, ds in enumerate(space.datasets):
                 size = sum(1 for e in space.entries if e["dataset"] == ds)
-                self.slices[ds] = (offset, offset + size)
+                sel = np.flatnonzero(ds_of == d)
+                span = slice(sel[0], sel[-1] + 1) if len(sel) else slice(0, 0)
+                self.blocks.append((slice(offset, offset + size), span))
                 offset += size
-            self.ds_offset = offset
             entry_index = {e["name"]: i for i, e in enumerate(space.entries)}
-            self.head_targets = np.asarray(
-                [entry_index[f"{ds}.{cls}"] - self.slices[ds][0]
-                 for ds, cls in zip(ds_names, labels)],
-                dtype=np.int64,
-            )
-            self.ds_targets = np.asarray(
-                [space.datasets.index(ds) for ds in ds_names], dtype=np.int64
-            )
-            # Per dataset: its rows, its head's logit columns, the head
-            # targets of those rows and their positions.
-            self.heads = []
-            for ds in space.datasets:
-                sel = np.flatnonzero([s == ds for s in ds_names])
-                lo, hi = self.slices[ds]
-                t = self.head_targets[sel]
-                self.heads.append((sel, lo, hi, t, np.arange(len(t))))
+            entry_of = [entry_index[f"{ds}.{cls}"] for ds, cls in zip(ds_names, labels)]
+            self.targets = [(n_entries + ds_of, cols),
+                            (np.asarray(entry_of, dtype=np.int64), cols)]
         else:
             raise ValidationError(f"unknown mode {mode!r}")
 
-    def __call__(self, logits: np.ndarray):
-        """Loss and gradient for the logits of the distinct points ``x``."""
-        loss, grad_rows = self.row_loss(logits[self.row_of])
-        grad = grad_rows[self.first_rows]
-        for dest, rows in self.repeat_groups:
-            grad[dest] += grad_rows[rows]
-        return loss, grad
+    def workspace(self):
+        """The arrays one call writes, all class-major: the points' and the
+        rows' logits, scratch, the rows' gradient with a zero column for
+        missing copies, per-row statistics, and the points' gradient."""
+        k, n, points = self.k, self.n, len(self.x)
+        return SimpleNamespace(
+            logits=np.empty((k, points)), z=np.empty((k, n)),
+            scratch=np.empty((k, n)), grad_rows=np.zeros((k, n + 1)),
+            peak=np.empty((1, n)), peak_in=np.empty((1, n)),
+            total=np.empty((1, n)), total_in=np.empty((1, n)),
+            grad=np.empty((k, points)), copy=np.empty((k, points)),
+        )
+
+    def __call__(self, logits: np.ndarray, work=None):
+        """Loss and gradient for the logits of the distinct points ``x``.
+
+        The gradient is a (points, K) view of a class-major buffer of
+        ``work``, or of a fresh workspace when none is given.
+        """
+        if work is None:
+            work = self.workspace()
+        np.copyto(work.logits, logits.T)
+        np.take(work.logits, self.row_of, axis=1, out=work.z, mode="clip")
+        loss = float(np.mean(self._rows(work.z, work)))
+        grad = work.grad
+        np.take(work.grad_rows, self.copies[0], axis=1, out=grad, mode="clip")
+        for rows in self.copies[1:]:
+            np.take(work.grad_rows, rows, axis=1, out=work.copy, mode="clip")
+            grad += work.copy
+        grad /= self.n
+        return loss, grad.T
+
+    def row_losses(self, logits: np.ndarray):
+        """Per-row losses and gradients (not divided by the number of rows)
+        for the logits of the labelled rows, from the kernel training runs."""
+        work = self.workspace()
+        np.copyto(work.z, logits.T)
+        losses = self._rows(work.z, work)
+        return losses, work.grad_rows[:, :self.n].T
 
     def row_loss(self, logits: np.ndarray):
         """Mean loss and its gradient for the logits of the labelled rows."""
-        n = logits.shape[0]
-        if self.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-            m = np.max(logits, axis=1, keepdims=True)
-            lse_all = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-            masked = np.where(self.mask > 0, logits, -np.inf)
-            rows = np.arange(n)
-            if self.mode == "universal-nll-max":
-                # Credit only the most likely mapped class instead of the
-                # whole mapped set (ties at the max go to the lowest id).
-                top = np.argmax(masked, axis=1)
-                loss = float(np.mean(lse_all - logits[rows, top]))
-                grad = _softmax(logits)
-                grad[rows, top] -= 1.0
-                return loss, grad / n
-            mm = np.max(masked, axis=1, keepdims=True)
-            lse_in = mm[:, 0] + np.log(np.sum(np.exp(masked - mm), axis=1))
-            loss = float(np.mean(lse_all - lse_in))
-            p = _softmax(logits)
-            p_in = p * self.mask
-            grad = p - p_in / np.sum(p_in, axis=1, keepdims=True)
-            return loss, grad / n
-        if self.mode in ("naive-concat", "partial-merge"):
-            p = _softmax(logits)
-            rows = np.arange(n)
-            loss = float(np.mean(-np.log(np.maximum(p[rows, self.targets], 1e-300))))
-            grad = p.copy()
-            grad[rows, self.targets] -= 1.0
-            return loss, grad / n
-        if self.mode == "per-dataset-heads":
-            grad = np.zeros_like(logits)
-            rows = np.arange(n)
-            ds_logits = logits[:, self.ds_offset:]
-            p_ds = _softmax(ds_logits)
-            loss = -np.log(np.maximum(p_ds[rows, self.ds_targets], 1e-300))
-            grad_ds = p_ds.copy()
-            grad_ds[rows, self.ds_targets] -= 1.0
-            grad[:, self.ds_offset:] = grad_ds
-            for sel, lo, hi, t, pos in self.heads:
-                p_cls = _softmax(logits[sel, lo:hi])
-                loss[sel] += -np.log(np.maximum(p_cls[pos, t], 1e-300))
-                g = p_cls
-                g[pos, t] -= 1.0
-                grad[sel, lo:hi] = g
-        return float(np.mean(loss)), grad / n
+        losses, grad = self.row_losses(logits)
+        return float(np.mean(losses)), grad / self.n
+
+    def _rows(self, z, work):
+        """Per-row losses for class-major row logits ``z``; the rows'
+        gradient goes to ``work.grad_rows``."""
+        g = work.grad_rows[:, :self.n]
+        if self.mode == "universal-nll-max":
+            # Credit only the most likely mapped class instead of the whole
+            # mapped set (ties at the max go to the lowest id).
+            _softmax(z, 0, g, work.peak, work.total)
+            masked = np.add(z, self.off_set, out=work.scratch)
+            top = np.argmax(masked, axis=0)
+            np.max(masked, axis=0, keepdims=True, out=work.peak_in)
+            g[top, self.cols] -= 1.0
+            return (work.peak + np.log(work.total) - work.peak_in)[0]
+        if self.mode in _UNIVERSAL:
+            return self._nll_plus(z, g, work)
+        for classes, rows in self.blocks:
+            _softmax(z[classes, rows], 0, g[classes, rows],
+                     work.peak[:, rows], work.total[:, rows])
+        loss = 0.0
+        for t in self.targets:
+            loss = loss - np.log(np.maximum(g[t], 1e-300))
+        for t in self.targets:
+            g[t] -= 1.0
+        return loss
+
+    def _nll_plus(self, z, g, work):
+        """NLL+ rows: logsumexp over all classes minus logsumexp over the
+        mapped set, with one exp per entry.
+
+        Each entry is shifted by the maximum of its own group: the masked
+        row max on the mapped set, the row max off it.  So exp never sees
+        -inf, and the mapped set's sum is at least 1 even when all its
+        logits lie far below another class.
+        """
+        peak = np.max(z, axis=0, keepdims=True, out=work.peak)
+        t = np.add(z, self.off_set, out=work.scratch)
+        peak_in = np.max(t, axis=0, keepdims=True, out=work.peak_in)
+        gap = peak_in - peak  # <= 0
+        np.multiply(self.in_set, gap, out=t)
+        np.subtract(z, t, out=t)
+        t -= peak
+        np.exp(t, out=t)
+        total = np.sum(t, axis=0, keepdims=True, out=work.total)
+        np.multiply(t, self.in_set, out=g)
+        total_in = np.sum(g, axis=0, keepdims=True, out=work.total_in)
+        # exp(gap) - 1 moves the mapped set's share of the sum onto the row
+        # max, which makes total the softmax denominator.
+        below = np.expm1(gap)
+        total += total_in * below
+        # softmax minus the mapped set's renormalised posterior
+        g *= below / total - 1.0 / total_in
+        t /= total
+        g += t
+        return (np.log(total / total_in) - gap)[0]
 
 
 def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
@@ -340,11 +397,13 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5A5A5A5A5)
     model = MlpModel([2, *HIDDEN, space.k], rng)
     optimizer = Adam(model.parameters(), lr=config.lr)
+    # One cache and one workspace serve every epoch and go when train returns.
+    cache = []
+    work = objective.workspace()
     trace = []
     for _ in range(config.epochs):
-        cache = []
         logits = model.forward(objective.x, cache)
-        loss, grad_logits = objective(logits)
+        loss, grad_logits = objective(logits, work)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite ({loss})")
         grads_w, grads_b = model.backward(cache, grad_logits)
@@ -554,10 +613,82 @@ def save_model(path, result: TrainResult) -> None:
 
 
 def load_model(path) -> TrainResult:
+    """Read a model.json written by save_model.
+
+    Raises ValidationError naming the file and the field when a key is
+    missing or mistyped, when the layer sizes disagree with the weight and
+    bias shapes or with the output space, or when a parameter is not
+    finite.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return TrainResult(
-        MlpModel.from_dict(data["model"]),
-        ModelSpace.from_dict(data["space"]),
-        list(data.get("loss_trace", [])),
-    )
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
+    try:
+        return _result_from_dict(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _section(data, key, kind, where=""):
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind):
+        raise ValidationError(f"field {where + key!r} is missing or not {kind.__name__}")
+    return value
+
+
+def _result_from_dict(data) -> TrainResult:
+    model = _section(data, "model", dict)
+    sizes = _section(model, "sizes", list, "model.")
+    weights = _section(model, "weights", list, "model.")
+    biases = _section(model, "biases", list, "model.")
+    if len(sizes) < 2 or not all(type(n) is int and n > 0 for n in sizes):
+        raise ValidationError("field 'model.sizes' must list at least two positive integers")
+    if sizes[0] != 2:
+        raise ValidationError("field 'model.sizes' must start with the input width 2")
+    params = {}
+    for key, values in (("weights", weights), ("biases", biases)):
+        if len(values) != len(sizes) - 1:
+            raise ValidationError(f"field 'model.{key}' needs {len(sizes) - 1} layers "
+                                  f"for sizes {sizes}, not {len(values)}")
+        params[key] = []
+        for i, value in enumerate(values):
+            shape = (sizes[i], sizes[i + 1]) if key == "weights" else (sizes[i + 1],)
+            try:
+                array = np.asarray(value)
+            except ValueError:  # ragged nesting
+                array = None
+            if array is None or array.dtype.kind not in "fi" or array.shape != shape:
+                raise ValidationError(f"field 'model.{key}[{i}]' must hold numbers "
+                                      f"of shape {shape} for sizes {sizes}")
+            if not np.all(np.isfinite(array)):
+                raise ValidationError(f"field 'model.{key}[{i}]' holds a non-finite value")
+            params[key].append(array.astype(np.float64))
+    space_data = _section(data, "space", dict)
+    for key, kind in (("mode", str), ("n_universal", int), ("universal_atoms", list),
+                      ("entries", list), ("datasets", list)):
+        _section(space_data, key, kind, "space.")
+    if space_data["mode"] not in MODES:
+        raise ValidationError(f"field 'space.mode' must be one of {MODES}")
+    try:
+        space = ModelSpace.from_dict(space_data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"field 'space' is malformed ({exc})") from None
+    if len(space.universal_atoms) != space.n_universal:
+        raise ValidationError("field 'space.universal_atoms' must have one entry "
+                              "per universal class")
+    needed = {"naive-concat": ("dataset", "class"), "per-dataset-heads": ("dataset", "class"),
+              "partial-merge": ("members",)}.get(space.mode, ())
+    for i, entry in enumerate(space.entries):
+        for key in ("name", "atoms") + needed:
+            if key not in entry:
+                raise ValidationError(f"field 'space.entries[{i}].{key}' is missing")
+    if space.k != sizes[-1]:
+        raise ValidationError(f"field 'model.sizes' ends in {sizes[-1]} outputs, "
+                              f"but the {space.mode} space has {space.k}")
+    trace = data.get("loss_trace", [])
+    if not isinstance(trace, list):
+        raise ValidationError("field 'loss_trace' is not list")
+    return TrainResult(MlpModel.from_dict({"sizes": sizes, **params}), space, trace)

@@ -192,3 +192,55 @@ def test_pseudo_label_rejects_nan_probability(tmp_path, vehicle_file, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err and "'VIPER'" in err and "'truck'" in err
     assert "Traceback" not in err
+
+
+def test_surface_rejects_malformed_model_json(tmp_path, collapse_spec, capsys):
+    out = tmp_path / "run"
+    assert run(["toy-train", "--spec", collapse_spec, "--mode", "naive-concat",
+                "--epochs", "3", "--out", str(out)]) == 0
+    good = json.loads((out / "model.json").read_text())
+
+    def surface(data, name):
+        path = write_json(tmp_path / name, data)
+        code = run(["surface", "--model", path, "--grid=-1,1,-1,1,2,2",
+                    "--out", str(tmp_path / "surface.csv")])
+        return code, capsys.readouterr().err
+
+    assert surface(good, "good.json")[0] == 0
+    bad_weights = json.loads(json.dumps(good))
+    bad_weights["model"]["weights"][1] = bad_weights["model"]["weights"][1][:-1]
+    bad_sizes = json.loads(json.dumps(good))
+    bad_sizes["model"]["sizes"][1] += 1
+    nan_bias = json.loads(json.dumps(good))
+    nan_bias["model"]["biases"][2][0] = float("nan")
+    text_weight = json.loads(json.dumps(good))
+    text_weight["model"]["weights"][0][1][3] = "0.5"
+    wrong_width = json.loads(json.dumps(good))
+    wrong_width["space"]["entries"].pop()
+    cases = [
+        ({"space": {}, "model": {}}, "model.sizes"),
+        ({"model": good["model"]}, "space"),
+        ({"space": {**good["space"], "mode": 3}, "model": good["model"]}, "space.mode"),
+        (bad_weights, "model.weights[1]"),
+        (bad_sizes, "model.weights[0]"),
+        (nan_bias, "model.biases[2]"),
+        (text_weight, "model.weights[0]"),
+        (wrong_width, "model.sizes"),
+    ]
+    for i, (data, field) in enumerate(cases):
+        code, err = surface(data, f"bad{i}.json")
+        assert code == 1, field
+        assert f"bad{i}.json" in err and repr(field) in err, err
+        assert "Traceback" not in err
+
+
+def test_pseudo_label_unknown_dataset_names_the_line(tmp_path, vehicle_file, capsys):
+    records = tmp_path / "in.jsonl"
+    good = {"gt_dataset": "Vistas", "gt_class": "car", "foreign": {"VIPER": {"truck": 1.0}}}
+    lines = [good, {**good, "foreign": {"Nope": {"truck": 1.0}}}]
+    records.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    assert run(["pseudo-label", "--atoms", vehicle_file, "--in", str(records),
+                "--out", str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "unknown dataset 'Nope'" in err
+    assert "Traceback" not in err

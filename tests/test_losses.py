@@ -106,6 +106,15 @@ def test_gradient_signs_and_zero_sum():
                 assert grad[i] > 0
 
 
+def test_gradient_is_finite_when_the_mapped_set_is_far_below():
+    # the mapped posteriors underflow to 0; their renormalised share does not
+    logits = np.array([0.0, -800.0, 0.0, -800.0])
+    grad = nll_plus_grad(logits, LABEL, make_maps([1, 3]))
+    assert np.all(np.isfinite(grad))
+    assert np.allclose(grad, [0.5, -0.5, 0.5, -0.5], rtol=0, atol=1e-15)
+    assert abs(nll_plus(logits, LABEL, make_maps([1, 3])) - 800.0) <= 1e-12
+
+
 def test_aggregate_mask_max_values_and_routing():
     stack = np.array([
         [[0.9, 0.1], [0.2, 0.5]],   # class 0

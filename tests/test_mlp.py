@@ -84,3 +84,43 @@ def test_adam_reduces_quadratic_loss():
         gw, gb = model.backward(cache, (out - target) / len(x))
         opt.step(gw + gb)
     assert loss < first * 0.5
+
+
+def test_backward_of_separate_caches_do_not_alias():
+    model = tiny_model(10)
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    first_cache, second_cache = [], []
+    out1 = model.forward(x1, first_cache)
+    first = model.backward(first_cache, out1)
+    kept = [g.copy() for g in first[0] + first[1]]
+    out2 = model.forward(x2, second_cache)
+    second = model.backward(second_cache, out2 * 3.0)
+    assert not np.shares_memory(out1, out2)
+    for a in first[0] + first[1]:
+        for b in second[0] + second[1]:
+            assert not np.shares_memory(a, b)
+    for g, k in zip(first[0] + first[1], kept):
+        assert np.array_equal(g, k)
+
+
+def test_reused_cache_matches_fresh_caches_bit_for_bit():
+    # training hands one cache to every epoch; the results must equal those
+    # of a fresh cache per call, and of forward() without a cache
+    model = tiny_model(11, sizes=(2, 8, 8, 3))
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(9, 2))
+    reused = []
+    for _ in range(3):
+        grad_logits = rng.normal(size=(9, 3))
+        out = model.forward(x, reused)
+        got = model.backward(reused, grad_logits)
+        fresh = []
+        expected_out = model.forward(x, fresh)
+        expected = model.backward(fresh, grad_logits)
+        assert np.array_equal(out, expected_out)
+        assert np.array_equal(out, model.forward(x))
+        for a, b in zip(got[0] + got[1], expected[0] + expected[1]):
+            assert np.array_equal(a, b)
+        for w in model.weights:
+            w *= 0.9

@@ -5,6 +5,7 @@ import pytest
 
 from unitax import problems
 from unitax.errors import ValidationError
+from unitax.losses import nll_plus, nll_plus_grad
 from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
     MODES,
@@ -68,12 +69,15 @@ def test_partial_merge_merges_exactly_equal_classes():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_training_is_deterministic(mode):
+def test_training_is_deterministic(mode, tmp_path):
     result1, *_ = quick_train(mode, seed=1)
     result2, *_ = quick_train(mode, seed=1)
     assert result1.loss_trace == result2.loss_trace
     for w1, w2 in zip(result1.model.weights, result2.model.weights):
         assert np.array_equal(w1, w2)
+    save_model(tmp_path / "a.json", result1)
+    save_model(tmp_path / "b.json", result2)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -221,3 +225,61 @@ def test_objective_sums_repeats_within_one_dataset(mode):
     assert objective.x.tolist() == [list(s0.x), list(s1.x)]
     assert objective.row_of.tolist() == [0, 1, 0, 0, 0]
     _check_against_duplicated_rows(objective, result.model, _labelled_rows(toy))
+
+
+# ---------------------------------------------------------------------------
+# the training kernel is the tested NLL+
+
+
+def _row_labels(data):
+    return [(ds, s.label) for ds in data.train for s in data.train[ds]]
+
+
+@pytest.mark.parametrize("name", ["intersection_problem", "collapse_problem"])
+def test_trainer_nll_plus_equals_losses_api(name):
+    spec, tax, maps = problem_from_dict(getattr(problems, name)(0))
+    data = generate_toy(spec, maps)
+    result = train(TrainConfig(mode="universal-nll-plus", epochs=40, seed=0),
+                   spec, tax, maps, data)
+    objective = _Objective("universal-nll-plus", spec.collection, tax, maps,
+                           result.space, data)
+    logits = result.model.forward(_labelled_rows(data))
+    row_losses, row_grads = objective.row_losses(logits)
+    labels = _row_labels(data)
+    assert len(labels) == len(row_losses) == len(row_grads)
+    for z, label, loss, grad in zip(logits, labels, row_losses, row_grads):
+        assert abs(loss - nll_plus(z, label, maps)) <= 1e-12
+        assert np.max(np.abs(grad - nll_plus_grad(z, label, maps))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["universal-nll-plus", "oracle"])
+def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
+    # Every mapped logit of row 0 lies 800 below an unmapped one: the mapped
+    # posteriors underflow to 0, yet the renormalised in-set term is defined.
+    spec, tax, maps = problem_from_dict(problems.intersection_problem(0))
+    data = generate_toy(spec, maps)
+    space = build_space(mode, spec.collection, tax, maps)
+    objective = _Objective(mode, spec.collection, tax, maps, space, data)
+    ds = next(iter(data.train))
+    sample = data.train[ds][0]
+    mapped = ([sample.true_universal] if mode == "oracle"
+              else sorted(maps.mapped(ds, sample.label)))
+    assert len(mapped) < space.k
+    logits = np.zeros((len(_labelled_rows(data)), space.k))
+    logits[0, mapped] = -800.0
+    loss, grad = objective.row_loss(logits)
+    assert np.isfinite(loss)
+    assert np.all(np.isfinite(grad))
+    n = len(logits)
+    others = space.k - len(mapped)
+    expected = np.full(space.k, 1.0 / others)
+    expected[mapped] = -1.0 / len(mapped)
+    assert np.max(np.abs(grad[0] * n - expected)) <= 1e-12
+    # row 0 costs 800 + log(others / its set size), each other row
+    # log(K / its set size)
+    sizes = ([1] * (n - 1) if mode == "oracle"
+             else [len(maps.mapped(d, c)) for d, c in _row_labels(data)[1:]])
+    rest = np.sum(np.log(space.k) - np.log(sizes))
+    first = 800.0 + np.log(others) - np.log(len(mapped))
+    assert abs(loss - (first + rest) / n) <= 1e-12
+
