@@ -19,7 +19,7 @@ from .errors import (
     UnmappedLabel,
     ValidationError,
 )
-from .evaluation import ConfusionAccumulator, post_inference_score, project_with_void
+from .evaluation import ConfusionAccumulator
 from .losses import (
     aggregate_mask_max,
     dataset_posterior,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import evaluation, pseudolabel, training, toyproblem
-from .errors import UnitaxError, ValidationError
+from .errors import UnitaxError, ValidationError, load_json
 from .resolve import build_universal_from_declarations, parse_declarations
 from .taxonomy import (
     build_universal_from_atoms,
@@ -38,14 +38,6 @@ def _write_json(path, data) -> None:
 def _write_text(path, text) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})")
 
 
 def _build_artifacts(args):
@@ -73,11 +65,8 @@ def _cmd_build(args):
 
 
 def _cmd_check(args):
-    data = _read_json(args.input)
-    if "universal" in data:
-        taxonomy_from_dict(data)
-    else:
-        collection_from_dict(data)
+    load_json(args.input, lambda data: taxonomy_from_dict(data)
+              if isinstance(data, dict) and "universal" in data else collection_from_dict(data))
     print(f"{args.input}: OK")
     return 0
 
@@ -101,7 +90,7 @@ def _cmd_filter(args):
 
 def _cmd_export_matrix(args):
     if args.input:
-        col, tax, maps = taxonomy_from_dict(_read_json(args.input))
+        col, tax, maps = load_json(args.input, taxonomy_from_dict)
     else:
         col, tax, maps = _build_artifacts(args)
         tax, maps, _ = filter_untrainable(tax, maps)
@@ -151,8 +140,10 @@ def _cmd_toy_train(args):
 
 
 def _cmd_eval(args):
-    spec, tax, maps = _load_problem(args)
     result = training.load_model(args.model)
+    if args.post_inference and not result.space.entries:
+        raise ValidationError("--post-inference requires a concatenated-space model")
+    spec, tax, maps = _load_problem(args)
     data = toyproblem.generate_toy(spec, maps)
     ds = spec.collection.dataset(args.dataset)
     class_names = [c.name for c in ds.classes]
@@ -164,8 +155,6 @@ def _cmd_eval(args):
     keep = [i for i, u in enumerate(data.test_universal) if int(u) in label_of]
     points = data.test_points[keep]
     truths = [label_of[int(data.test_universal[i])] for i in keep]
-    if args.post_inference and not result.space.entries:
-        raise ValidationError("--post-inference requires a concatenated-space model")
     names, scores = training.dataset_scores(
         result.space, result.model, points, args.dataset, maps,
         spec.collection, post_inference=bool(args.post_inference),
@@ -192,13 +181,30 @@ def _cmd_pseudo_label(args):
     return 0
 
 
-def _cmd_surface(args):
-    result = training.load_model(args.model)
+# points per grid axis that `surface` accepts at most
+GRID_MAX = 1000
+
+
+def _parse_grid(text):
+    """(xmin, xmax, ymin, ymax, nx, ny) from --grid: finite bounds and
+    counts from 1 to GRID_MAX."""
     try:
-        xmin, xmax, ymin, ymax, nx, ny = args.grid.split(",")
+        xmin, xmax, ymin, ymax, nx, ny = text.split(",")
         grid = (float(xmin), float(xmax), float(ymin), float(ymax), int(nx), int(ny))
     except ValueError:
         raise ValidationError("--grid expects xmin,xmax,ymin,ymax,nx,ny")
+    for name, value in zip(("xmin", "xmax", "ymin", "ymax"), grid):
+        if not np.isfinite(value):
+            raise ValidationError(f"--grid {name} must be finite, not {value}")
+    for name, value in zip(("nx", "ny"), grid[4:]):
+        if not 1 <= value <= GRID_MAX:
+            raise ValidationError(f"--grid {name} must lie in 1..{GRID_MAX}, not {value}")
+    return grid
+
+
+def _cmd_surface(args):
+    grid = _parse_grid(args.grid)
+    result = training.load_model(args.model)
     rows, names = training.decision_surface(result.space, result.model, *grid)
     _write_text(args.out, training.surface_csv(rows, names))
     return 0

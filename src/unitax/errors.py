@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise
+them where input files are read."""
+
+import json
 
 
 class UnitaxError(Exception):
@@ -44,3 +47,41 @@ class TrainingDiverged(UnitaxError):
 
 class OrthogonalDataset(UnitaxError):
     """No class of the foreign dataset intersects the ground-truth class."""
+
+
+def require_field(data, key, kind, where=""):
+    """``data[key]`` when ``data`` is a dict holding a ``kind`` there.
+
+    Otherwise raises a ValidationError naming the field as ``where + key``.
+    """
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind):
+        raise ValidationError(f"field {where + key!r} is missing or not {kind.__name__}")
+    return value
+
+
+def require_list(values, kind, where, size=None):
+    """``values`` when it is a list of ``kind`` values (exactly ``size`` of
+    them, if given).  Otherwise raises a ValidationError naming the field
+    ``where``."""
+    if (not isinstance(values, list) or not all(isinstance(v, kind) for v in values)
+            or size not in (None, len(values))):
+        count = f"{size} " if size is not None else ""
+        raise ValidationError(f"field {where!r} must be a list of {count}{kind.__name__} values")
+    return values
+
+
+def load_json(path, parse=None):
+    """``parse(data)`` for the JSON value in the file at ``path`` (the value
+    itself without ``parse``).  A ValidationError, for the JSON syntax or
+    from ``parse``, names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
+    try:
+        return parse(data) if parse else data
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -1,73 +1,17 @@
-"""Projection of universal predictions into dataset label spaces, the void
-convention, post-inference mapping, and mIoU accounting.
+"""mIoU accounting under the void convention.
 
-The void class absorbs universal mass foreign to the evaluation dataset.
-A void prediction on ground truth c adds one false negative for c and no
-false positive anywhere.
+The void class absorbs universal mass foreign to the evaluation dataset
+(see training.dataset_scores).  A void prediction on ground truth c adds
+one false negative for c and no false positive anywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotFound
-from .taxonomy import Collection, MappingSet
+from .taxonomy import VOID
 
-VOID = "__void__"
-
-
-def project_with_void(post: np.ndarray, dataset: str, maps: MappingSet,
-                      class_order=None):
-    """Distribution over the dataset's classes plus void.
-
-    Returns (names, values) where names ends with "__void__" and values sums
-    to 1 (class scores are sums of mapped universal posteriors, void is the
-    mass of universal classes foreign to the dataset).
-    """
-    post = np.asarray(post, dtype=np.float64)
-    if dataset not in maps.by_dataset:
-        raise NotFound(f"unknown dataset {dataset!r}")
-    per_class = maps.by_dataset[dataset]
-    names = list(class_order) if class_order is not None else list(per_class)
-    covered = set()
-    values = []
-    for cls in names:
-        uids = list(per_class[cls])
-        covered.update(uids)
-        values.append(float(np.sum(post[uids])))
-    foreign = [u for u in range(post.shape[0]) if u not in covered]
-    values.append(float(np.sum(post[foreign])))
-    return names + [VOID], np.asarray(values)
-
-
-def post_inference_score(post: np.ndarray, eval_dataset: str, col: Collection,
-                         model_classes):
-    """Post-inference mapping of a concatenated-label-space posterior.
-
-    ``model_classes`` lists the output classes as (dataset, class, atom set)
-    triples, parallel to ``post``.  Each evaluation class is scored as its
-    native posterior plus the posteriors of all intersecting foreign
-    classes; the void score collects foreign classes disjoint from every
-    evaluation class.  Scores are not renormalized.
-
-    Returns (names, scores) where names ends with "__void__".
-    """
-    post = np.asarray(post, dtype=np.float64)
-    ds = col.dataset(eval_dataset)
-    names = [c.name for c in ds.classes]
-    scores = np.zeros(len(names) + 1)
-    for p, (mds, mcls, atoms) in zip(post, model_classes):
-        hit = False
-        for i, cls in enumerate(ds.classes):
-            if mds == eval_dataset and mcls == cls.name:
-                scores[i] += p
-                hit = True
-            elif mds != eval_dataset and atoms & cls.atoms:
-                scores[i] += p
-                hit = True
-        if not hit:
-            scores[-1] += p
-    return names + [VOID], scores
+__all__ = ["VOID", "ConfusionAccumulator"]
 
 
 class ConfusionAccumulator:
@@ -132,11 +76,3 @@ class ConfusionAccumulator:
             "void_fraction": self.void_fraction(),
         }
 
-
-def confusion_update(acc: ConfusionAccumulator, gt: str, predicted: str) -> None:
-    acc.update(gt, predicted)
-
-
-def miou(acc: ConfusionAccumulator):
-    """(per-class IoU dict, mean IoU)."""
-    return acc.iou(), acc.miou()

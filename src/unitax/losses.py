@@ -4,10 +4,14 @@ max aggregation and the two-head joint posterior.
 All functions are stateless and operate on plain numpy arrays.  The NLL+
 loss is always computed in the numerically stable log-sum-exp form
 logsumexp(all logits) - logsumexp(mapped logits); probabilities are never
-exponentiated before taking the log.
+exponentiated before taking the log.  One kernel, nll_plus_rows, computes
+it for a batch of rows: the trainer runs it on every epoch, and nll_plus
+and nll_plus_grad run it on a batch of one.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,17 +55,69 @@ def dataset_posterior(post: np.ndarray, label, maps: MappingSet) -> float:
     return float(np.sum(post[_mapped_ids(label, maps)]))
 
 
+def nll_plus_rows(z, in_set, off_set, grad, work=None):
+    """NLL+ of every row of the class-major logits ``z`` (K, rows).
+
+    ``in_set`` is 1 on each row's mapped classes and 0 elsewhere;
+    ``off_set`` is 0 on them and -inf elsewhere.  Returns the per-row
+    losses, logsumexp over all classes minus logsumexp over the mapped set,
+    and writes their gradient into ``grad`` (K, rows): the softmax minus
+    the mapped set's renormalised posterior.  ``work`` holds the buffers
+    ``peak``, ``peak_in``, ``total``, ``total_in`` (1, rows) and
+    ``scratch`` (K, rows); they are allocated when it is not given.
+
+    Each entry is shifted by the maximum of its own group: the masked row
+    max on the mapped set, the row max off it.  So exp runs once per entry
+    and never sees -inf, and the mapped set's sum is at least 1 even when
+    all its logits lie far below another class.
+    """
+    if work is None:
+        rows = z.shape[1]
+        work = SimpleNamespace(peak=np.empty((1, rows)), peak_in=np.empty((1, rows)),
+                               total=np.empty((1, rows)), total_in=np.empty((1, rows)),
+                               scratch=np.empty(z.shape))
+    peak = np.max(z, axis=0, keepdims=True, out=work.peak)
+    t = np.add(z, off_set, out=work.scratch)
+    peak_in = np.max(t, axis=0, keepdims=True, out=work.peak_in)
+    gap = peak_in - peak  # <= 0
+    np.multiply(in_set, gap, out=t)
+    np.subtract(z, t, out=t)
+    t -= peak
+    np.exp(t, out=t)
+    total = np.sum(t, axis=0, keepdims=True, out=work.total)
+    np.multiply(t, in_set, out=grad)
+    total_in = np.sum(grad, axis=0, keepdims=True, out=work.total_in)
+    # exp(gap) - 1 moves the mapped set's share of the sum onto the row
+    # max, which makes total the softmax denominator.
+    below = np.expm1(gap)
+    total += total_in * below
+    # softmax minus the mapped set's renormalised posterior
+    grad *= below / total - 1.0 / total_in
+    t /= total
+    grad += t
+    return (np.log(total / total_in) - gap)[0]
+
+
+def _nll_plus_row(logits, label, maps: MappingSet):
+    """Loss and gradient of one logit vector, through nll_plus_rows."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(logits)):
+        raise InvalidLogit("logits must be finite")
+    in_set = np.zeros((logits.size, 1))
+    in_set[_mapped_ids(label, maps)] = 1.0
+    grad = np.empty_like(in_set)
+    loss = nll_plus_rows(logits.reshape(-1, 1), in_set,
+                         np.where(in_set > 0, 0.0, -np.inf), grad)
+    return float(loss[0]), grad[:, 0]
+
+
 def nll_plus(logits: np.ndarray, label, maps: MappingSet) -> float:
     """Negative log-likelihood over aggregated universal posteriors.
 
     Equals logsumexp(all logits) - logsumexp(mapped logits), which reduces to
     the standard NLL for singleton mappings.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidLogit("logits must be finite")
-    mapped = _mapped_ids(label, maps)
-    return float(logsumexp(logits) - logsumexp(logits[mapped]))
+    return _nll_plus_row(logits, label, maps)[0]
 
 
 def nll_plus_grad(logits: np.ndarray, label, maps: MappingSet) -> np.ndarray:
@@ -72,11 +128,7 @@ def nll_plus_grad(logits: np.ndarray, label, maps: MappingSet) -> np.ndarray:
     softmax of the mapped logits, which stays defined when every mapped
     posterior underflows to zero.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    mapped = _mapped_ids(label, maps)
-    grad = universal_posteriors(logits)
-    grad[mapped] -= universal_posteriors(logits[mapped])
-    return grad
+    return _nll_plus_row(logits, label, maps)[1]
 
 
 def aggregate_mask_max(stack: np.ndarray, label, maps: MappingSet):

@@ -52,12 +52,6 @@ class ResolutionState:
     mappings: dict  # (dataset name, class name) -> list of uids
     next_uid: int = 0
 
-    def class_by_uid(self, uid: int) -> WorkingClass:
-        for wc in self.classes:
-            if wc.uid == uid:
-                return wc
-        raise KeyError(uid)
-
 
 def initial_state(col: Collection) -> ResolutionState:
     state = ResolutionState([a.name for a in col.atoms], [], {})
@@ -164,17 +158,14 @@ def resolve_fixpoint(col: Collection, max_steps: int = 100000):
     raise RuntimeError("resolution did not reach a fixpoint")
 
 
-def fixpoint_atom_sets(col: Collection):
-    """Atom sets of the fixpoint working classes, as a set of frozensets."""
-    state, _ = resolve_fixpoint(col)
-    return {wc.atoms for wc in state.classes}
-
-
-def fixpoint_mappings(col: Collection):
-    """Mappings at the fixpoint, keyed by (dataset, class) with atom-set values."""
+def fixpoint_partition(col: Collection):
+    """Run resolve_fixpoint once and return (atom sets, mappings): the atom
+    sets of the fixpoint working classes as a set of frozensets, and the
+    mappings keyed by (dataset, class) with sets of atom sets as values."""
     state, _ = resolve_fixpoint(col)
     by_uid = {wc.uid: wc.atoms for wc in state.classes}
-    return {key: {by_uid[u] for u in uids} for key, uids in state.mappings.items()}
+    mappings = {key: {by_uid[u] for u in uids} for key, uids in state.mappings.items()}
+    return set(by_uid.values()), mappings
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,14 @@ dataset class then maps to the set of universal classes it contains.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
-from .errors import InvalidClass, NotFound, ValidationError
+import numpy as np
+
+from .errors import (InvalidClass, NotFound, ValidationError, load_json, require_field,
+                     require_list)
+
+VOID = "__void__"
 
 
 class Relation(enum.Enum):
@@ -224,6 +228,32 @@ def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
     return filtered_tax, MappingSet(by_dataset), report
 
 
+def projection(sources, targets, void: bool = False) -> np.ndarray:
+    """0/1 float matrix of which sources meet which targets.
+
+    ``W[s, t]`` is 1 when ``sources[s]`` and ``targets[t]`` share an
+    element: atoms, universal ids or (dataset, class) pairs.  With
+    ``void``, a last column marks the sources that meet no target.
+
+    Meeting is the only rule needed: a universal class lies either inside
+    or outside each dataset class (validate_universal checks it), so for
+    them meeting a class and lying in it are the same.
+    """
+    holders = {}  # element -> the sources holding it
+    for i, s in enumerate(sources):
+        for e in s:
+            holders.setdefault(e, []).append(i)
+    rows = [[0.0] * (len(targets) + void) for _ in sources]
+    for j, t in enumerate(targets):
+        for e in t:
+            for i in holders.get(e, ()):
+                rows[i][j] = 1.0
+    if void:
+        for row in rows:
+            row[-1] = 0.0 if 1.0 in row else 1.0
+    return np.array(rows, dtype=np.float64).reshape(len(sources), len(targets) + void)
+
+
 def mapping_matrix(dataset: str, col: Collection, tax: UniversalTaxonomy,
                    maps: MappingSet, include_void: bool = False):
     """Binary matrix mapping dataset classes to trainable universal classes.
@@ -233,19 +263,11 @@ def mapping_matrix(dataset: str, col: Collection, tax: UniversalTaxonomy,
     absent from every class of the dataset.
     """
     ds = col.dataset(dataset)
-    columns = [u for u in tax.classes if tax.trainable[u.id]] if tax.trainable else list(tax.classes)
-    col_ids = [u.id for u in columns]
-    row_names = [c.name for c in ds.classes]
-    rows = []
-    covered = set()
-    for cls in ds.classes:
-        mapped = set(maps.mapped(dataset, cls.name))
-        covered |= mapped
-        rows.append([1 if uid in mapped else 0 for uid in col_ids])
-    if include_void:
-        row_names.append("__void__")
-        rows.append([0 if uid in covered else 1 for uid in col_ids])
-    return row_names, [u.display_name for u in columns], rows
+    columns = [tax.classes[u] for u in tax.trainable_ids()]
+    w = projection([{u.id} for u in columns],
+                   [maps.mapped(dataset, c.name) for c in ds.classes], include_void)
+    row_names = [c.name for c in ds.classes] + ([VOID] if include_void else [])
+    return row_names, [u.display_name for u in columns], w.T.astype(int).tolist()
 
 
 def matrix_csv(row_names, column_names, rows) -> str:
@@ -260,28 +282,28 @@ def matrix_csv(row_names, column_names, rows) -> str:
 
 
 def collection_from_dict(data: dict) -> Collection:
-    try:
-        atom_names = list(data["atoms"])
-        datasets = data["datasets"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"collection JSON must contain 'atoms' and 'datasets': {exc}")
+    """Read a collection, raising ValidationError naming the first missing
+    or mistyped field."""
+    atom_names = require_list(require_field(data, "atoms", list), str, "atoms")
     index = {name: i for i, name in enumerate(atom_names)}
     if len(index) != len(atom_names):
         raise ValidationError("atom names must be unique")
     atoms = tuple(ConceptAtom(i, n) for i, n in enumerate(atom_names))
     taxonomies = []
-    for ds in datasets:
+    for d, ds in enumerate(require_field(data, "datasets", list)):
+        where = f"datasets[{d}]."
+        name = require_field(ds, "name", str, where)
         classes = []
-        for cls in ds["classes"]:
-            unknown = [a for a in cls["atoms"] if a not in index]
+        for c, cls in enumerate(require_field(ds, "classes", list, where)):
+            at = f"{where}classes[{c}]."
+            cls_name = require_field(cls, "name", str, at)
+            members = require_field(cls, "atoms", list, at)
+            unknown = [a for a in members if not isinstance(a, str) or a not in index]
             if unknown:
-                raise ValidationError(
-                    f"class {ds['name']}.{cls['name']} references unknown atoms {unknown}"
-                )
-            classes.append(
-                DatasetClass(ds["name"], cls["name"], frozenset(index[a] for a in cls["atoms"]))
-            )
-        taxonomies.append(DatasetTaxonomy(ds["name"], tuple(classes)))
+                raise ValidationError(f"field {at + 'atoms'!r}: class {name}.{cls_name} "
+                                      f"references unknown atoms {unknown}")
+            classes.append(DatasetClass(name, cls_name, frozenset(index[a] for a in members)))
+        taxonomies.append(DatasetTaxonomy(name, tuple(classes)))
     col = Collection(atoms, tuple(taxonomies))
     validate_collection(col)
     return col
@@ -303,15 +325,7 @@ def collection_to_dict(col: Collection) -> dict:
 
 
 def load_collection(path) -> Collection:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})")
-    try:
-        return collection_from_dict(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}")
+    return load_json(path, collection_from_dict)
 
 
 def taxonomy_to_dict(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) -> dict:
@@ -339,7 +353,8 @@ def taxonomy_to_dict(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) 
 
 def taxonomy_from_dict(data: dict):
     """Re-read a built taxonomy file.  Returns (Collection, UniversalTaxonomy,
-    MappingSet) and re-validates the universal invariants."""
+    MappingSet) and re-validates the universal invariants.  A missing or
+    mistyped field raises ValidationError naming it."""
     col = collection_from_dict(data)
     index = {a.name: a.id for a in col.atoms}
     ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
@@ -349,26 +364,33 @@ def taxonomy_from_dict(data: dict):
     classes = []
     trainable = []
     dominators = {}
-    for entry in data["universal"]:
-        sig = frozenset((ds_index[d], cls_index[(d, c)]) for d, c in entry["signature"])
-        classes.append(
-            UniversalClass(
-                entry["id"],
-                frozenset(index[a] for a in entry["atoms"]),
-                sig,
-                entry["display_name"],
-            )
-        )
+    for i, entry in enumerate(require_field(data, "universal", list)):
+        where = f"universal[{i}]"
+        if require_field(entry, "id", int, where + ".") != i:
+            raise ValidationError(f"field {where + '.id'!r} must be {i}")
+        atoms = require_field(entry, "atoms", list, where + ".")
+        signature = require_field(entry, "signature", list, where + ".")
+        display = require_field(entry, "display_name", str, where + ".")
+        try:
+            classes.append(UniversalClass(
+                i,
+                frozenset(index[a] for a in atoms),
+                frozenset((ds_index[d], cls_index[(d, c)]) for d, c in signature),
+                display,
+            ))
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(f"field {where!r} names an unknown atom or a malformed "
+                                  f"or unknown signature pair") from None
         trainable.append(bool(entry.get("trainable", True)))
         if entry.get("dominator") is not None:
-            dominators[entry["id"]] = entry["dominator"]
+            dominators[i] = entry["dominator"]
     tax = UniversalTaxonomy(tuple(classes), tuple(trainable), dominators)
-    maps = MappingSet(
-        {
-            ds: {cls: tuple(uids) for cls, uids in per.items()}
-            for ds, per in data["mappings"].items()
-        }
-    )
+    mappings = require_field(data, "mappings", dict)
+    maps = MappingSet({
+        ds: {cls: tuple(require_list(uids, int, f"mappings.{ds}.{cls}"))
+             for cls, uids in require_field(mappings, ds, dict, "mappings.").items()}
+        for ds in mappings
+    })
     validate_universal(col, tax, maps)
     return col, tax, maps
 

@@ -8,12 +8,11 @@ concept is foreign to a dataset are excluded from that dataset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, load_json
 from .rng import SplitMix64
 from .taxonomy import (
     Collection,
@@ -116,12 +115,7 @@ def problem_to_dict(spec: ToyProblemSpec, tax: UniversalTaxonomy) -> dict:
 
 
 def load_problem(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})")
-    return problem_from_dict(data)
+    return load_json(path, problem_from_dict)
 
 
 def _label_for(universal_id: int, dataset: str, maps: MappingSet):

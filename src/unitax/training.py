@@ -20,15 +20,18 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import TrainingDiverged, ValidationError
+from .errors import (TrainingDiverged, ValidationError, load_json, require_field,
+                     require_list)
+from .losses import nll_plus_rows
 from .mlp import Adam, MlpModel
 from .rng import SplitMix64
-from .taxonomy import Collection, MappingSet, UniversalTaxonomy
+from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
 from .toyproblem import ToyData, ToyProblemSpec, generate_toy
 
 MODES = (
@@ -39,6 +42,9 @@ MODES = (
     "per-dataset-heads",
     "oracle",
 )
+
+# modes whose output space is the universal taxonomy
+_UNIVERSAL = ("universal-nll-plus", "universal-nll-max", "oracle")
 
 HIDDEN = (64, 64)
 
@@ -59,94 +65,151 @@ class TrainConfig:
             raise ValidationError("learning rate must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
+class OutputClass:
+    """One class of a model's output space."""
+
+    name: str  # display name
+    atoms: frozenset  # of atom names
+    natives: tuple = ()  # (dataset, class) pairs it stands for; () for a universal class
+
+
+@dataclass(frozen=True)
 class ModelSpace:
-    """Interpretation of the model's output vector."""
+    """Interpretation of the model's output vector.
+
+    ``universal`` holds one OutputClass per universal class.  ``entries``
+    holds the concatenated (or merged) dataset classes of the naive-concat,
+    partial-merge and per-dataset-heads modes and is empty otherwise;
+    ``datasets`` names the dataset-recognition head of per-dataset-heads.
+    The model's own output classes are the entries when there are any,
+    else the universal classes, followed by one logit per dataset head.
+    """
 
     mode: str
-    n_universal: int
-    universal_atoms: list  # per universal id, sorted list of atom names
-    entries: list = field(default_factory=list)  # concat/merged class descriptors
-    datasets: list = field(default_factory=list)  # dataset names (heads mode)
+    universal: tuple
+    entries: tuple = ()
+    datasets: tuple = ()
+
+    @property
+    def n_universal(self) -> int:
+        return len(self.universal)
+
+    @property
+    def outputs(self) -> tuple:
+        return self.entries or self.universal
 
     @property
     def k(self) -> int:
-        if self.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-            return self.n_universal
-        if self.mode == "per-dataset-heads":
-            return len(self.entries) + len(self.datasets)
-        return len(self.entries)
+        return len(self.outputs) + len(self.datasets)
 
     def class_names(self) -> list:
         """Display names of the model's own output classes."""
-        if self.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-            return ["+".join(atoms) for atoms in self.universal_atoms]
-        return [e["name"] for e in self.entries]
+        return [o.name for o in self.outputs]
+
+    def head_blocks(self) -> list:
+        """Per dataset head, the slice of its classes among the entries,
+        which are stacked dataset by dataset."""
+        blocks, offset = [], 0
+        for ds in self.datasets:
+            size = sum(1 for o in self.entries if o.natives[0][0] == ds)
+            blocks.append(slice(offset, offset + size))
+            offset += size
+        return blocks
+
+    @cached_property
+    def universal_weights(self) -> np.ndarray:
+        """Which universal classes each output class meets (outputs x U)."""
+        return projection([o.atoms for o in self.outputs], [u.atoms for u in self.universal])
+
+    @cached_property
+    def universal_of(self) -> np.ndarray:
+        """Per output class, the universal class it equals, or -1.
+
+        An output class is a union of universal classes, so it meets
+        exactly one of them when it equals it.
+        """
+        w = self.universal_weights
+        return np.where(w.sum(axis=1) == 1, np.argmax(w, axis=1), -1)
 
     def to_dict(self) -> dict:
+        merged = self.mode == "partial-merge"
+        entries = []
+        for o in self.entries:
+            entry = {"name": o.name, "atoms": sorted(o.atoms)}
+            if merged:
+                entry["members"] = [list(n) for n in o.natives]
+            else:
+                entry["dataset"], entry["class"] = o.natives[0]
+            entries.append(entry)
         return {
             "mode": self.mode,
             "n_universal": self.n_universal,
-            "universal_atoms": self.universal_atoms,
-            "entries": self.entries,
-            "datasets": self.datasets,
+            "universal_atoms": [sorted(u.atoms) for u in self.universal],
+            "entries": entries,
+            "datasets": list(self.datasets),
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModelSpace":
-        return cls(
-            data["mode"],
-            data["n_universal"],
-            [list(a) for a in data["universal_atoms"]],
-            [dict(e) for e in data["entries"]],
-            list(data["datasets"]),
-        )
+    def from_dict(cls, data) -> "ModelSpace":
+        """Read the layout to_dict writes.  Raises ValidationError naming the
+        first missing or mistyped field."""
+        mode = require_field(data, "mode", str, "space.")
+        if mode not in MODES:
+            raise ValidationError(f"field 'space.mode' must be one of {MODES}")
+        universal = []
+        for i, atoms in enumerate(require_field(data, "universal_atoms", list, "space.")):
+            atoms = require_list(atoms, str, f"space.universal_atoms[{i}]")
+            universal.append(OutputClass("+".join(atoms), frozenset(atoms)))
+        if require_field(data, "n_universal", int, "space.") != len(universal):
+            raise ValidationError("field 'space.universal_atoms' must have one entry "
+                                  "per universal class")
+        entries = []
+        for i, entry in enumerate(require_field(data, "entries", list, "space.")):
+            where = f"space.entries[{i}]."
+            if mode == "partial-merge":
+                natives = [tuple(require_list(m, str, f"{where}members[{j}]", 2)) for j, m in
+                           enumerate(require_field(entry, "members", list, where))]
+            else:
+                natives = [(require_field(entry, "dataset", str, where),
+                            require_field(entry, "class", str, where))]
+            atoms = require_list(require_field(entry, "atoms", list, where), str, where + "atoms")
+            entries.append(OutputClass(require_field(entry, "name", str, where),
+                                       frozenset(atoms), tuple(natives)))
+        datasets = require_list(require_field(data, "datasets", list, "space."), str,
+                                "space.datasets")
+        if ((mode in _UNIVERSAL) == bool(entries)
+                or (mode == "per-dataset-heads") != bool(datasets)):
+            raise ValidationError(f"fields 'space.entries' and 'space.datasets' do not "
+                                  f"fit a {mode} space")
+        return cls(mode, tuple(universal), tuple(entries), tuple(datasets))
 
 
 def build_space(mode: str, col: Collection, tax: UniversalTaxonomy,
                 maps: MappingSet) -> ModelSpace:
-    universal_atoms = [sorted(col.atom_names(u.atoms)) for u in tax.classes]
-    space = ModelSpace(mode, len(tax.classes), universal_atoms)
-    if mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-        return space
-    entries = []
-    for ds in col.datasets:
-        for cls in ds.classes:
-            entries.append(
-                {
-                    "name": f"{ds.name}.{cls.name}",
-                    "dataset": ds.name,
-                    "class": cls.name,
-                    "atoms": sorted(col.atom_names(cls.atoms)),
-                }
-            )
-    if mode in ("naive-concat", "per-dataset-heads"):
-        space.entries = entries
-        if mode == "per-dataset-heads":
-            space.datasets = [ds.name for ds in col.datasets]
-        return space
-    if mode == "partial-merge":
-        merged = []
-        index = {}
-        for entry in entries:
-            key = tuple(entry["atoms"])
-            if key in index:
-                merged[index[key]]["members"].append(entry["name"])
-            else:
-                index[key] = len(merged)
-                merged.append(
-                    {
-                        "name": entry["name"],
-                        "atoms": entry["atoms"],
-                        "members": [entry["name"]],
-                    }
-                )
-        for m in merged:
-            if len(m["members"]) > 1:
-                m["name"] = "=".join(m["members"])
-        space.entries = merged
-        return space
-    raise ValidationError(f"unknown mode {mode!r}")
+    universal = []
+    for u in tax.classes:
+        atoms = sorted(col.atom_names(u.atoms))
+        universal.append(OutputClass("+".join(atoms), frozenset(atoms)))
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}")
+    if mode in _UNIVERSAL:
+        return ModelSpace(mode, tuple(universal))
+    entries = [OutputClass(f"{ds.name}.{c.name}", frozenset(col.atom_names(c.atoms)),
+                           ((ds.name, c.name),))
+               for ds in col.datasets for c in ds.classes]
+    datasets = ()
+    if mode == "per-dataset-heads":
+        datasets = tuple(ds.name for ds in col.datasets)
+    elif mode == "partial-merge":
+        # classes with equal atom sets share one output class
+        groups = {}
+        for e in entries:
+            groups.setdefault(e.atoms, []).append(e)
+        entries = [OutputClass("=".join(e.name for e in group), atoms,
+                               tuple(e.natives[0] for e in group))
+                   for atoms, group in groups.items()]
+    return ModelSpace(mode, tuple(universal), tuple(entries), datasets)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +266,6 @@ def _stack_training_data(data: ToyData):
     )
 
 
-_UNIVERSAL = ("universal-nll-plus", "universal-nll-max", "oracle")
-
-
 class _Objective:
     """Loss and dL/dlogits for one mode over the full training batch.
 
@@ -218,11 +278,18 @@ class _Objective:
     MLP thus forwards and backwards every point once, whatever the number
     of datasets that label it.  The arrays a call writes come from
     ``workspace()``; train() makes one and reuses it in every epoch.
+
+    The modes differ only in data.  Each labelled row has a target set of
+    output classes: its mapped set (universal-nll-plus and -max), its true
+    universal class (oracle), or the output class of its own label
+    (naive-concat, partial-merge and per-dataset-heads).  All but two modes
+    train the NLL+ kernel of ``losses`` on these sets; universal-nll-max
+    credits the most likely class of the set instead, and per-dataset-heads
+    trains the product of its dataset head and class heads.
     """
 
     def __init__(self, mode, col, tax, maps, space, data: ToyData):
         self.mode = mode
-        self.space = space
         rows, row_of, ds_names, labels, universals = _stack_training_data(data)
         self.row_of = row_of
         self.n = n = len(row_of)
@@ -239,31 +306,16 @@ class _Objective:
             count[j] += 1
         self.copies = copies
         self.x = rows[copies[0]] if copies else rows
-        cols = np.arange(n)
-        if mode in _UNIVERSAL:
-            in_set = np.zeros((k, n), dtype=np.float64)
-            if mode == "oracle":
-                in_set[universals, cols] = 1.0
-            else:
-                for i, (ds, cls) in enumerate(zip(ds_names, labels)):
-                    in_set[list(maps.mapped(ds, cls)), i] = 1.0
-            self.in_set = in_set
-            self.off_set = np.where(in_set > 0, 0.0, -np.inf)
-            self.cols = cols
-        elif mode in ("naive-concat", "partial-merge"):
-            index = {}
-            for idx, entry in enumerate(space.entries):
-                if "members" in entry:
-                    for member in entry["members"]:
-                        index[member] = idx
-                else:
-                    index[entry["name"]] = idx
-            targets = [index[f"{ds}.{cls}"] for ds, cls in zip(ds_names, labels)]
-            # (classes, rows) blocks that each get a softmax, and the
-            # (class, row) positions of the labels.
-            self.blocks = [(slice(None), slice(None))]
-            self.targets = [(np.asarray(targets, dtype=np.int64), cols)]
-        elif mode == "per-dataset-heads":
+        self.cols = cols = np.arange(n)
+        own = {native: i for i, o in enumerate(space.entries) for native in o.natives}
+        labelled = list(zip(ds_names, labels))
+        if mode == "oracle":
+            targets = [(u,) for u in universals.tolist()]
+        elif space.entries:
+            targets = [(own[label],) for label in labelled]
+        else:
+            targets = [maps.mapped(*label) for label in labelled]
+        if space.datasets:
             # The dataset head over every row, then each dataset's class
             # head over that dataset's rows; rows are stacked dataset by
             # dataset, so those are one range.
@@ -271,19 +323,18 @@ class _Objective:
             ds_of = np.asarray([space.datasets.index(ds) for ds in ds_names],
                                dtype=np.int64)
             self.blocks = [(slice(n_entries, None), slice(None))]
-            offset = 0
-            for d, ds in enumerate(space.datasets):
-                size = sum(1 for e in space.entries if e["dataset"] == ds)
+            for d, block in enumerate(space.head_blocks()):
                 sel = np.flatnonzero(ds_of == d)
                 span = slice(sel[0], sel[-1] + 1) if len(sel) else slice(0, 0)
-                self.blocks.append((slice(offset, offset + size), span))
-                offset += size
-            entry_index = {e["name"]: i for i, e in enumerate(space.entries)}
-            entry_of = [entry_index[f"{ds}.{cls}"] for ds, cls in zip(ds_names, labels)]
+                self.blocks.append((block, span))
             self.targets = [(n_entries + ds_of, cols),
-                            (np.asarray(entry_of, dtype=np.int64), cols)]
-        else:
-            raise ValidationError(f"unknown mode {mode!r}")
+                            (np.asarray([t[0] for t in targets], dtype=np.int64), cols)]
+            return
+        in_set = np.zeros((k, n), dtype=np.float64)
+        in_set[[c for t in targets for c in t],
+               [i for i, t in enumerate(targets) for _ in t]] = 1.0
+        self.in_set = in_set
+        self.off_set = np.where(in_set > 0, 0.0, -np.inf)
 
     def workspace(self):
         """The arrays one call writes, all class-major: the points' and the
@@ -335,16 +386,18 @@ class _Objective:
         gradient goes to ``work.grad_rows``."""
         g = work.grad_rows[:, :self.n]
         if self.mode == "universal-nll-max":
-            # Credit only the most likely mapped class instead of the whole
-            # mapped set (ties at the max go to the lowest id).
+            # Credit only the most likely class of the target set instead
+            # of the whole set (ties at the max go to the lowest id).
             _softmax(z, 0, g, work.peak, work.total)
             masked = np.add(z, self.off_set, out=work.scratch)
             top = np.argmax(masked, axis=0)
             np.max(masked, axis=0, keepdims=True, out=work.peak_in)
             g[top, self.cols] -= 1.0
             return (work.peak + np.log(work.total) - work.peak_in)[0]
-        if self.mode in _UNIVERSAL:
-            return self._nll_plus(z, g, work)
+        if self.mode != "per-dataset-heads":
+            return nll_plus_rows(z, self.in_set, self.off_set, g, work)
+        # The joint posterior is the product of the dataset head's and the
+        # class head's softmax, so its NLL is the sum of theirs.
         for classes, rows in self.blocks:
             _softmax(z[classes, rows], 0, g[classes, rows],
                      work.peak[:, rows], work.total[:, rows])
@@ -354,36 +407,6 @@ class _Objective:
         for t in self.targets:
             g[t] -= 1.0
         return loss
-
-    def _nll_plus(self, z, g, work):
-        """NLL+ rows: logsumexp over all classes minus logsumexp over the
-        mapped set, with one exp per entry.
-
-        Each entry is shifted by the maximum of its own group: the masked
-        row max on the mapped set, the row max off it.  So exp never sees
-        -inf, and the mapped set's sum is at least 1 even when all its
-        logits lie far below another class.
-        """
-        peak = np.max(z, axis=0, keepdims=True, out=work.peak)
-        t = np.add(z, self.off_set, out=work.scratch)
-        peak_in = np.max(t, axis=0, keepdims=True, out=work.peak_in)
-        gap = peak_in - peak  # <= 0
-        np.multiply(self.in_set, gap, out=t)
-        np.subtract(z, t, out=t)
-        t -= peak
-        np.exp(t, out=t)
-        total = np.sum(t, axis=0, keepdims=True, out=work.total)
-        np.multiply(t, self.in_set, out=g)
-        total_in = np.sum(g, axis=0, keepdims=True, out=work.total_in)
-        # exp(gap) - 1 moves the mapped set's share of the sum onto the row
-        # max, which makes total the softmax denominator.
-        below = np.expm1(gap)
-        total += total_in * below
-        # softmax minus the mapped set's renormalised posterior
-        g *= below / total - 1.0 / total_in
-        t /= total
-        g += t
-        return (np.log(total / total_in) - gap)[0]
 
 
 def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
@@ -440,49 +463,25 @@ def own_posterior(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarr
     """Posterior over the model's own output classes (universal classes for
     the universal modes, concat/merged entries otherwise)."""
     logits = forward_logits(model, x)
-    if space.mode == "per-dataset-heads":
-        n_entries = len(space.entries)
-        p_ds = _softmax(logits[:, n_entries:])
-        joint = np.zeros((logits.shape[0], n_entries))
-        offset = 0
-        for d, ds in enumerate(space.datasets):
-            size = sum(1 for e in space.entries if e["dataset"] == ds)
-            joint[:, offset:offset + size] = (
-                _softmax(logits[:, offset:offset + size]) * p_ds[:, d:d + 1]
-            )
-            offset += size
-        return joint
-    return _softmax(logits)
+    if not space.datasets:
+        return _softmax(logits)
+    n_entries = len(space.entries)
+    p_ds = _softmax(logits[:, n_entries:])
+    joint = np.zeros((logits.shape[0], n_entries))
+    for d, block in enumerate(space.head_blocks()):
+        joint[:, block] = _softmax(logits[:, block]) * p_ds[:, d:d + 1]
+    return joint
 
 
 def universal_scores(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Scores over universal classes for any mode.
+    """Scores over universal classes for any mode: each output class's
+    posterior goes to every universal class it meets.
 
-    Softmax posteriors for the universal modes, and post-inference summation
-    of intersecting output classes for the baselines (ties at the argmax go
-    to the lowest universal id).
+    That is the softmax posterior for the universal modes, and
+    post-inference summation of intersecting output classes for the
+    baselines.
     """
-    p = own_posterior(space, model, x)
-    if space.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-        return p
-    scores = np.zeros((p.shape[0], space.n_universal))
-    for u, atoms in enumerate(space.universal_atoms):
-        atom_set = set(atoms)
-        for idx, entry in enumerate(space.entries):
-            if atom_set & set(entry["atoms"]):
-                scores[:, u] += p[:, idx]
-    return scores
-
-
-def _entry_native_class(entry: dict, dataset: str):
-    """Name of the entry's class in ``dataset``, or None if foreign."""
-    if entry.get("dataset") == dataset:
-        return entry["class"]
-    for member in entry.get("members", ()):
-        ds, _, cls = member.partition(".")
-        if ds == dataset:
-            return cls
-    return None
+    return own_posterior(space, model, x) @ space.universal_weights
 
 
 def dataset_scores(space: ModelSpace, model: MlpModel, x: np.ndarray,
@@ -490,64 +489,46 @@ def dataset_scores(space: ModelSpace, model: MlpModel, x: np.ndarray,
                    post_inference: bool = False):
     """Scores over one dataset's classes plus void, for any mode.
 
-    Default scoring assigns each output class to its native evaluation class
-    and sends everything foreign to void.  With ``post_inference`` enabled,
-    a foreign output class is instead credited to every evaluation class its
-    atoms intersect, and reaches void only when it intersects none.
+    Each output class's posterior goes to every class of the dataset it
+    meets, and to void when it meets none.  A universal class meets the
+    classes whose mapped set holds it.  A concatenated output class meets
+    by default only the classes it stands for, so everything foreign goes
+    to void; with ``post_inference`` it meets every class its atoms
+    intersect.  Within a dataset classes are disjoint, so a native output
+    class meets its own class alone either way.
 
     Returns (names, scores) with names ending in "__void__" and scores of
     shape (len(x), len(names)).
     """
-    from .evaluation import VOID
-
-    p = own_posterior(space, model, x)
-    if space.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-        per_class = maps.by_dataset[dataset]
-        names = list(per_class)
-        weights = np.zeros((space.n_universal, len(names) + 1))
-        for j, cls in enumerate(names):
-            for u in per_class[cls]:
-                weights[u, j] = 1.0
-        weights[np.sum(weights, axis=1) == 0, -1] = 1.0
-        return names + [VOID], p @ weights
-    ds = col.dataset(dataset)
-    names = [c.name for c in ds.classes]
-    atom_names = {c.name: set(col.atom_names(c.atoms)) for c in ds.classes}
-    weights = np.zeros((len(space.entries), len(names) + 1))
-    for e, entry in enumerate(space.entries):
-        native = _entry_native_class(entry, dataset)
-        if native is not None:
-            weights[e, names.index(native)] = 1.0
-            continue
-        if post_inference:
-            for j, cls in enumerate(names):
-                if atom_names[cls] & set(entry["atoms"]):
-                    weights[e, j] = 1.0
-        if not np.any(weights[e]):
-            weights[e, -1] = 1.0
-    return names + [VOID], p @ weights
+    classes = col.dataset(dataset).classes
+    if not space.entries:
+        sources = [{u} for u in range(space.n_universal)]
+        targets = [maps.mapped(dataset, c.name) for c in classes]
+    elif post_inference:
+        sources = [o.atoms for o in space.entries]
+        targets = [col.atom_names(c.atoms) for c in classes]
+    else:
+        sources = [o.natives for o in space.entries]
+        targets = [{(dataset, c.name)} for c in classes]
+    weights = projection(sources, targets, void=True)
+    return [c.name for c in classes] + [VOID], own_posterior(space, model, x) @ weights
 
 
 def predict_universal(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Native argmax prediction mapped onto universal ids.
 
-    Universal modes predict directly.  Baselines predict in their own output
-    space first; an output class resolves to a universal class only when its
-    atom set matches one exactly, otherwise the prediction stays unresolved
-    (-1), which the accuracy metrics count as wrong.
+    The model predicts in its own output space first.  An output class
+    resolves to a universal class only when it equals one, which every
+    class of the universal modes does; otherwise the prediction stays
+    unresolved (-1), which the accuracy metrics count as wrong.
     """
-    logits = forward_logits(model, x)
-    if space.mode in ("universal-nll-plus", "universal-nll-max", "oracle"):
-        return np.argmax(logits, axis=1)
-    if space.mode == "per-dataset-heads":
-        logits = logits[:, : len(space.entries)]
-    exact = {tuple(sorted(atoms)): u
-             for u, atoms in enumerate(space.universal_atoms)}
-    lookup = np.asarray(
-        [exact.get(tuple(sorted(entry["atoms"])), -1) for entry in space.entries],
-        dtype=np.int64,
-    )
-    return lookup[np.argmax(logits, axis=1)]
+    return space.universal_of[_own_argmax(space, forward_logits(model, x))]
+
+
+def _own_argmax(space: ModelSpace, logits: np.ndarray) -> np.ndarray:
+    """Argmax over the model's own output classes, leaving out the dataset
+    head (ties go to the lowest index)."""
+    return np.argmax(logits[:, :len(space.outputs)], axis=1)
 
 
 def universal_accuracy(space, model, x, y_true) -> float:
@@ -589,10 +570,7 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     grid = np.asarray([(x, y) for y in ys for x in xs], dtype=np.float64)
-    logits = forward_logits(model, grid)
-    if space.mode == "per-dataset-heads":
-        logits = logits[:, : len(space.entries)]
-    pred = np.argmax(logits, axis=1)
+    pred = _own_argmax(space, forward_logits(model, grid))
     rows = [(float(px), float(py), int(c)) for (px, py), c in zip(grid, pred)]
     return rows, space.class_names()
 
@@ -620,30 +598,14 @@ def load_model(path) -> TrainResult:
     bias shapes or with the output space, or when a parameter is not
     finite.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
-    try:
-        return _result_from_dict(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-def _section(data, key, kind, where=""):
-    value = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(value, kind):
-        raise ValidationError(f"field {where + key!r} is missing or not {kind.__name__}")
-    return value
+    return load_json(path, _result_from_dict)
 
 
 def _result_from_dict(data) -> TrainResult:
-    model = _section(data, "model", dict)
-    sizes = _section(model, "sizes", list, "model.")
-    weights = _section(model, "weights", list, "model.")
-    biases = _section(model, "biases", list, "model.")
+    model = require_field(data, "model", dict)
+    sizes = require_field(model, "sizes", list, "model.")
+    weights = require_field(model, "weights", list, "model.")
+    biases = require_field(model, "biases", list, "model.")
     if len(sizes) < 2 or not all(type(n) is int and n > 0 for n in sizes):
         raise ValidationError("field 'model.sizes' must list at least two positive integers")
     if sizes[0] != 2:
@@ -666,25 +628,7 @@ def _result_from_dict(data) -> TrainResult:
             if not np.all(np.isfinite(array)):
                 raise ValidationError(f"field 'model.{key}[{i}]' holds a non-finite value")
             params[key].append(array.astype(np.float64))
-    space_data = _section(data, "space", dict)
-    for key, kind in (("mode", str), ("n_universal", int), ("universal_atoms", list),
-                      ("entries", list), ("datasets", list)):
-        _section(space_data, key, kind, "space.")
-    if space_data["mode"] not in MODES:
-        raise ValidationError(f"field 'space.mode' must be one of {MODES}")
-    try:
-        space = ModelSpace.from_dict(space_data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"field 'space' is malformed ({exc})") from None
-    if len(space.universal_atoms) != space.n_universal:
-        raise ValidationError("field 'space.universal_atoms' must have one entry "
-                              "per universal class")
-    needed = {"naive-concat": ("dataset", "class"), "per-dataset-heads": ("dataset", "class"),
-              "partial-merge": ("members",)}.get(space.mode, ())
-    for i, entry in enumerate(space.entries):
-        for key in ("name", "atoms") + needed:
-            if key not in entry:
-                raise ValidationError(f"field 'space.entries[{i}].{key}' is missing")
+    space = ModelSpace.from_dict(require_field(data, "space", dict))
     if space.k != sizes[-1]:
         raise ValidationError(f"field 'model.sizes' ends in {sizes[-1]} outputs, "
                               f"but the {space.mode} space has {space.k}")

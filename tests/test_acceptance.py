@@ -20,7 +20,7 @@ from unitax.losses import (
     universal_posteriors,
 )
 from unitax.pseudolabel import ForeignPrediction, conditional_score, ensemble_pseudo_label
-from unitax.resolve import fixpoint_atom_sets, fixpoint_mappings
+from unitax.resolve import fixpoint_partition
 from unitax.rng import SplitMix64
 from unitax.taxonomy import (
     MappingSet,
@@ -76,10 +76,10 @@ def test_criterion_1_construction_oracle_equivalence():
     for _ in range(200):
         col = random_collection(rng)
         tax, maps = build_universal_from_atoms(col)
-        assert sorted(fixpoint_atom_sets(col), key=sorted) == sorted(
+        parts, mappings = fixpoint_partition(col)
+        assert sorted(parts, key=sorted) == sorted(
             (u.atoms for u in tax.classes), key=sorted
         )
-        mappings = fixpoint_mappings(col)
         for ds in col.datasets:
             for cls in ds.classes:
                 got = sorted(mappings[(ds.name, cls.name)], key=sorted)
@@ -115,8 +115,7 @@ def test_criterion_2_reference_mappings():
             {"name": "City", "classes": [{"name": "sky", "atoms": ["sky"]}]},
         ],
     })
-    parts = fixpoint_atom_sets(sky)
-    mappings = fixpoint_mappings(sky)
+    parts, mappings = fixpoint_partition(sky)
     assert parts == {frozenset({0})}
     assert mappings[("WD", "sky")] == mappings[("City", "sky")]
 
@@ -128,8 +127,8 @@ def test_criterion_2_reference_mappings():
             {"name": "ADE20k", "classes": [{"name": "car", "atoms": ["car"]}]},
         ],
     })
-    mappings = fixpoint_mappings(cars)
-    assert sorted(fixpoint_atom_sets(cars), key=sorted) == [
+    parts, mappings = fixpoint_partition(cars)
+    assert sorted(parts, key=sorted) == [
         frozenset({0}), frozenset({1}),
     ]
     assert set(mappings[("ADE20k", "car")]) < set(mappings[("KITTI", "car")])
@@ -142,8 +141,8 @@ def test_criterion_2_reference_mappings():
             {"name": "ADE20k", "classes": [{"name": "truck", "atoms": ["truck", "trailer"]}]},
         ],
     })
-    mappings = fixpoint_mappings(trucks)
-    assert len(fixpoint_atom_sets(trucks)) == 3
+    parts, mappings = fixpoint_partition(trucks)
+    assert len(parts) == 3
     viper = set(mappings[("VIPER", "truck")])
     ade = set(mappings[("ADE20k", "truck")])
     assert len(viper) == 2 and len(ade) == 2 and len(viper & ade) == 1

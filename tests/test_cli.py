@@ -244,3 +244,72 @@ def test_pseudo_label_unknown_dataset_names_the_line(tmp_path, vehicle_file, cap
     err = capsys.readouterr().err
     assert "line 2" in err and "unknown dataset 'Nope'" in err
     assert "Traceback" not in err
+
+
+def test_malformed_label_space_files_name_the_field(tmp_path, capsys):
+    def code_and_err(argv):
+        code = run(argv)
+        return code, capsys.readouterr().err
+
+    cases = [
+        (["check", "--in"], {**problems.vehicle_mini_collection(), "universal": [{}],
+                             "mappings": {}}, "universal[0].id"),
+        (["build", "--atoms"], {"atoms": "abc", "datasets": [{"name": "x"}]}, "atoms"),
+        (["build", "--atoms"], {"atoms": ["a"], "datasets": [{"name": "x"}]},
+         "datasets[0].classes"),
+        (["build", "--atoms"], {"atoms": ["a"], "datasets": [
+            {"name": "x", "classes": [{"name": "c", "atoms": [1]}]}]},
+         "datasets[0].classes[0].atoms"),
+    ]
+    for i, (argv, data, field) in enumerate(cases):
+        path = write_json(tmp_path / f"bad{i}.json", data)
+        code, err = code_and_err(argv + [path, "--out", str(tmp_path / "out.json")]
+                                 if argv[0] == "build" else argv + [path])
+        assert code == 1, field
+        assert repr(field) in err, err
+        assert "Traceback" not in err
+
+
+def test_check_rejects_malformed_universal_entries(tmp_path, vehicle_file, capsys):
+    built = tmp_path / "tax.json"
+    assert run(["build", "--atoms", vehicle_file, "--out", str(built)]) == 0
+    good = json.loads(built.read_text())
+    bad_signature = json.loads(built.read_text())
+    bad_signature["universal"][0]["signature"] = [["VIPER", "nope"]]
+    bad_id = json.loads(built.read_text())
+    bad_id["universal"][1]["id"] = 7
+    bad_mapping = json.loads(built.read_text())
+    bad_mapping["mappings"]["VIPER"]["truck"] = ["0"]
+    cases = [(bad_signature, "universal[0]"), (bad_id, "universal[1].id"),
+             (bad_mapping, "mappings.VIPER.truck"),
+             ({**good, "mappings": []}, "mappings")]
+    for i, (data, field) in enumerate(cases):
+        path = write_json(tmp_path / f"bad{i}.json", data)
+        assert run(["check", "--in", path]) == 1, field
+        err = capsys.readouterr().err
+        assert repr(field) in err and "Traceback" not in err, err
+
+
+def test_surface_rejects_unbounded_grids(tmp_path, collapse_spec, capsys):
+    out = tmp_path / "run"
+    assert run(["toy-train", "--spec", collapse_spec, "--mode", "oracle",
+                "--epochs", "2", "--out", str(out)]) == 0
+    surface = tmp_path / "surface.csv"
+
+    def draw(grid):
+        code = run(["surface", "--model", str(out / "model.json"), f"--grid={grid}",
+                    "--out", str(surface)])
+        return code, capsys.readouterr().err
+
+    for grid, field in [("-1,1,-1,1,-1,2", "nx"), ("-1,1,-1,1,2,0", "ny"),
+                        ("-1,1,-1,1,1001,2", "nx"), ("nan,1,-1,1,2,2", "xmin"),
+                        ("-1,inf,-1,1,2,2", "xmax"), ("-1,1,-inf,1,2,2", "ymin")]:
+        code, err = draw(grid)
+        assert code == 1, grid
+        assert f"--grid {field}" in err and "Traceback" not in err, err
+        assert not surface.exists()
+    # the smallest and the largest grids are accepted
+    assert draw("-1,1,-1,1,1,1")[0] == 0
+    assert len(surface.read_text().splitlines()) == 2
+    assert draw("0,1,0,1,1000,1")[0] == 0
+    assert len(surface.read_text().splitlines()) == 1001

@@ -3,13 +3,11 @@ import pytest
 
 from unitax import problems
 from unitax.errors import NotFound
-from unitax.evaluation import (
-    VOID,
-    ConfusionAccumulator,
-    post_inference_score,
-    project_with_void,
-)
-from unitax.taxonomy import MappingSet, build_universal_from_atoms, collection_from_dict
+from unitax.evaluation import VOID, ConfusionAccumulator
+from unitax.mlp import MlpModel
+from unitax.rng import SplitMix64
+from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
+from unitax.training import build_space, dataset_scores
 
 
 def vehicle_setup():
@@ -18,41 +16,43 @@ def vehicle_setup():
     return col, tax, maps
 
 
+def scores_for(post, mode, col, tax, maps, dataset, post_inference=False):
+    """dataset_scores of a one-layer model whose posterior is ``post``
+    everywhere: zero weights and the log posterior as bias."""
+    space = build_space(mode, col, tax, maps)
+    model = MlpModel([2, len(post)], SplitMix64(0))
+    model.weights[0][:] = 0.0
+    model.biases[0][:] = np.log(post)
+    names, scores = dataset_scores(space, model, np.zeros((1, 2)), dataset, maps, col,
+                                   post_inference=post_inference)
+    return dict(zip(names, scores[0]))
+
+
 def test_project_with_void_sums_to_one():
     col, tax, maps = vehicle_setup()
     post = np.array([0.1, 0.2, 0.3, 0.4])
-    names, values = project_with_void(post, "VIPER", maps)
-    assert names[-1] == VOID
-    assert abs(float(np.sum(values)) - 1.0) < 1e-12
-    by_name = dict(zip(names, values))
+    by_name = scores_for(post, "universal-nll-plus", col, tax, maps, "VIPER")
+    assert list(by_name)[-1] == VOID
+    assert abs(sum(by_name.values()) - 1.0) < 1e-12
     # VIPER truck absorbs the truck and pickup parts, the rest is void
     truck = next(u.id for u in tax.classes if u.display_name == "truck")
     pickup = next(u.id for u in tax.classes if u.display_name == "pickup")
     assert np.isclose(by_name["truck"], post[truck] + post[pickup])
+    assert np.isclose(by_name[VOID], 1.0 - post[truck] - post[pickup])
 
 
 def test_project_with_void_unknown_dataset():
-    _, _, maps = vehicle_setup()
+    col, tax, maps = vehicle_setup()
     with pytest.raises(NotFound):
-        project_with_void(np.ones(4) / 4, "COCO", maps)
+        scores_for(np.ones(4) / 4, "universal-nll-plus", col, tax, maps, "COCO")
 
 
 def test_post_inference_score_credits_intersecting_foreign_classes():
-    col, tax, maps = vehicle_setup()
     # concat model over all three one-class datasets
-    model_classes = [
-        ("VIPER", "truck", frozenset(c.atoms))
-        for c in col.dataset("VIPER").classes
-    ] + [
-        ("Vistas", "car", frozenset(c.atoms))
-        for c in col.dataset("Vistas").classes
-    ] + [
-        ("ADE20k", "van", frozenset(c.atoms))
-        for c in col.dataset("ADE20k").classes
-    ]
-    post = np.array([0.5, 0.2, 0.3])
-    names, scores = post_inference_score(post, "Vistas", col, model_classes)
-    by_name = dict(zip(names, scores))
+    col, tax, maps = vehicle_setup()
+    post = np.array([0.5, 0.2, 0.3])  # VIPER.truck, Vistas.car, ADE20k.van
+    by_name = scores_for(post, "naive-concat", col, tax, maps, "Vistas",
+                         post_inference=True)
     # the native class keeps its posterior and gains both intersecting
     # foreign classes; nothing is disjoint from it, so void scores zero
     assert np.isclose(by_name["car"], 1.0)
@@ -70,16 +70,14 @@ def test_post_inference_void_collects_disjoint_foreign_mass():
             {"name": "D2", "classes": [{"name": "x", "atoms": ["a"]}]},
         ],
     })
-    model_classes = [
-        ("D1", "x", frozenset({0})),
-        ("D1", "y", frozenset({1})),
-        ("D2", "x", frozenset({0})),
-    ]
-    post = np.array([0.2, 0.5, 0.3])
-    names, scores = post_inference_score(post, "D2", col, model_classes)
-    by_name = dict(zip(names, scores))
+    tax, maps = build_universal_from_atoms(col)
+    post = np.array([0.2, 0.5, 0.3])  # D1.x, D1.y, D2.x
+    by_name = scores_for(post, "naive-concat", col, tax, maps, "D2", post_inference=True)
     assert np.isclose(by_name["x"], 0.5)   # native + intersecting D1.x
     assert np.isclose(by_name[VOID], 0.5)  # D1.y is disjoint from D2's space
+    by_name = scores_for(post, "naive-concat", col, tax, maps, "D2")
+    assert np.isclose(by_name["x"], 0.3)   # by default foreign D1.x is void
+    assert np.isclose(by_name[VOID], 0.7)
 
 
 # ---------------------------------------------------------------------------

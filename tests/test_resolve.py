@@ -10,8 +10,7 @@ from unitax.errors import (
 )
 from unitax.resolve import (
     build_universal_from_declarations,
-    fixpoint_atom_sets,
-    fixpoint_mappings,
+    fixpoint_partition,
     initial_state,
     parse_declarations,
     resolve_fixpoint,
@@ -56,8 +55,8 @@ def test_rule1_merges_equal_classes():
     state, applied = resolve_step(state)
     assert applied is not None and applied.rule == 1
     assert resolve_step(state)[1] is None  # already at the fixpoint
-    assert fixpoint_atom_sets(col) == {frozenset({0})}
-    mappings = fixpoint_mappings(col)
+    parts, mappings = fixpoint_partition(col)
+    assert parts == {frozenset({0})}
     assert mappings[("WD", "sky")] == mappings[("City", "sky")]
 
 
@@ -73,9 +72,8 @@ def test_rule2_splits_superset():
     state = initial_state(col)
     state, applied = resolve_step(state)
     assert applied.rule == 2
-    parts = fixpoint_atom_sets(col)
+    parts, mappings = fixpoint_partition(col)
     assert sorted(parts, key=sorted) == [frozenset({0}), frozenset({1})]
-    mappings = fixpoint_mappings(col)
     assert len(mappings[("KITTI", "car")]) == 2
     assert len(mappings[("ADE20k", "car")]) == 1
     assert set(mappings[("ADE20k", "car")]) <= set(mappings[("KITTI", "car")])
@@ -93,11 +91,10 @@ def test_rule3_replaces_overlap_with_three_parts():
     state = initial_state(col)
     state, applied = resolve_step(state)
     assert applied.rule == 3
-    parts = fixpoint_atom_sets(col)
+    parts, mappings = fixpoint_partition(col)
     assert sorted(parts, key=sorted) == [
         frozenset({0}), frozenset({1}), frozenset({2}),
     ]
-    mappings = fixpoint_mappings(col)
     viper = set(mappings[("VIPER", "truck")])
     ade = set(mappings[("ADE20k", "truck")])
     assert len(viper) == 2 and len(ade) == 2
@@ -110,8 +107,8 @@ def test_fixpoint_matches_signature_grouping_on_random_collections():
         col = random_collection(rng)
         tax, maps = build_universal_from_atoms(col)
         expected = sorted((u.atoms for u in tax.classes), key=sorted)
-        assert sorted(fixpoint_atom_sets(col), key=sorted) == expected
-        mappings = fixpoint_mappings(col)
+        parts, mappings = fixpoint_partition(col)
+        assert sorted(parts, key=sorted) == expected
         for ds in col.datasets:
             for cls in ds.classes:
                 got = sorted(mappings[(ds.name, cls.name)], key=sorted)

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from unitax import problems
@@ -11,6 +14,7 @@ from unitax.taxonomy import (
     filter_untrainable,
     mapping_matrix,
     matrix_csv,
+    projection,
     taxonomy_from_dict,
     taxonomy_to_dict,
     validate_collection,
@@ -171,3 +175,17 @@ def test_unknown_dataset_raises():
     col = vehicles()
     with pytest.raises(NotFound):
         col.dataset("nope")
+
+
+def test_projection_marks_meeting_sets_and_void():
+    rng = random.Random(3)
+    for _ in range(200):
+        sources = [set(rng.sample(range(12), rng.randint(1, 4))) for _ in range(rng.randint(0, 6))]
+        targets = [tuple(rng.sample(range(12), rng.randint(1, 4)))
+                   for _ in range(rng.randint(0, 6))]
+        w = projection(sources, targets)
+        assert w.shape == (len(sources), len(targets)) and w.dtype == np.float64
+        assert w.tolist() == [[float(bool(s & set(t))) for t in targets] for s in sources]
+        v = projection(sources, targets, void=True)
+        assert np.array_equal(v[:, :-1], w)
+        assert v[:, -1].tolist() == [float(not row.any()) for row in w]

@@ -6,8 +6,12 @@ import pytest
 from unitax import problems
 from unitax.errors import ValidationError
 from unitax.losses import nll_plus, nll_plus_grad
+from unitax.mlp import MlpModel
+from unitax.rng import SplitMix64
+from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
 from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
+    HIDDEN,
     MODES,
     TrainConfig,
     _Objective,
@@ -63,9 +67,62 @@ def test_output_width_per_mode():
 def test_partial_merge_merges_exactly_equal_classes():
     spec, tax, maps = cross_problem()
     space = build_space("partial-merge", spec.collection, tax, maps)
-    merged = [e for e in space.entries if len(e.get("members", [])) > 1]
+    merged = [e for e in space.entries if len(e.natives) > 1]
     assert len(merged) == 1
-    assert set(merged[0]["members"]) == {"D1.a1", "D2.b1"}
+    assert set(merged[0].natives) == {("D1", "a1"), ("D2", "b1")}
+
+
+# ---------------------------------------------------------------------------
+# output classes are keyed by (dataset, class), whatever the names hold
+
+
+def test_partial_merge_scores_datasets_with_dotted_names():
+    col = collection_from_dict({
+        "atoms": ["a", "b"],
+        "datasets": [
+            {"name": name, "classes": [{"name": "car", "atoms": ["a"]},
+                                       {"name": "truck", "atoms": ["b"]}]}
+            for name in ("V.1", "W")
+        ],
+    })
+    tax, maps = build_universal_from_atoms(col)
+    space = build_space("partial-merge", col, tax, maps)
+    assert space.class_names() == ["V.1.car=W.car", "V.1.truck=W.truck"]
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(0))
+    for w in model.weights:
+        w[:] = 0.0  # uniform posterior over the two merged classes
+    for dataset in ("V.1", "W"):
+        for post in (False, True):
+            names, scores = dataset_scores(space, model, np.zeros((1, 2)), dataset,
+                                           maps, col, post_inference=post)
+            assert names == ["car", "truck", "__void__"]
+            assert scores.tolist() == [[0.5, 0.5, 0.0]], (dataset, post)
+
+
+@pytest.mark.parametrize("mode", ["naive-concat", "partial-merge", "per-dataset-heads"])
+def test_concat_objective_targets_the_rows_own_class_despite_equal_names(mode):
+    # A's class "B.c" and A.B's class "c" both display as "A.B.c"
+    spec, tax, maps = problem_from_dict({
+        "atoms": ["x", "y", "z", "w"],
+        "datasets": [{"name": "A", "classes": [{"name": "B.c", "atoms": ["x"]},
+                                               {"name": "e", "atoms": ["z"]}]},
+                     {"name": "A.B", "classes": [{"name": "c", "atoms": ["y"]},
+                                                 {"name": "e", "atoms": ["w"]}]}],
+        "concepts": [{"atom": a, "center": [float(i), 0.0], "std": 0.3, "count": 10}
+                     for i, a in enumerate(["x", "y", "z", "w"])],
+        "seed": 0,
+    })
+    data = generate_toy(spec, maps)
+    space = build_space(mode, spec.collection, tax, maps)
+    assert space.class_names() == ["A.B.c", "A.e", "A.B.c", "A.B.e"]
+    objective = _Objective(mode, spec.collection, tax, maps, space, data)
+    labels = _row_labels(data)
+    _, grads = objective.row_losses(np.zeros((len(labels), space.k)))
+    own = {("A", "B.c"): 0, ("A", "e"): 1, ("A.B", "c"): 2, ("A.B", "e"): 3}
+    assert set(labels) == set(own)
+    for label, grad in zip(labels, grads):
+        # the label's own class is the only output class the loss pulls up
+        assert np.flatnonzero(grad[:4] < 0).tolist() == [own[label]], label
 
 
 @pytest.mark.parametrize("mode", MODES)
