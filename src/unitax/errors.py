@@ -49,13 +49,19 @@ class OrthogonalDataset(UnitaxError):
     """No class of the foreign dataset intersects the ground-truth class."""
 
 
+def _is(value, kind):
+    """isinstance, except that an int is also a float and a bool is neither."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float) if kind is float else kind))
+
+
 def require_field(data, key, kind, where=""):
     """``data[key]`` when ``data`` is a dict holding a ``kind`` there.
 
     Otherwise raises a ValidationError naming the field as ``where + key``.
     """
     value = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise ValidationError(f"field {where + key!r} is missing or not {kind.__name__}")
     return value
 
@@ -64,7 +70,7 @@ def require_list(values, kind, where, size=None):
     """``values`` when it is a list of ``kind`` values (exactly ``size`` of
     them, if given).  Otherwise raises a ValidationError naming the field
     ``where``."""
-    if (not isinstance(values, list) or not all(isinstance(v, kind) for v in values)
+    if (not isinstance(values, list) or not all(_is(v, kind) for v in values)
             or size not in (None, len(values))):
         count = f"{size} " if size is not None else ""
         raise ValidationError(f"field {where!r} must be a list of {count}{kind.__name__} values")

@@ -5,13 +5,12 @@ All functions are stateless and operate on plain numpy arrays.  The NLL+
 loss is always computed in the numerically stable log-sum-exp form
 logsumexp(all logits) - logsumexp(mapped logits); probabilities are never
 exponentiated before taking the log.  One kernel, nll_plus_rows, computes
-it for a batch of rows: the trainer runs it on every epoch, and nll_plus
-and nll_plus_grad run it on a batch of one.
+it for a batch of rows: the trainer runs it on every softmax block of
+every mode in every epoch, and nll_plus and nll_plus_grad run it on a
+batch of one.  universal_posteriors is the package's one softmax.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +30,8 @@ def logsumexp(values: np.ndarray, axis=None) -> np.ndarray:
 
 
 def universal_posteriors(logits: np.ndarray) -> np.ndarray:
-    """Softmax over universal logits, computed with max subtraction."""
+    """Softmax over the last axis of finite logits, computed with max
+    subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise InvalidLogit("logits must be finite")
@@ -55,38 +55,35 @@ def dataset_posterior(post: np.ndarray, label, maps: MappingSet) -> float:
     return float(np.sum(post[_mapped_ids(label, maps)]))
 
 
-def nll_plus_rows(z, in_set, off_set, grad, work=None):
+def nll_plus_rows(z, in_set, off_set, grad, scratch=None, stats=None):
     """NLL+ of every row of the class-major logits ``z`` (K, rows).
 
     ``in_set`` is 1 on each row's mapped classes and 0 elsewhere;
     ``off_set`` is 0 on them and -inf elsewhere.  Returns the per-row
     losses, logsumexp over all classes minus logsumexp over the mapped set,
     and writes their gradient into ``grad`` (K, rows): the softmax minus
-    the mapped set's renormalised posterior.  ``work`` holds the buffers
-    ``peak``, ``peak_in``, ``total``, ``total_in`` (1, rows) and
-    ``scratch`` (K, rows); they are allocated when it is not given.
+    the mapped set's renormalised posterior.  ``scratch`` (K, rows) and
+    ``stats`` (4, rows) are work buffers, allocated when not given.
 
     Each entry is shifted by the maximum of its own group: the masked row
     max on the mapped set, the row max off it.  So exp runs once per entry
     and never sees -inf, and the mapped set's sum is at least 1 even when
     all its logits lie far below another class.
     """
-    if work is None:
-        rows = z.shape[1]
-        work = SimpleNamespace(peak=np.empty((1, rows)), peak_in=np.empty((1, rows)),
-                               total=np.empty((1, rows)), total_in=np.empty((1, rows)),
-                               scratch=np.empty(z.shape))
-    peak = np.max(z, axis=0, keepdims=True, out=work.peak)
-    t = np.add(z, off_set, out=work.scratch)
-    peak_in = np.max(t, axis=0, keepdims=True, out=work.peak_in)
+    if stats is None:
+        stats = np.empty((4, z.shape[1]))
+    peak, peak_in, total, total_in = np.split(stats, 4)
+    np.max(z, axis=0, keepdims=True, out=peak)
+    t = np.add(z, off_set, out=scratch)
+    np.max(t, axis=0, keepdims=True, out=peak_in)
     gap = peak_in - peak  # <= 0
     np.multiply(in_set, gap, out=t)
     np.subtract(z, t, out=t)
     t -= peak
     np.exp(t, out=t)
-    total = np.sum(t, axis=0, keepdims=True, out=work.total)
+    np.sum(t, axis=0, keepdims=True, out=total)
     np.multiply(t, in_set, out=grad)
-    total_in = np.sum(grad, axis=0, keepdims=True, out=work.total_in)
+    np.sum(grad, axis=0, keepdims=True, out=total_in)
     # exp(gap) - 1 moves the mapped set's share of the sum onto the row
     # max, which makes total the softmax denominator.
     below = np.expm1(gap)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, load_json
+from .errors import ValidationError, load_json, require_field, require_list
 from .rng import SplitMix64
 from .taxonomy import (
     Collection,
@@ -40,11 +40,13 @@ class ToyProblemSpec:
 
     def validate(self, tax: UniversalTaxonomy):
         uids = {u.id for u in tax.classes}
-        for concept in self.concepts:
+        for i, concept in enumerate(self.concepts):
             if concept.count <= 0:
-                raise ValidationError("concept sample counts must be positive")
-            if concept.std <= 0:
-                raise ValidationError("concept stds must be positive")
+                raise ValidationError(f"field 'concepts[{i}].count' must be positive")
+            if not 0 < concept.std < np.inf:
+                raise ValidationError(f"field 'concepts[{i}].std' must be positive and finite")
+            if len(concept.center) != 2 or not np.all(np.isfinite(concept.center)):
+                raise ValidationError(f"field 'concepts[{i}].center' must be 2 finite numbers")
             if concept.universal_id not in uids:
                 raise ValidationError(
                     f"concept references unknown universal class {concept.universal_id}"
@@ -81,19 +83,23 @@ def problem_from_dict(data: dict):
         for a in u.atoms:
             owner[a] = u.id
     concepts = []
-    for entry in data["concepts"]:
-        name = entry["atom"]
+    for i, entry in enumerate(require_field(data, "concepts", list)):
+        where = f"concepts[{i}]."
+        name = require_field(entry, "atom", str, where)
         if name not in atom_ids:
             raise ValidationError(f"concept references unknown atom {name!r}")
+        center = require_list(require_field(entry, "center", list, where), float,
+                              where + "center", 2)
         concepts.append(
             Concept(
                 owner[atom_ids[name]],
-                tuple(float(v) for v in entry["center"]),
-                float(entry["std"]),
-                int(entry["count"]),
+                tuple(float(v) for v in center),
+                float(require_field(entry, "std", float, where)),
+                require_field(entry, "count", int, where),
             )
         )
-    spec = ToyProblemSpec(col, tuple(concepts), int(data.get("seed", 0)))
+    seed = require_field(data, "seed", int) if "seed" in data else 0
+    spec = ToyProblemSpec(col, tuple(concepts), seed)
     spec.validate(tax)
     return spec, tax, maps
 

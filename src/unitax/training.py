@@ -18,8 +18,6 @@ loss:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -28,7 +26,7 @@ import numpy as np
 
 from .errors import (TrainingDiverged, ValidationError, load_json, require_field,
                      require_list)
-from .losses import nll_plus_rows
+from .losses import nll_plus_rows, universal_posteriors
 from .mlp import Adam, MlpModel
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
@@ -61,8 +59,9 @@ class TrainConfig:
             raise ValidationError(f"unknown mode {self.mode!r}; choose one of {MODES}")
         if self.epochs <= 0:
             raise ValidationError("epochs must be positive")
-        if self.lr <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not 0 < self.lr < float("inf"):
+            raise ValidationError(f"learning rate (--lr) must be positive and finite, "
+                                  f"not {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,21 @@ class ModelSpace:
         """Display names of the model's own output classes."""
         return [o.name for o in self.outputs]
 
-    def head_blocks(self) -> list:
-        """Per dataset head, the slice of its classes among the entries,
-        which are stacked dataset by dataset."""
-        blocks, offset = [], 0
+    @cached_property
+    def blocks(self) -> tuple:
+        """The softmax blocks of the output vector as (dataset, classes)
+        pairs.  The first block, with dataset None, serves every row: all
+        output classes, or the dataset head of per-dataset-heads.  Each
+        further block is one dataset's class head among the entries, which
+        are stacked dataset by dataset."""
+        if not self.datasets:
+            return ((None, slice(0, self.k)),)
+        blocks, offset = [(None, slice(len(self.entries), self.k))], 0
         for ds in self.datasets:
             size = sum(1 for o in self.entries if o.natives[0][0] == ds)
-            blocks.append(slice(offset, offset + size))
+            blocks.append((ds, slice(offset, offset + size)))
             offset += size
-        return blocks
+        return tuple(blocks)
 
     @cached_property
     def universal_weights(self) -> np.ndarray:
@@ -223,21 +228,6 @@ class TrainResult:
     loss_trace: list  # per-epoch mean loss
 
 
-def _softmax(z, axis=-1, out=None, peak=None, total=None):
-    """Softmax of ``z`` over its class axis ``axis``.
-
-    Writes the probabilities into ``out``, the maximum over the axis into
-    ``peak`` and the sum of exp(z - peak) into ``total`` (both keep the
-    axis), allocating whichever is not given.
-    """
-    peak = np.max(z, axis=axis, keepdims=True, out=peak)
-    p = np.subtract(z, peak, out=out)
-    np.exp(p, out=p)
-    total = np.sum(p, axis=axis, keepdims=True, out=total)
-    p /= total
-    return p
-
-
 def _stack_training_data(data: ToyData):
     """All (dataset, sample) pairs as flat arrays, in dataset order.
 
@@ -280,12 +270,14 @@ class _Objective:
     ``workspace()``; train() makes one and reuses it in every epoch.
 
     The modes differ only in data.  Each labelled row has a target set of
-    output classes: its mapped set (universal-nll-plus and -max), its true
-    universal class (oracle), or the output class of its own label
-    (naive-concat, partial-merge and per-dataset-heads).  All but two modes
-    train the NLL+ kernel of ``losses`` on these sets; universal-nll-max
-    credits the most likely class of the set instead, and per-dataset-heads
-    trains the product of its dataset head and class heads.
+    output classes: its mapped set (universal-nll-plus), its true universal
+    class (oracle), the output class of its own label (naive-concat,
+    partial-merge and per-dataset-heads, which also credits the row's
+    dataset in its dataset head), or the most likely class of its mapped
+    set, picked on every call (universal-nll-max).  Each softmax block of
+    ``space.blocks`` runs the NLL+ kernel of ``losses`` over the rows it
+    serves, and a row's loss is the sum over its blocks: the joint
+    posterior of per-dataset-heads is the product of its heads'.
     """
 
     def __init__(self, mode, col, tax, maps, space, data: ToyData):
@@ -306,7 +298,7 @@ class _Objective:
             count[j] += 1
         self.copies = copies
         self.x = rows[copies[0]] if copies else rows
-        self.cols = cols = np.arange(n)
+        self.cols = np.arange(n)
         own = {native: i for i, o in enumerate(space.entries) for native in o.natives}
         labelled = list(zip(ds_names, labels))
         if mode == "oracle":
@@ -316,38 +308,44 @@ class _Objective:
         else:
             targets = [maps.mapped(*label) for label in labelled]
         if space.datasets:
-            # The dataset head over every row, then each dataset's class
-            # head over that dataset's rows; rows are stacked dataset by
-            # dataset, so those are one range.
-            n_entries = len(space.entries)
-            ds_of = np.asarray([space.datasets.index(ds) for ds in ds_names],
-                               dtype=np.int64)
-            self.blocks = [(slice(n_entries, None), slice(None))]
-            for d, block in enumerate(space.head_blocks()):
-                sel = np.flatnonzero(ds_of == d)
-                span = slice(sel[0], sel[-1] + 1) if len(sel) else slice(0, 0)
-                self.blocks.append((block, span))
-            self.targets = [(n_entries + ds_of, cols),
-                            (np.asarray([t[0] for t in targets], dtype=np.int64), cols)]
-            return
+            head = len(space.entries)
+            targets = [t + (head + space.datasets.index(ds),)
+                       for t, ds in zip(targets, ds_names)]
         in_set = np.zeros((k, n), dtype=np.float64)
         in_set[[c for t in targets for c in t],
                [i for i, t in enumerate(targets) for _ in t]] = 1.0
-        self.in_set = in_set
-        self.off_set = np.where(in_set > 0, 0.0, -np.inf)
+        off_set = np.where(in_set > 0, 0.0, -np.inf)
+        if mode == "universal-nll-max":
+            # The targets start empty; each call credits one mapped class.
+            self.mapped_off, self.top = off_set, np.zeros(n, dtype=np.int64)
+            in_set, off_set = np.zeros((k, n)), np.full((k, n), -np.inf)
+        self.in_set, self.off_set = in_set, off_set
+        # (classes, rows) per softmax block; rows are stacked dataset by
+        # dataset, so the rows of a class head are one range.
+        self.blocks = []
+        for ds, classes in space.blocks:
+            start = ds_names.index(ds) if ds in ds_names else 0
+            count = n if ds is None else ds_names.count(ds)
+            self.blocks.append((classes, slice(start, start + count)))
 
     def workspace(self):
         """The arrays one call writes, all class-major: the points' and the
         rows' logits, scratch, the rows' gradient with a zero column for
-        missing copies, per-row statistics, and the points' gradient."""
+        missing copies, per-row statistics, and the points' gradient.
+        ``blocks`` holds each softmax block's rows and the views of them
+        that nll_plus_rows takes."""
         k, n, points = self.k, self.n, len(self.x)
-        return SimpleNamespace(
+        work = SimpleNamespace(
             logits=np.empty((k, points)), z=np.empty((k, n)),
             scratch=np.empty((k, n)), grad_rows=np.zeros((k, n + 1)),
-            peak=np.empty((1, n)), peak_in=np.empty((1, n)),
-            total=np.empty((1, n)), total_in=np.empty((1, n)),
-            grad=np.empty((k, points)), copy=np.empty((k, points)),
+            stats=np.empty((4, n)), grad=np.empty((k, points)), copy=np.empty((k, points)),
         )
+        work.blocks = []
+        for classes, rows in self.blocks:
+            views = [a[classes, rows] for a in (work.z, self.in_set, self.off_set,
+                                                work.grad_rows, work.scratch)]
+            work.blocks.append((rows, views + [work.stats[:, rows]]))
+        return work
 
     def __call__(self, logits: np.ndarray, work=None):
         """Loss and gradient for the logits of the distinct points ``x``.
@@ -359,7 +357,7 @@ class _Objective:
             work = self.workspace()
         np.copyto(work.logits, logits.T)
         np.take(work.logits, self.row_of, axis=1, out=work.z, mode="clip")
-        loss = float(np.mean(self._rows(work.z, work)))
+        loss = float(np.mean(self._rows(work)))
         grad = work.grad
         np.take(work.grad_rows, self.copies[0], axis=1, out=grad, mode="clip")
         for rows in self.copies[1:]:
@@ -373,7 +371,7 @@ class _Objective:
         for the logits of the labelled rows, from the kernel training runs."""
         work = self.workspace()
         np.copyto(work.z, logits.T)
-        losses = self._rows(work.z, work)
+        losses = self._rows(work)
         return losses, work.grad_rows[:, :self.n].T
 
     def row_loss(self, logits: np.ndarray):
@@ -381,32 +379,25 @@ class _Objective:
         losses, grad = self.row_losses(logits)
         return float(np.mean(losses)), grad / self.n
 
-    def _rows(self, z, work):
-        """Per-row losses for class-major row logits ``z``; the rows'
-        gradient goes to ``work.grad_rows``."""
-        g = work.grad_rows[:, :self.n]
+    def _rows(self, work):
+        """Per-row losses for the class-major row logits ``work.z``; the
+        rows' gradient goes to ``work.grad_rows``."""
         if self.mode == "universal-nll-max":
-            # Credit only the most likely class of the target set instead
-            # of the whole set (ties at the max go to the lowest id).
-            _softmax(z, 0, g, work.peak, work.total)
-            masked = np.add(z, self.off_set, out=work.scratch)
-            top = np.argmax(masked, axis=0)
-            np.max(masked, axis=0, keepdims=True, out=work.peak_in)
-            g[top, self.cols] -= 1.0
-            return (work.peak + np.log(work.total) - work.peak_in)[0]
-        if self.mode != "per-dataset-heads":
-            return nll_plus_rows(z, self.in_set, self.off_set, g, work)
-        # The joint posterior is the product of the dataset head's and the
-        # class head's softmax, so its NLL is the sum of theirs.
-        for classes, rows in self.blocks:
-            _softmax(z[classes, rows], 0, g[classes, rows],
-                     work.peak[:, rows], work.total[:, rows])
-        loss = 0.0
-        for t in self.targets:
-            loss = loss - np.log(np.maximum(g[t], 1e-300))
-        for t in self.targets:
-            g[t] -= 1.0
+            self._credit_top(work)
+        loss = np.zeros(self.n)
+        for rows, args in work.blocks:
+            loss[rows] += nll_plus_rows(*args)
         return loss
+
+    def _credit_top(self, work):
+        """Make each row's target the most likely class of its mapped set
+        (ties go to the lowest id), in place of the last call's."""
+        top = np.argmax(np.add(work.z, self.mapped_off, out=work.scratch), axis=0)
+        self.in_set[self.top, self.cols] = 0.0
+        self.off_set[self.top, self.cols] = -np.inf
+        self.in_set[top, self.cols] = 1.0
+        self.off_set[top, self.cols] = 0.0
+        self.top = top
 
 
 def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
@@ -439,37 +430,24 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
 # inference and reports
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("UNITAX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Batch forward pass; optionally chunked over UNITAX_THREADS threads,
-    reduced in fixed chunk order so results stay bit-identical."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 2)
-    threads = _thread_count()
-    if threads == 1 or x.shape[0] < 2 * threads:
-        return model.forward(x)
-    chunks = np.array_split(x, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(model.forward, chunks))
-    return np.concatenate(parts, axis=0)
+    """Batch forward pass of the 2D points ``x``."""
+    return model.forward(np.asarray(x, dtype=np.float64).reshape(-1, 2))
 
 
 def own_posterior(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Posterior over the model's own output classes (universal classes for
-    the universal modes, concat/merged entries otherwise)."""
+    the universal modes, concat/merged entries otherwise): the softmax of
+    the first block, or for per-dataset-heads each class head's softmax
+    times its dataset's posterior in the first block, the dataset head."""
     logits = forward_logits(model, x)
-    if not space.datasets:
-        return _softmax(logits)
-    n_entries = len(space.entries)
-    p_ds = _softmax(logits[:, n_entries:])
-    joint = np.zeros((logits.shape[0], n_entries))
-    for d, block in enumerate(space.head_blocks()):
-        joint[:, block] = _softmax(logits[:, block]) * p_ds[:, d:d + 1]
+    (_, first), *heads = space.blocks
+    post = universal_posteriors(logits[:, first])
+    if not heads:
+        return post
+    joint = np.zeros((logits.shape[0], len(space.entries)))
+    for d, (_, classes) in enumerate(heads):
+        joint[:, classes] = universal_posteriors(logits[:, classes]) * post[:, d:d + 1]
     return joint
 
 

@@ -118,6 +118,46 @@ def test_toy_train_is_deterministic(tmp_path, collapse_spec):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _concept(problem, **fields):
+    """``problem`` with its first concept's fields replaced, or dropped
+    where the value is None."""
+    concept = {**problem["concepts"][0], **fields}
+    concept = {k: v for k, v in concept.items() if v is not None}
+    return {**problem, "concepts": [concept] + problem["concepts"][1:]}
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda p: {k: v for k, v in p.items() if k != "concepts"}, "concepts"),
+    (lambda p: _concept(p, std=None), "concepts[0].std"),
+    (lambda p: _concept(p, std="wide"), "concepts[0].std"),
+    (lambda p: _concept(p, std=float("nan")), "concepts[0].std"),
+    (lambda p: _concept(p, center=[0.0, 1.0, 2.0]), "concepts[0].center"),
+    (lambda p: _concept(p, center=5), "concepts[0].center"),
+    (lambda p: _concept(p, center=[float("nan"), 0.0]), "concepts[0].center"),
+    (lambda p: {**p, "seed": "x"}, "seed"),
+    (lambda p: _concept(p, count="many"), "concepts[0].count"),
+    (lambda p: _concept(p, center=[0, 1], std=1), None),  # ints are numbers
+], ids=["no-concepts", "no-std", "std-string", "std-nan", "center-3", "center-int",
+        "center-nan", "seed-string", "count-string", "int-numbers"])
+def test_toy_train_rejects_malformed_problems(tmp_path, capsys, edit, field):
+    path = write_json(tmp_path / "problem.json", edit(problems.collapse_problem(seed=0)))
+    code = run(["toy-train", "--spec", path, "--mode", "oracle", "--epochs", "2",
+                "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if field is None:
+        assert code == 0, err
+    else:
+        assert code == 1 and repr(field) in err, err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+def test_toy_train_rejects_a_non_finite_learning_rate(tmp_path, collapse_spec, capsys, lr):
+    assert run(["toy-train", "--spec", collapse_spec, "--mode", "oracle", "--epochs", "2",
+                f"--lr={lr}", "--out", str(tmp_path / "run")]) == 1
+    assert "--lr" in capsys.readouterr().err
+
+
 def test_eval_default_and_post_inference(tmp_path, collapse_spec):
     out = tmp_path / "run"
     assert run(["toy-train", "--spec", collapse_spec, "--mode", "naive-concat",

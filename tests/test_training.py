@@ -5,7 +5,7 @@ import pytest
 
 from unitax import problems
 from unitax.errors import ValidationError
-from unitax.losses import nll_plus, nll_plus_grad
+from unitax.losses import logsumexp, nll_plus, nll_plus_grad, universal_posteriors
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
 from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
@@ -219,14 +219,6 @@ def test_dataset_scores_default_vs_post_inference():
     assert np.all(mapped[:, -1] <= default[:, -1] + 1e-12)
 
 
-def test_threaded_forward_is_bit_identical(monkeypatch):
-    result, spec, tax, maps, data = quick_train("oracle", epochs=5)
-    single = universal_scores(result.space, result.model, data.test_points)
-    monkeypatch.setenv("UNITAX_THREADS", "4")
-    threaded = universal_scores(result.space, result.model, data.test_points)
-    assert np.array_equal(single, threaded)
-
-
 # ---------------------------------------------------------------------------
 # each distinct point goes through the MLP once
 
@@ -340,3 +332,65 @@ def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
     first = 800.0 + np.log(others) - np.log(len(mapped))
     assert abs(loss - (first + rest) / n) <= 1e-12
 
+
+# ---------------------------------------------------------------------------
+# universal-nll-max and per-dataset-heads train NLL+ on their own target
+# sets and softmax blocks
+
+
+def _objective_and_logits(mode):
+    spec, tax, maps = cross_problem()
+    data = generate_toy(spec, maps)
+    space = build_space(mode, spec.collection, tax, maps)
+    objective = _Objective(mode, spec.collection, tax, maps, space, data)
+    logits = np.random.default_rng(0).normal(0.0, 3.0, (objective.n, space.k))
+    return objective, space, maps, _row_labels(data), logits
+
+
+def _one_hot(size, i):
+    out = np.zeros(size)
+    out[i] = 1.0
+    return out
+
+
+def test_per_dataset_heads_rows_are_the_sum_of_two_softmax_nlls():
+    objective, space, _, labels, logits = _objective_and_logits("per-dataset-heads")
+    own = {native: i for i, o in enumerate(space.entries) for native in o.natives}
+    (_, head), *class_heads = space.blocks
+    block_of = {ds: classes for ds, classes in class_heads}
+    # row 0's own class lies 800 below the rest of its class head
+    far = block_of[labels[0][0]]
+    logits[0, far] = 0.0
+    logits[0, own[labels[0]]] = -800.0
+    losses, grads = objective.row_losses(logits)
+    for r, ((ds, cls), z, loss, grad) in enumerate(zip(labels, logits, losses, grads)):
+        d, c = space.datasets.index(ds), own[(ds, cls)] - block_of[ds].start
+        p_ds = universal_posteriors(z[head])
+        p_cls = universal_posteriors(z[block_of[ds]])
+        if r == 0:
+            expected = -np.log(p_ds[d]) + 800.0 + np.log(len(p_cls) - 1)
+        else:
+            expected = -np.log(p_ds[d]) - np.log(p_cls[c])
+        assert abs(loss - expected) <= 1e-12 * max(1.0, expected), r
+        ref = np.zeros(space.k)
+        ref[head] = p_ds - _one_hot(len(p_ds), d)
+        ref[block_of[ds]] = p_cls - _one_hot(len(p_cls), c)
+        assert np.max(np.abs(grad - ref)) <= 1e-12, r
+    assert losses[0] > 800.0
+
+
+def test_universal_nll_max_rows_credit_the_best_mapped_class():
+    objective, space, maps, labels, logits = _objective_and_logits("universal-nll-max")
+    mapped = [sorted(maps.mapped(*label)) for label in labels]
+    tied = next(r for r, m in enumerate(mapped) if len(m) > 1)
+    # a first call credits other classes; the second must forget them
+    objective.row_losses(-logits)
+    logits[tied, mapped[tied]] = 2.0
+    losses, grads = objective.row_losses(logits)
+    for r, (z, m, loss, grad) in enumerate(zip(logits, mapped, losses, grads)):
+        best = m[int(np.argmax(z[m]))]
+        assert abs(loss - (logsumexp(z) - np.max(z[m]))) <= 1e-12, r
+        ref = universal_posteriors(z) - _one_hot(space.k, best)
+        assert np.max(np.abs(grad - ref)) <= 1e-12, r
+    # ties go to the lowest id
+    assert np.argmin(grads[tied]) == mapped[tied][0]
