@@ -2,7 +2,8 @@
 
 Every subcommand is a pure function of its input files, flags, and seed;
 identical invocations produce byte-identical outputs.  Exit codes: 0 on
-success, 1 on validation errors, 2 on usage errors.
+success; 1 when an input fails validation or is not UTF-8 text; 2 on usage
+errors and on paths that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import evaluation, pseudolabel, training, toyproblem
-from .errors import UnitaxError, ValidationError, load_json
+from .errors import UnitaxError, ValidationError, load_json, read_text
 from .resolve import build_universal_from_declarations, parse_declarations
 from .taxonomy import (
     build_universal_from_atoms,
@@ -47,8 +48,7 @@ def _build_artifacts(args):
         tax, maps = build_universal_from_atoms(col)
         return col, tax, maps
     if getattr(args, "decls", None):
-        with open(args.decls, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(args.decls)
         try:
             program = parse_declarations(text)
             return build_universal_from_declarations(program)
@@ -171,8 +171,7 @@ def _cmd_eval(args):
 
 def _cmd_pseudo_label(args):
     col, tax, maps = _build_artifacts(args)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_text(args.input).split("\n")
     out_lines = [
         json.dumps(record, sort_keys=True)
         for record in pseudolabel.relabel_stream(lines, col, tax, maps)
@@ -285,8 +284,8 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except UnitaxError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,16 +77,25 @@ def require_list(values, kind, where, size=None):
     return values
 
 
+def read_text(path):
+    """The text of the UTF-8 file at ``path``.  A file that does not decode
+    raises a ValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_json(path, parse=None):
     """``parse(data)`` for the JSON value in the file at ``path`` (the value
-    itself without ``parse``).  A ValidationError, for the JSON syntax or
-    from ``parse``, names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
+    itself without ``parse``).  A ValidationError, for the encoding, the
+    JSON syntax or from ``parse``, names the file."""
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
     try:
         return parse(data) if parse else data
     except ValidationError as exc:

@@ -4,10 +4,10 @@ max aggregation and the two-head joint posterior.
 All functions are stateless and operate on plain numpy arrays.  The NLL+
 loss is always computed in the numerically stable log-sum-exp form
 logsumexp(all logits) - logsumexp(mapped logits); probabilities are never
-exponentiated before taking the log.  One kernel, nll_plus_rows, computes
-it for a batch of rows: the trainer runs it on every softmax block of
-every mode in every epoch, and nll_plus and nll_plus_grad run it on a
-batch of one.  universal_posteriors is the package's one softmax.
+exponentiated before taking the log.  One kernel, nll_plus_targets,
+computes it for a batch of target groups: the trainer runs it on every
+mode in every epoch, and nll_plus and nll_plus_grad run it on a batch of
+one.  universal_posteriors is the softmax of inference.
 """
 
 from __future__ import annotations
@@ -55,57 +55,54 @@ def dataset_posterior(post: np.ndarray, label, maps: MappingSet) -> float:
     return float(np.sum(post[_mapped_ids(label, maps)]))
 
 
-def nll_plus_rows(z, in_set, off_set, grad, scratch=None, stats=None):
-    """NLL+ of every row of the class-major logits ``z`` (K, rows).
+def nll_plus_targets(logits, blocks, point, block, targets):
+    """NLL+ of a batch of target groups on the point logits ``logits`` (P, K).
 
-    ``in_set`` is 1 on each row's mapped classes and 0 elsewhere;
-    ``off_set`` is 0 on them and -inf elsewhere.  Returns the per-row
-    losses, logsumexp over all classes minus logsumexp over the mapped set,
-    and writes their gradient into ``grad`` (K, rows): the softmax minus
-    the mapped set's renormalised posterior.  ``scratch`` (K, rows) and
-    ``stats`` (4, rows) are work buffers, allocated when not given.
+    Group g scores the class list ``targets[:, g]`` (padded with -1) within
+    the softmax block ``blocks[block[g]]`` (a slice of classes) at point
+    ``point[g]``.  Its loss is logsumexp over the block minus logsumexp
+    over the targets.  Returns the per-group losses and the gradient of
+    their sum, (P, K): each block's softmax at each point, times the number
+    of groups there that use the block, minus every group's renormalised
+    target posteriors, summed onto its point.
 
-    Each entry is shifted by the maximum of its own group: the masked row
-    max on the mapped set, the row max off it.  So exp runs once per entry
-    and never sees -inf, and the mapped set's sum is at least 1 even when
-    all its logits lie far below another class.
+    Each block's softmax is computed once per point.  The target term takes
+    the max of its own list, so it stays exact when every target lies far
+    below another class of the block.  The work is class-major, (K, P) and
+    (targets, groups), so that every reduction over classes runs over
+    contiguous rows; the gradient is a view of a class-major array.
     """
-    if stats is None:
-        stats = np.empty((4, z.shape[1]))
-    peak, peak_in, total, total_in = np.split(stats, 4)
-    np.max(z, axis=0, keepdims=True, out=peak)
-    t = np.add(z, off_set, out=scratch)
-    np.max(t, axis=0, keepdims=True, out=peak_in)
-    gap = peak_in - peak  # <= 0
-    np.multiply(in_set, gap, out=t)
-    np.subtract(z, t, out=t)
-    t -= peak
-    np.exp(t, out=t)
-    np.sum(t, axis=0, keepdims=True, out=total)
-    np.multiply(t, in_set, out=grad)
-    np.sum(grad, axis=0, keepdims=True, out=total_in)
-    # exp(gap) - 1 moves the mapped set's share of the sum onto the row
-    # max, which makes total the softmax denominator.
-    below = np.expm1(gap)
-    total += total_in * below
-    # softmax minus the mapped set's renormalised posterior
-    grad *= below / total - 1.0 / total_in
-    t /= total
-    grad += t
-    return (np.log(total / total_in) - gap)[0]
+    z = np.ascontiguousarray(logits.T)
+    k, n = z.shape
+    counts = np.bincount(block * n + point, minlength=len(blocks) * n).reshape(-1, n)
+    grad = np.zeros((k, n))
+    lse = np.empty((len(blocks), n))
+    for b, classes in enumerate(blocks):
+        peak = np.max(z[classes], axis=0)
+        e = np.exp(z[classes] - peak)
+        total = np.sum(e, axis=0)
+        lse[b] = np.log(total) + peak
+        grad[classes] = e * (counts[b] / total)
+    valid = targets >= 0
+    flat = np.where(valid, targets * n + point, 0)
+    t = np.where(valid, np.take(z, flat), -np.inf)
+    peak = np.max(t, axis=0)
+    e = np.exp(t - peak)
+    total = np.sum(e, axis=0)
+    e /= total
+    grad -= np.bincount(flat.ravel(), e.ravel(), minlength=k * n).reshape(k, n)
+    return lse[block, point] - (np.log(total) + peak), grad.T
 
 
 def _nll_plus_row(logits, label, maps: MappingSet):
-    """Loss and gradient of one logit vector, through nll_plus_rows."""
+    """Loss and gradient of one logit vector, through nll_plus_targets."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise InvalidLogit("logits must be finite")
-    in_set = np.zeros((logits.size, 1))
-    in_set[_mapped_ids(label, maps)] = 1.0
-    grad = np.empty_like(in_set)
-    loss = nll_plus_rows(logits.reshape(-1, 1), in_set,
-                         np.where(in_set > 0, 0.0, -np.inf), grad)
-    return float(loss[0]), grad[:, 0]
+    zero = np.zeros(1, dtype=np.int64)
+    loss, grad = nll_plus_targets(logits.reshape(1, -1), (slice(None),), zero, zero,
+                                  np.asarray(_mapped_ids(label, maps)).reshape(-1, 1))
+    return float(loss[0]), grad[0]
 
 
 def nll_plus(logits: np.ndarray, label, maps: MappingSet) -> float:

@@ -14,7 +14,8 @@ import json
 import numbers
 from dataclasses import dataclass
 
-from .errors import NotFound, OrthogonalDataset, UnmappedLabel, ValidationError
+from .errors import (NotFound, OrthogonalDataset, UnmappedLabel, ValidationError,
+                     require_field)
 from .taxonomy import Collection, MappingSet, UniversalTaxonomy
 
 
@@ -118,13 +119,28 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     return best, scores, sorted(set(flags))
 
 
+def _foreign_predictions(foreign) -> list:
+    """One ForeignPrediction per dataset of a record's "foreign" field,
+    which maps dataset names to objects of class probabilities.  The
+    probabilities are checked by ForeignPrediction.validate."""
+    if not isinstance(foreign, dict):
+        raise ValidationError("field 'foreign' must map dataset names to class posteriors")
+    out = []
+    for ds, post in foreign.items():
+        if not isinstance(post, dict):
+            raise ValidationError(f"field 'foreign.{ds}' must map class names to probabilities")
+        out.append(ForeignPrediction(ds, post))
+    return out
+
+
 def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
                    maps: MappingSet):
     """Process JSON-lines records.
 
     Input lines: {"sample_id", "gt_dataset", "gt_class",
     "foreign": {dataset: {class: prob}}}.  Yields output dicts with the
-    pseudo-label, per-candidate scores, and flags.
+    pseudo-label, per-candidate scores, and flags.  A record of another
+    shape raises a ValidationError naming its line and field.
     """
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -135,14 +151,9 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
         except json.JSONDecodeError as exc:
             raise ValidationError(f"line {lineno}: not valid JSON ({exc.msg})")
         try:
-            gt = (record["gt_dataset"], record["gt_class"])
-            foreign = [
-                ForeignPrediction(ds, dict(post))
-                for ds, post in record.get("foreign", {}).items()
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"line {lineno}: malformed record ({exc})")
-        try:
+            gt = (require_field(record, "gt_dataset", str),
+                  require_field(record, "gt_class", str))
+            foreign = _foreign_predictions(record.get("foreign", {}))
             label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps)
         except (ValidationError, NotFound) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None

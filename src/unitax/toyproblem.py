@@ -54,18 +54,13 @@ class ToyProblemSpec:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    x: tuple  # 2D point
-    dataset: str
-    label: str  # dataset class name
-    true_universal: int
-
-
-@dataclass(frozen=True)
 class ToyData:
-    """Per-dataset training lists plus a held-out test set."""
+    """Training points, each once, with every dataset's labels of them, plus
+    a held-out test set."""
 
-    train: dict  # dataset name -> list of LabeledSample
+    points: np.ndarray  # (P, 2) training points
+    universal: np.ndarray  # (P,) true universal ids
+    train: dict  # dataset name -> (rows, 2) int64 (point index, index in ds.classes)
     test_points: np.ndarray  # (N, 2)
     test_universal: np.ndarray  # (N,) true universal ids
 
@@ -124,40 +119,48 @@ def load_problem(path):
     return load_json(path, problem_from_dict)
 
 
-def _label_for(universal_id: int, dataset: str, maps: MappingSet):
-    for cls, uids in maps.by_dataset[dataset].items():
-        if universal_id in uids:
-            return cls
-    return None
-
-
 def generate_toy(spec: ToyProblemSpec, maps: MappingSet) -> ToyData:
     """Sample the blobs and split 80/20 train/test.
 
     The split is stratified per concept by deterministic interleaving: every
-    fifth sample of a concept (the 5th, 10th, ...) is held out.
+    fifth sample of a concept (the 5th, 10th, ...) is held out.  A dataset
+    labels a training point with its class whose mapped set holds the
+    point's concept, and skips concepts foreign to it; points that no
+    dataset labels are dropped.
     """
     rng = SplitMix64(spec.seed)
-    train = {ds.name: [] for ds in spec.collection.datasets}
-    test_points = []
-    test_universal = []
+    datasets = spec.collection.datasets
+    label_of = []  # per dataset: universal id -> class index
+    for ds in datasets:
+        label_of.append({})
+        for c, cls in enumerate(ds.classes):
+            for u in maps.mapped(ds.name, cls.name):
+                label_of[-1].setdefault(u, c)
+    points, universal, test_points, test_universal = [], [], [], []
+    parts = [[] for _ in datasets]
     for tag, concept in enumerate(spec.concepts):
         stream = rng.fork(tag + 1)
         cx, cy = concept.center
+        uid = concept.universal_id
+        labelled = any(uid in labels for labels in label_of)
+        first = len(points)
         for i in range(concept.count):
             x = (cx + concept.std * stream.normal(), cy + concept.std * stream.normal())
             if i % 5 == 4:
                 test_points.append(x)
-                test_universal.append(concept.universal_id)
-                continue
-            for ds in spec.collection.datasets:
-                label = _label_for(concept.universal_id, ds.name, maps)
-                if label is not None:
-                    train[ds.name].append(
-                        LabeledSample(x, ds.name, label, concept.universal_id)
-                    )
+                test_universal.append(uid)
+            elif labelled:
+                points.append(x)
+                universal.append(uid)
+        for rows, labels in zip(parts, label_of):
+            if uid in labels:
+                index = np.arange(first, len(points))
+                rows.append(np.stack([index, np.full_like(index, labels[uid])], axis=1))
+    empty = np.empty((0, 2), dtype=np.int64)
     return ToyData(
-        train,
+        np.asarray(points, dtype=np.float64).reshape(-1, 2),
+        np.asarray(universal, dtype=np.int64),
+        {ds.name: np.concatenate([empty, *rows]) for ds, rows in zip(datasets, parts)},
         np.asarray(test_points, dtype=np.float64).reshape(-1, 2),
         np.asarray(test_universal, dtype=np.int64),
     )

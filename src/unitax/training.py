@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (TrainingDiverged, ValidationError, load_json, require_field,
                      require_list)
-from .losses import nll_plus_rows, universal_posteriors
+from .losses import nll_plus_targets, universal_posteriors
 from .mlp import Adam, MlpModel
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
@@ -187,6 +186,19 @@ class ModelSpace:
                 or (mode == "per-dataset-heads") != bool(datasets)):
             raise ValidationError(f"fields 'space.entries' and 'space.datasets' do not "
                                   f"fit a {mode} space")
+        if datasets:
+            # blocks reads each dataset's class head as a run of entries, in
+            # the order of datasets
+            if len(set(datasets)) < len(datasets):
+                raise ValidationError("field 'space.datasets' names a dataset twice")
+            rank, last = {ds: d for d, ds in enumerate(datasets)}, 0
+            for i, entry in enumerate(entries):
+                if rank.get(entry.natives[0][0], -1) < last:
+                    raise ValidationError(f"field 'space.entries[{i}].dataset' must name one "
+                                          f"of 'space.datasets', stacked in their order")
+                last = rank[entry.natives[0][0]]
+            if {o.natives[0][0] for o in entries} != set(datasets):
+                raise ValidationError("field 'space.datasets' names a dataset without entries")
         return cls(mode, tuple(universal), tuple(entries), tuple(datasets))
 
 
@@ -228,176 +240,66 @@ class TrainResult:
     loss_trace: list  # per-epoch mean loss
 
 
-def _stack_training_data(data: ToyData):
-    """All (dataset, sample) pairs as flat arrays, in dataset order.
-
-    A point labelled by several datasets appears once per label.  ``row_of``
-    numbers the distinct points in first-occurrence order and gives each
-    row its point's number, so that training forwards each point once.
-    Points are distinct when their float64 bytes differ.
-    """
-    rows, datasets, labels, universals = [], [], [], []
-    for ds_name in data.train:
-        for s in data.train[ds_name]:
-            rows.append(s.x)
-            datasets.append(ds_name)
-            labels.append(s.label)
-            universals.append(s.true_universal)
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
-    seen = {}
-    row_of = np.asarray([seen.setdefault(r.tobytes(), len(seen)) for r in rows],
-                        dtype=np.int64)
-    return (
-        rows,
-        row_of,
-        datasets,
-        labels,
-        np.asarray(universals, dtype=np.int64),
-    )
-
-
 class _Objective:
-    """Loss and dL/dlogits for one mode over the full training batch.
+    """Loss and dL/dlogits for one mode over the training points.
 
-    ``x`` holds each distinct training point once and ``row_of`` maps every
-    labelled (dataset, sample) row to its point.  Calling the objective on
-    the logits of ``x`` gathers them per row into a class-major (K, rows)
-    array, so that every reduction over classes runs over contiguous
-    memory.  It evaluates the mode's loss there, still averaged over all
-    labelled rows, and sums each row's gradient back onto its point.  The
-    MLP thus forwards and backwards every point once, whatever the number
-    of datasets that label it.  The arrays a call writes come from
-    ``workspace()``; train() makes one and reuses it in every epoch.
-
-    The modes differ only in data.  Each labelled row has a target set of
-    output classes: its mapped set (universal-nll-plus), its true universal
-    class (oracle), the output class of its own label (naive-concat,
-    partial-merge and per-dataset-heads, which also credits the row's
-    dataset in its dataset head), or the most likely class of its mapped
-    set, picked on every call (universal-nll-max).  Each softmax block of
-    ``space.blocks`` runs the NLL+ kernel of ``losses`` over the rows it
-    serves, and a row's loss is the sum over its blocks: the joint
-    posterior of per-dataset-heads is the product of its heads'.
+    Every labelled row of ``data.train``, a (point, dataset label) pair,
+    makes one target group, a list of output classes within one softmax
+    block of ``space.blocks``: its mapped set (universal-nll-plus), its
+    true universal class (oracle), the output class of its own label
+    (naive-concat, partial-merge), or the most likely class of its mapped
+    set, picked on every call (universal-nll-max).  A per-dataset-heads row
+    makes two: its dataset in the dataset head and its own class in its
+    dataset's class head, whose joint posterior is the product of the two.
+    The loss is the groups' NLL+ summed and divided by the number of rows.
     """
 
-    def __init__(self, mode, col, tax, maps, space, data: ToyData):
-        self.mode = mode
-        rows, row_of, ds_names, labels, universals = _stack_training_data(data)
-        self.row_of = row_of
-        self.n = n = len(row_of)
-        self.k = k = space.k
-        # copies[r][j] is the row of point j's r-th copy, or n when the
-        # point has fewer copies: column n of the rows' gradient stays 0.
-        points = int(row_of.max()) + 1 if n else 0
-        count = [0] * points
-        copies = []
-        for r, j in enumerate(row_of.tolist()):
-            if count[j] == len(copies):
-                copies.append(np.full(points, n, dtype=np.int64))
-            copies[count[j]][j] = r
-            count[j] += 1
-        self.copies = copies
-        self.x = rows[copies[0]] if copies else rows
-        self.cols = np.arange(n)
+    def __init__(self, space: ModelSpace, col: Collection, maps: MappingSet, data: ToyData):
+        self.pick_top = space.mode == "universal-nll-max"
+        self.blocks = [classes for _, classes in space.blocks]
         own = {native: i for i, o in enumerate(space.entries) for native in o.natives}
-        labelled = list(zip(ds_names, labels))
-        if mode == "oracle":
-            targets = [(u,) for u in universals.tolist()]
-        elif space.entries:
-            targets = [(own[label],) for label in labelled]
-        else:
-            targets = [maps.mapped(*label) for label in labelled]
-        if space.datasets:
-            head = len(space.entries)
-            targets = [t + (head + space.datasets.index(ds),)
-                       for t, ds in zip(targets, ds_names)]
-        in_set = np.zeros((k, n), dtype=np.float64)
-        in_set[[c for t in targets for c in t],
-               [i for i, t in enumerate(targets) for _ in t]] = 1.0
-        off_set = np.where(in_set > 0, 0.0, -np.inf)
-        if mode == "universal-nll-max":
-            # The targets start empty; each call credits one mapped class.
-            self.mapped_off, self.top = off_set, np.zeros(n, dtype=np.int64)
-            in_set, off_set = np.zeros((k, n)), np.full((k, n), -np.inf)
-        self.in_set, self.off_set = in_set, off_set
-        # (classes, rows) per softmax block; rows are stacked dataset by
-        # dataset, so the rows of a class head are one range.
-        self.blocks = []
-        for ds, classes in space.blocks:
-            start = ds_names.index(ds) if ds in ds_names else 0
-            count = n if ds is None else ds_names.count(ds)
-            self.blocks.append((classes, slice(start, start + count)))
+        point, block, targets = [], [], []
+        for d, ds in enumerate(col.datasets):
+            rows = data.train[ds.name]
+            if space.mode == "oracle":
+                lists = data.universal[rows[:, 0], None]
+            else:
+                if space.entries:
+                    table = [[own[ds.name, c.name]] for c in ds.classes]
+                else:
+                    table = [sorted(maps.mapped(ds.name, c.name)) for c in ds.classes]
+                width = max(map(len, table))
+                lists = np.asarray([t + [-1] * (width - len(t)) for t in table])[rows[:, 1]]
+            point.append(rows[:, 0])
+            block.append(np.zeros(len(rows), dtype=np.int64))
+            if space.datasets:
+                # the row's dataset in the dataset head, block 0, and its own
+                # class in its class head, block 1 + d
+                targets.append(np.full((len(rows), 1), len(space.entries) + d))
+                point.append(rows[:, 0])
+                block.append(np.full(len(rows), 1 + d))
+            targets.append(lists)
+        width = max(t.shape[1] for t in targets)
+        self.point, self.block = np.concatenate(point), np.concatenate(block)
+        # (list slot, group): the kernel's class-major layout
+        self.targets = np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1])),
+                                              constant_values=-1) for t in targets]).T.copy()
+        self.rows = sum(len(data.train[ds.name]) for ds in col.datasets)
 
-    def workspace(self):
-        """The arrays one call writes, all class-major: the points' and the
-        rows' logits, scratch, the rows' gradient with a zero column for
-        missing copies, per-row statistics, and the points' gradient.
-        ``blocks`` holds each softmax block's rows and the views of them
-        that nll_plus_rows takes."""
-        k, n, points = self.k, self.n, len(self.x)
-        work = SimpleNamespace(
-            logits=np.empty((k, points)), z=np.empty((k, n)),
-            scratch=np.empty((k, n)), grad_rows=np.zeros((k, n + 1)),
-            stats=np.empty((4, n)), grad=np.empty((k, points)), copy=np.empty((k, points)),
-        )
-        work.blocks = []
-        for classes, rows in self.blocks:
-            views = [a[classes, rows] for a in (work.z, self.in_set, self.off_set,
-                                                work.grad_rows, work.scratch)]
-            work.blocks.append((rows, views + [work.stats[:, rows]]))
-        return work
+    def __call__(self, logits: np.ndarray):
+        """Loss and gradient, (P, K), for the logits of the training points."""
+        losses, grad = nll_plus_targets(logits, self.blocks, self.point, self.block,
+                                        self._targets(logits))
+        grad /= self.rows
+        return float(np.sum(losses)) / self.rows, grad
 
-    def __call__(self, logits: np.ndarray, work=None):
-        """Loss and gradient for the logits of the distinct points ``x``.
-
-        The gradient is a (points, K) view of a class-major buffer of
-        ``work``, or of a fresh workspace when none is given.
-        """
-        if work is None:
-            work = self.workspace()
-        np.copyto(work.logits, logits.T)
-        np.take(work.logits, self.row_of, axis=1, out=work.z, mode="clip")
-        loss = float(np.mean(self._rows(work)))
-        grad = work.grad
-        np.take(work.grad_rows, self.copies[0], axis=1, out=grad, mode="clip")
-        for rows in self.copies[1:]:
-            np.take(work.grad_rows, rows, axis=1, out=work.copy, mode="clip")
-            grad += work.copy
-        grad /= self.n
-        return loss, grad.T
-
-    def row_losses(self, logits: np.ndarray):
-        """Per-row losses and gradients (not divided by the number of rows)
-        for the logits of the labelled rows, from the kernel training runs."""
-        work = self.workspace()
-        np.copyto(work.z, logits.T)
-        losses = self._rows(work)
-        return losses, work.grad_rows[:, :self.n].T
-
-    def row_loss(self, logits: np.ndarray):
-        """Mean loss and its gradient for the logits of the labelled rows."""
-        losses, grad = self.row_losses(logits)
-        return float(np.mean(losses)), grad / self.n
-
-    def _rows(self, work):
-        """Per-row losses for the class-major row logits ``work.z``; the
-        rows' gradient goes to ``work.grad_rows``."""
-        if self.mode == "universal-nll-max":
-            self._credit_top(work)
-        loss = np.zeros(self.n)
-        for rows, args in work.blocks:
-            loss[rows] += nll_plus_rows(*args)
-        return loss
-
-    def _credit_top(self, work):
-        """Make each row's target the most likely class of its mapped set
-        (ties go to the lowest id), in place of the last call's."""
-        top = np.argmax(np.add(work.z, self.mapped_off, out=work.scratch), axis=0)
-        self.in_set[self.top, self.cols] = 0.0
-        self.off_set[self.top, self.cols] = -np.inf
-        self.in_set[top, self.cols] = 1.0
-        self.off_set[top, self.cols] = 0.0
-        self.top = top
+    def _targets(self, logits):
+        """The groups' target lists; for universal-nll-max, each list's most
+        likely class (ties go to the lowest id)."""
+        if not self.pick_top:
+            return self.targets
+        z = np.where(self.targets >= 0, logits[self.point, self.targets], -np.inf)
+        return np.take_along_axis(self.targets, np.argmax(z, axis=0)[None], axis=0)
 
 
 def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
@@ -407,17 +309,16 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
     if data is None:
         data = generate_toy(spec, maps)
     space = build_space(config.mode, spec.collection, tax, maps)
-    objective = _Objective(config.mode, spec.collection, tax, maps, space, data)
+    objective = _Objective(space, spec.collection, maps, data)
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5A5A5A5A5)
     model = MlpModel([2, *HIDDEN, space.k], rng)
     optimizer = Adam(model.parameters(), lr=config.lr)
-    # One cache and one workspace serve every epoch and go when train returns.
+    # One cache serves every epoch and goes when train returns.
     cache = []
-    work = objective.workspace()
     trace = []
     for _ in range(config.epochs):
-        logits = model.forward(objective.x, cache)
-        loss, grad_logits = objective(logits, work)
+        logits = model.forward(data.points, cache)
+        loss, grad_logits = objective(logits)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite ({loss})")
         grads_w, grads_b = model.backward(cache, grad_logits)

@@ -4,6 +4,10 @@ import pytest
 
 from unitax import problems
 from unitax.cli import run
+from unitax.mlp import MlpModel
+from unitax.rng import SplitMix64
+from unitax.toyproblem import problem_from_dict
+from unitax.training import HIDDEN, TrainResult, build_space, save_model
 
 
 def write_json(path, data):
@@ -353,3 +357,89 @@ def test_surface_rejects_unbounded_grids(tmp_path, collapse_spec, capsys):
     assert len(surface.read_text().splitlines()) == 2
     assert draw("0,1,0,1,1000,1")[0] == 0
     assert len(surface.read_text().splitlines()) == 1001
+
+
+# ---------------------------------------------------------------------------
+# every malformed input ends in exit 1 or 2 with a message naming it
+
+
+def _heads_model(tmp_path, edit):
+    """A per-dataset-heads model.json whose space ``edit`` changes."""
+    spec, tax, maps = problem_from_dict(problems.cross_eval_problem(0))
+    space = build_space("per-dataset-heads", spec.collection, tax, maps)
+    path = tmp_path / "model.json"
+    save_model(path, TrainResult(MlpModel([2, *HIDDEN, space.k], SplitMix64(0)), space, []))
+    data = json.loads(path.read_text())
+    edit(data["space"])
+    return write_json(path, data)
+
+
+def _swap_first_and_last(space):
+    entries = space["entries"]
+    entries[0], entries[-1] = entries[-1], entries[0]
+
+
+def _pseudo_label(tmp_path, vehicle_file, foreign):
+    records = tmp_path / "in.jsonl"
+    records.write_text(json.dumps({"gt_dataset": "Vistas", "gt_class": "car",
+                                   "foreign": foreign}) + "\n")
+    return ["pseudo-label", "--atoms", vehicle_file, "--in", str(records),
+            "--out", str(tmp_path / "out.jsonl")]
+
+
+def _latin1(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+LATIN1_COLLECTION = '{"atoms": ["caf\xe9"], "datasets": []}\n'
+
+BAD_INPUTS = {
+    "foreign-list": lambda tmp, vehicles: (
+        _pseudo_label(tmp, vehicles, [1]), 1, ["line 1", "'foreign'"]),
+    "foreign-text": lambda tmp, vehicles: (
+        _pseudo_label(tmp, vehicles, {"VIPER": "x"}), 1, ["line 1", "'foreign.VIPER'"]),
+    "foreign-null": lambda tmp, vehicles: (
+        _pseudo_label(tmp, vehicles, None), 1, ["line 1", "'foreign'"]),
+    "build-out-directory": lambda tmp, vehicles: (
+        ["build", "--atoms", vehicles, "--out", str(tmp)], 2, [str(tmp)]),
+    "check-not-utf8": lambda tmp, vehicles: (
+        ["check", "--in", _latin1(tmp, "c.json", LATIN1_COLLECTION)], 1, ["c.json"]),
+    "build-atoms-not-utf8": lambda tmp, vehicles: (
+        ["build", "--atoms", _latin1(tmp, "a.json", LATIN1_COLLECTION),
+         "--out", str(tmp / "out.json")], 1, ["a.json"]),
+    "build-decls-not-utf8": lambda tmp, vehicles: (
+        ["build", "--decls", _latin1(tmp, "p.decl", "dataset A: caf\xe9 sky\n"),
+         "--out", str(tmp / "out.json")], 1, ["p.decl"]),
+    "pseudo-label-in-not-utf8": lambda tmp, vehicles: (
+        ["pseudo-label", "--atoms", vehicles,
+         "--in", _latin1(tmp, "r.jsonl", '{"gt_dataset": "Vistas", "gt_class": "caf\xe9"}\n'),
+         "--out", str(tmp / "out.jsonl")], 1, ["r.jsonl"]),
+    "heads-entries-swapped": lambda tmp, vehicles: (
+        ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
+         "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
+        ["model.json", "'space.entries[1].dataset'"]),
+    "heads-entry-unknown-dataset": lambda tmp, vehicles: (
+        ["surface", "--model", _heads_model(tmp, lambda s: s["entries"][0].update(dataset="D9")),
+         "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
+        ["model.json", "'space.entries[0].dataset'"]),
+    "heads-dataset-without-entries": lambda tmp, vehicles: (
+        ["surface", "--model", _heads_model(tmp, lambda s: s.update(
+            entries=s["entries"][:-1], datasets=s["datasets"] + ["D3"])),
+         "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
+        ["model.json", "'space.datasets'"]),
+    "heads-dataset-twice": lambda tmp, vehicles: (
+        ["surface", "--model", _heads_model(tmp, lambda s: s.update(datasets=["D1", "D1"])),
+         "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
+        ["model.json", "'space.datasets'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_exit_with_a_message_naming_them(case, tmp_path, vehicle_file, capsys):
+    argv, expected, named = BAD_INPUTS[case](tmp_path, vehicle_file)
+    assert run(argv) == expected
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert "Traceback" not in err

@@ -16,15 +16,31 @@ def test_split_sizes_are_exact():
     assert all(len(samples) == 480 for samples in data.train.values())
 
 
+def test_each_training_point_appears_once():
+    spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
+    data = generate_toy(spec, maps)
+    assert data.points.shape == (len(data.universal), 2)
+    assert len({p.tobytes() for p in data.points}) == len(data.points)
+    for rows in data.train.values():
+        assert rows.dtype == np.int64 and rows.shape == (len(rows), 2)
+        # in point order, each point at most once per dataset
+        assert np.all(np.diff(rows[:, 0]) > 0)
+    # every point is labelled by some dataset
+    labelled = np.concatenate([rows[:, 0] for rows in data.train.values()])
+    assert set(labelled.tolist()) == set(range(len(data.points)))
+
+
 def test_same_seed_is_byte_identical():
     spec, tax, maps = problem_from_dict(problems.intersection_problem(3))
     a = generate_toy(spec, maps)
     b = generate_toy(spec, maps)
     assert np.array_equal(a.test_points, b.test_points)
     assert np.array_equal(a.test_universal, b.test_universal)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.universal, b.universal)
+    assert a.train.keys() == b.train.keys()
     for ds in a.train:
-        for sa, sb in zip(a.train[ds], b.train[ds]):
-            assert sa == sb
+        assert np.array_equal(a.train[ds], b.train[ds])
 
 
 def test_different_seeds_differ():
@@ -39,8 +55,8 @@ def test_sample_means_recover_concept_centers():
     spec, tax, maps = problem_from_dict(problems.intersection_problem(0))
     data = generate_toy(spec, maps)
     for concept in spec.concepts:
-        pts = [s.x for s in data.train[spec.collection.datasets[0].name]
-               if s.true_universal == concept.universal_id]
+        rows = data.train[spec.collection.datasets[0].name][:, 0]
+        pts = [tuple(p) for p in data.points[rows[data.universal[rows] == concept.universal_id]]]
         pts += [tuple(p) for p, u in zip(data.test_points, data.test_universal)
                 if u == concept.universal_id]
         pts = np.asarray(pts, dtype=np.float64)
@@ -52,9 +68,10 @@ def test_sample_means_recover_concept_centers():
 def test_labels_are_consistent_with_mappings():
     spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
     data = generate_toy(spec, maps)
-    for ds, samples in data.train.items():
-        for s in samples:
-            assert s.true_universal in maps.mapped(ds, s.label)
+    for ds, rows in data.train.items():
+        classes = spec.collection.dataset(ds).classes
+        for p, c in rows.tolist():
+            assert data.universal[p] in maps.mapped(ds, classes[c].name)
 
 
 def test_foreign_concepts_are_excluded():
@@ -62,10 +79,10 @@ def test_foreign_concepts_are_excluded():
     data = generate_toy(spec, maps)
     for ds in ("D1", "D2"):
         native = {u for uids in maps.by_dataset[ds].values() for u in uids}
-        assert all(s.true_universal in native for s in data.train[ds])
+        assert all(u in native for u in data.universal[data.train[ds][:, 0]].tolist())
     # each dataset misses the other's unique concept (x4 resp. x5)
-    seen1 = {s.true_universal for s in data.train["D1"]}
-    seen2 = {s.true_universal for s in data.train["D2"]}
+    seen1 = set(data.universal[data.train["D1"][:, 0]].tolist())
+    seen2 = set(data.universal[data.train["D2"][:, 0]].tolist())
     assert seen1 != seen2
 
 

@@ -1,11 +1,14 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unitax import problems
 from unitax.errors import ValidationError
-from unitax.losses import logsumexp, nll_plus, nll_plus_grad, universal_posteriors
+from unitax.losses import (logsumexp, nll_plus, nll_plus_grad, nll_plus_targets,
+                           universal_posteriors)
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
 from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
@@ -112,12 +115,12 @@ def test_concat_objective_targets_the_rows_own_class_despite_equal_names(mode):
                      for i, a in enumerate(["x", "y", "z", "w"])],
         "seed": 0,
     })
-    data = generate_toy(spec, maps)
+    data = _one_point_per_row(generate_toy(spec, maps))
     space = build_space(mode, spec.collection, tax, maps)
     assert space.class_names() == ["A.B.c", "A.e", "A.B.c", "A.B.e"]
-    objective = _Objective(mode, spec.collection, tax, maps, space, data)
-    labels = _row_labels(data)
-    _, grads = objective.row_losses(np.zeros((len(labels), space.k)))
+    objective = _Objective(space, spec.collection, maps, data)
+    labels = _row_labels(spec.collection, data)
+    _, grads = _row_losses(objective, np.zeros((len(labels), space.k)))
     own = {("A", "B.c"): 0, ("A", "e"): 1, ("A.B", "c"): 2, ("A.B", "e"): 3}
     assert set(labels) == set(own)
     for label, grad in zip(labels, grads):
@@ -223,22 +226,43 @@ def test_dataset_scores_default_vs_post_inference():
 # each distinct point goes through the MLP once
 
 
-def _labelled_rows(data):
-    """The duplicated training rows, stacked in dataset order."""
-    return np.asarray([s.x for ds in data.train for s in data.train[ds]],
-                      dtype=np.float64)
+def _one_point_per_row(data):
+    """``data`` with every labelled row on a point of its own, stacked in
+    dataset order."""
+    index = np.concatenate([rows[:, 0] for rows in data.train.values()])
+    train, start = {}, 0
+    for ds, rows in data.train.items():
+        train[ds] = np.stack([np.arange(start, start + len(rows)), rows[:, 1]], axis=1)
+        start += len(rows)
+    return dataclasses.replace(data, points=data.points[index],
+                               universal=data.universal[index], train=train)
 
 
-def _check_against_duplicated_rows(objective, model, rows):
+def _row_labels(col, data):
+    """(dataset, class name) of every labelled row, in dataset order."""
+    return [(ds, col.dataset(ds).classes[c].name)
+            for ds, rows in data.train.items() for c in rows[:, 1].tolist()]
+
+
+def _row_losses(objective, logits):
+    """Per-point losses and gradients (not divided by the number of rows),
+    from the kernel the objective calls: per row when every row has its own
+    point."""
+    losses, grad = nll_plus_targets(logits, objective.blocks, objective.point,
+                                    objective.block, objective._targets(logits))
+    return np.bincount(objective.point, losses, minlength=len(logits)), grad
+
+
+def _check_against_duplicated_rows(space, col, maps, data, model):
     """Loss and gradient over the distinct points equal the loss over every
-    labelled row, with each row's gradient summed onto its point."""
-    loss, grad = objective(model.forward(objective.x))
-    ref_loss, ref_grad = objective.row_loss(model.forward(rows))
+    labelled row, each on its own point, with each row's gradient summed
+    onto its point."""
+    loss, grad = _Objective(space, col, maps, data)(model.forward(data.points))
+    per_row = _one_point_per_row(data)
+    ref_loss, ref_grad = _Objective(space, col, maps, per_row)(model.forward(per_row.points))
     assert abs(loss - ref_loss) <= 1e-12
-    point_of = {p.tobytes(): j for j, p in enumerate(objective.x)}
     summed = np.zeros_like(grad)
-    for row, g in zip(rows, ref_grad):
-        summed[point_of[row.tobytes()]] += g
+    np.add.at(summed, np.concatenate([rows[:, 0] for rows in data.train.values()]), ref_grad)
     assert np.max(np.abs(grad - summed)) <= 1e-12
 
 
@@ -251,13 +275,10 @@ def test_objective_forwards_each_point_once(mode, name, points, rows):
     spec, tax, maps = problem_from_dict(getattr(problems, name)(0))
     data = generate_toy(spec, maps)
     result = train(TrainConfig(mode=mode, epochs=3, seed=0), spec, tax, maps, data)
-    objective = _Objective(mode, spec.collection, tax, maps, result.space, data)
-    assert objective.x.shape == (points, 2)
-    assert len({p.tobytes() for p in objective.x}) == points
-    assert len(objective.row_of) == rows
-    dup = _labelled_rows(data)
-    assert np.array_equal(objective.x[objective.row_of], dup)
-    _check_against_duplicated_rows(objective, result.model, dup)
+    assert data.points.shape == (points, 2)
+    assert len({p.tobytes() for p in data.points}) == points
+    assert sum(map(len, data.train.values())) == rows
+    _check_against_duplicated_rows(result.space, spec.collection, maps, data, result.model)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -266,22 +287,18 @@ def test_objective_sums_repeats_within_one_dataset(mode):
     # updates to repeated destinations keeps only one of p's rows
     spec, tax, maps = cross_problem()
     data = generate_toy(spec, maps)
-    s0, s1 = data.train["D1"][:2]
-    t0 = dataclasses.replace(data.train["D2"][0], x=s0.x)
-    toy = dataclasses.replace(data, train={"D1": [s0, s1, s0, s0], "D2": [t0]})
+    (p, c0), (q, c1) = data.train["D1"][:2].tolist()
+    d2 = data.train["D2"][0, 1]
+    toy = dataclasses.replace(
+        data, points=data.points[[p, q]], universal=data.universal[[p, q]],
+        train={"D1": np.asarray([[0, c0], [1, c1], [0, c0], [0, c0]]),
+               "D2": np.asarray([[0, d2]])})
     result = train(TrainConfig(mode=mode, epochs=3, seed=0), spec, tax, maps, toy)
-    objective = _Objective(mode, spec.collection, tax, maps, result.space, toy)
-    assert objective.x.tolist() == [list(s0.x), list(s1.x)]
-    assert objective.row_of.tolist() == [0, 1, 0, 0, 0]
-    _check_against_duplicated_rows(objective, result.model, _labelled_rows(toy))
+    _check_against_duplicated_rows(result.space, spec.collection, maps, toy, result.model)
 
 
 # ---------------------------------------------------------------------------
 # the training kernel is the tested NLL+
-
-
-def _row_labels(data):
-    return [(ds, s.label) for ds in data.train for s in data.train[ds]]
 
 
 @pytest.mark.parametrize("name", ["intersection_problem", "collapse_problem"])
@@ -290,11 +307,11 @@ def test_trainer_nll_plus_equals_losses_api(name):
     data = generate_toy(spec, maps)
     result = train(TrainConfig(mode="universal-nll-plus", epochs=40, seed=0),
                    spec, tax, maps, data)
-    objective = _Objective("universal-nll-plus", spec.collection, tax, maps,
-                           result.space, data)
-    logits = result.model.forward(_labelled_rows(data))
-    row_losses, row_grads = objective.row_losses(logits)
-    labels = _row_labels(data)
+    per_row = _one_point_per_row(data)
+    objective = _Objective(result.space, spec.collection, maps, per_row)
+    logits = result.model.forward(per_row.points)
+    row_losses, row_grads = _row_losses(objective, logits)
+    labels = _row_labels(spec.collection, per_row)
     assert len(labels) == len(row_losses) == len(row_grads)
     for z, label, loss, grad in zip(logits, labels, row_losses, row_grads):
         assert abs(loss - nll_plus(z, label, maps)) <= 1e-12
@@ -306,17 +323,16 @@ def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
     # Every mapped logit of row 0 lies 800 below an unmapped one: the mapped
     # posteriors underflow to 0, yet the renormalised in-set term is defined.
     spec, tax, maps = problem_from_dict(problems.intersection_problem(0))
-    data = generate_toy(spec, maps)
+    data = _one_point_per_row(generate_toy(spec, maps))
     space = build_space(mode, spec.collection, tax, maps)
-    objective = _Objective(mode, spec.collection, tax, maps, space, data)
-    ds = next(iter(data.train))
-    sample = data.train[ds][0]
-    mapped = ([sample.true_universal] if mode == "oracle"
-              else sorted(maps.mapped(ds, sample.label)))
+    objective = _Objective(space, spec.collection, maps, data)
+    labels = _row_labels(spec.collection, data)
+    mapped = ([int(data.universal[0])] if mode == "oracle"
+              else sorted(maps.mapped(*labels[0])))
     assert len(mapped) < space.k
-    logits = np.zeros((len(_labelled_rows(data)), space.k))
+    logits = np.zeros((len(labels), space.k))
     logits[0, mapped] = -800.0
-    loss, grad = objective.row_loss(logits)
+    loss, grad = objective(logits)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
     n = len(logits)
@@ -327,7 +343,7 @@ def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
     # row 0 costs 800 + log(others / its set size), each other row
     # log(K / its set size)
     sizes = ([1] * (n - 1) if mode == "oracle"
-             else [len(maps.mapped(d, c)) for d, c in _row_labels(data)[1:]])
+             else [len(maps.mapped(d, c)) for d, c in labels[1:]])
     rest = np.sum(np.log(space.k) - np.log(sizes))
     first = 800.0 + np.log(others) - np.log(len(mapped))
     assert abs(loss - (first + rest) / n) <= 1e-12
@@ -335,16 +351,16 @@ def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
 
 # ---------------------------------------------------------------------------
 # universal-nll-max and per-dataset-heads train NLL+ on their own target
-# sets and softmax blocks
+# lists and softmax blocks
 
 
 def _objective_and_logits(mode):
     spec, tax, maps = cross_problem()
-    data = generate_toy(spec, maps)
+    data = _one_point_per_row(generate_toy(spec, maps))
     space = build_space(mode, spec.collection, tax, maps)
-    objective = _Objective(mode, spec.collection, tax, maps, space, data)
-    logits = np.random.default_rng(0).normal(0.0, 3.0, (objective.n, space.k))
-    return objective, space, maps, _row_labels(data), logits
+    objective = _Objective(space, spec.collection, maps, data)
+    logits = np.random.default_rng(0).normal(0.0, 3.0, (len(data.points), space.k))
+    return objective, space, maps, _row_labels(spec.collection, data), logits
 
 
 def _one_hot(size, i):
@@ -362,7 +378,7 @@ def test_per_dataset_heads_rows_are_the_sum_of_two_softmax_nlls():
     far = block_of[labels[0][0]]
     logits[0, far] = 0.0
     logits[0, own[labels[0]]] = -800.0
-    losses, grads = objective.row_losses(logits)
+    losses, grads = _row_losses(objective, logits)
     for r, ((ds, cls), z, loss, grad) in enumerate(zip(labels, logits, losses, grads)):
         d, c = space.datasets.index(ds), own[(ds, cls)] - block_of[ds].start
         p_ds = universal_posteriors(z[head])
@@ -383,10 +399,10 @@ def test_universal_nll_max_rows_credit_the_best_mapped_class():
     objective, space, maps, labels, logits = _objective_and_logits("universal-nll-max")
     mapped = [sorted(maps.mapped(*label)) for label in labels]
     tied = next(r for r, m in enumerate(mapped) if len(m) > 1)
-    # a first call credits other classes; the second must forget them
-    objective.row_losses(-logits)
+    # a first call credits other classes; the second must not keep them
+    _row_losses(objective, -logits)
     logits[tied, mapped[tied]] = 2.0
-    losses, grads = objective.row_losses(logits)
+    losses, grads = _row_losses(objective, logits)
     for r, (z, m, loss, grad) in enumerate(zip(logits, mapped, losses, grads)):
         best = m[int(np.argmax(z[m]))]
         assert abs(loss - (logsumexp(z) - np.max(z[m]))) <= 1e-12, r
@@ -394,3 +410,22 @@ def test_universal_nll_max_rows_credit_the_best_mapped_class():
         assert np.max(np.abs(grad - ref)) <= 1e-12, r
     # ties go to the lowest id
     assert np.argmin(grads[tied]) == mapped[tied][0]
+
+
+# ---------------------------------------------------------------------------
+# training does not move beyond the last bits
+
+
+LOSS_TRACES = json.loads((Path(__file__).parent / "loss_traces.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_TRACES))
+@pytest.mark.parametrize("mode", MODES)
+def test_loss_trace_matches_the_pinned_trace(name, mode):
+    # 30-epoch traces recorded with seed 0 before training moved from
+    # labelled rows to points; summation order may change the last bits
+    spec, tax, maps = problem_from_dict(getattr(problems, name)(0))
+    result = train(TrainConfig(mode=mode, epochs=30, seed=0), spec, tax, maps)
+    pinned = np.asarray(LOSS_TRACES[name][mode])
+    assert len(result.loss_trace) == len(pinned)
+    assert np.max(np.abs(np.asarray(result.loss_trace) / pinned - 1.0)) <= 1e-10
