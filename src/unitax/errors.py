@@ -50,9 +50,11 @@ class OrthogonalDataset(UnitaxError):
 
 
 def _is(value, kind):
-    """isinstance, except that an int is also a float and a bool is neither."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float) if kind is float else kind))
+    """isinstance, except that an int is also a float and a bool is only a
+    bool."""
+    if kind is bool or isinstance(value, bool):
+        return type(value) is kind
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def require_field(data, key, kind, where=""):

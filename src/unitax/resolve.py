@@ -9,12 +9,14 @@ pairwise disjoint:
 3. two overlapping classes are replaced by three disjoint parts.
 
 Rule and pair selection is deterministic: lowest rule number first, then
-lowest position pair in the working list.
+lowest position pair in the working list.  One pass over the pairs
+classifies each pair once.  The fixpoint and the declaration compiler
+rewrite their mappings with one ordered substitution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import AmbiguousDeclaration, InconsistentDeclaration, ValidationError
 from .taxonomy import (
@@ -22,9 +24,8 @@ from .taxonomy import (
     ConceptAtom,
     DatasetClass,
     DatasetTaxonomy,
-    MappingSet,
     Relation,
-    UniversalTaxonomy,
+    build_universal_from_atoms,
     classify_relation,
     validate_collection,
 )
@@ -47,14 +48,13 @@ class RuleApplication:
 class ResolutionState:
     """Working multiset plus mappings from original classes to working uids."""
 
-    atom_names: list
     classes: list  # of WorkingClass, in working order
     mappings: dict  # (dataset name, class name) -> list of uids
     next_uid: int = 0
 
 
 def initial_state(col: Collection) -> ResolutionState:
-    state = ResolutionState([a.name for a in col.atoms], [], {})
+    state = ResolutionState([], {})
     for ds in col.datasets:
         for cls in ds.classes:
             wc = WorkingClass(state.next_uid, cls.atoms)
@@ -64,19 +64,35 @@ def initial_state(col: Collection) -> ResolutionState:
     return state
 
 
-def _remap(state: ResolutionState, old_uids, new_uids) -> None:
-    old = set(old_uids)
-    for key, uids in state.mappings.items():
-        if old & set(uids):
-            kept = [u for u in uids if u not in old]
-            state.mappings[key] = kept + [u for u in new_uids if u not in kept]
+def _substitute(lists: dict, old, new) -> None:
+    """Replace ``old`` in every list of ``lists`` that holds it: the list
+    loses ``old`` and gains, in order, each item of ``new`` it lacks.
+
+    Each such list is replaced by a new one, never changed in place, so a
+    shallow copy of ``lists`` leaves the original lists as they were.
+    """
+    for key, items in lists.items():
+        if old in items:
+            kept = [x for x in items if x != old]
+            lists[key] = kept + [x for x in new if x not in kept]
 
 
-def _fresh(state: ResolutionState, atoms: frozenset) -> WorkingClass:
-    wc = WorkingClass(state.next_uid, atoms)
-    state.next_uid += 1
-    state.classes.append(wc)
-    return wc
+def _first_applicable_pair(classes):
+    """(rule, a, b) for the first working pair of the lowest applicable
+    rule, with a the superset and b the subset under rule 2, or None when
+    the classes are pairwise disjoint.  Each pair is classified once."""
+    best = None
+    for i, ci in enumerate(classes):
+        for cj in classes[i + 1:]:
+            rel = classify_relation(ci.atoms, cj.atoms)
+            if rel is Relation.DISJOINT:
+                continue
+            if rel is Relation.EQUAL:
+                return 1, ci, cj
+            rule = 3 if rel is Relation.OVERLAP else 2
+            if best is None or rule < best[0]:
+                best = (rule, cj, ci) if rel is Relation.SUBSET else (rule, ci, cj)
+    return best
 
 
 def resolve_step(state: ResolutionState):
@@ -85,62 +101,30 @@ def resolve_step(state: ResolutionState):
     Returns (state', RuleApplication) or (state, None) at the fixpoint.
     The input state is not modified.
     """
-    classes = state.classes
-    for rule in (1, 2, 3):
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                ci, cj = classes[i], classes[j]
-                rel = classify_relation(ci.atoms, cj.atoms)
-                if rule == 1 and rel is Relation.EQUAL:
-                    new = _apply_rule1(state, ci, cj)
-                    return new
-                if rule == 2 and rel in (Relation.SUPERSET, Relation.SUBSET):
-                    sup, sub = (ci, cj) if rel is Relation.SUPERSET else (cj, ci)
-                    return _apply_rule2(state, sup, sub)
-                if rule == 3 and rel is Relation.OVERLAP:
-                    return _apply_rule3(state, ci, cj)
-    return state, None
-
-
-def _copy(state: ResolutionState) -> ResolutionState:
-    return ResolutionState(
-        list(state.atom_names),
-        list(state.classes),
-        {k: list(v) for k, v in state.mappings.items()},
-        state.next_uid,
-    )
-
-
-def _apply_rule1(state, ci, cj):
-    new = _copy(state)
-    new.classes = [c for c in new.classes if c.uid not in (ci.uid, cj.uid)]
-    merged = _fresh(new, ci.atoms)
-    _remap(new, (ci.uid, cj.uid), (merged.uid,))
-    return new, RuleApplication(1, (ci.uid, cj.uid), (merged.uid,))
-
-
-def _apply_rule2(state, sup, sub):
-    new = _copy(state)
-    new.classes = [c for c in new.classes if c.uid != sup.uid]
-    remainder = _fresh(new, sup.atoms - sub.atoms)
-    _remap(new, (sup.uid,), (sub.uid, remainder.uid))
-    return new, RuleApplication(2, (sup.uid,), (remainder.uid,))
-
-
-def _apply_rule3(state, ci, cj):
-    new = _copy(state)
-    new.classes = [c for c in new.classes if c.uid not in (ci.uid, cj.uid)]
-    inter = _fresh(new, ci.atoms & cj.atoms)
-    left = _fresh(new, ci.atoms - cj.atoms)
-    right = _fresh(new, cj.atoms - ci.atoms)
-    _remap(new, (ci.uid,), (inter.uid, left.uid))
-    # cj's entries were untouched by the first remap since ci.uid != cj.uid,
-    # except for classes mapped to both; handle cj separately.
-    for key, uids in new.mappings.items():
-        if cj.uid in uids:
-            kept = [u for u in uids if u != cj.uid]
-            new.mappings[key] = kept + [u for u in (inter.uid, right.uid) if u not in kept]
-    return new, RuleApplication(3, (ci.uid, cj.uid), (inter.uid, left.uid, right.uid))
+    picked = _first_applicable_pair(state.classes)
+    if picked is None:
+        return state, None
+    rule, a, b = picked
+    n = state.next_uid
+    # The fresh parts get uids n, n + 1, ...; each removed uid maps to the
+    # parts that lie inside it.
+    if rule == 1:
+        fresh = [a.atoms]
+        parts = {a.uid: (n,), b.uid: (n,)}
+    elif rule == 2:
+        fresh = [a.atoms - b.atoms]
+        parts = {a.uid: (b.uid, n)}
+    else:
+        fresh = [a.atoms & b.atoms, a.atoms - b.atoms, b.atoms - a.atoms]
+        parts = {a.uid: (n, n + 1), b.uid: (n, n + 2)}
+    added = tuple(range(n, n + len(fresh)))
+    classes = [c for c in state.classes if c.uid not in parts]
+    classes += map(WorkingClass, added, fresh)
+    mappings = dict(state.mappings)
+    for old, new in parts.items():
+        _substitute(mappings, old, new)
+    return (ResolutionState(classes, mappings, n + len(fresh)),
+            RuleApplication(rule, tuple(parts), added))
 
 
 def resolve_fixpoint(col: Collection, max_steps: int = 100000):
@@ -281,12 +265,6 @@ class _Compiler:
         self.atom_names.append(name)
         return len(self.atom_names) - 1
 
-    def _substitute(self, atom: int, replacement) -> None:
-        for key, atoms in self.class_atoms.items():
-            if atom in atoms:
-                kept = [a for a in atoms if a != atom]
-                self.class_atoms[key] = kept + [a for a in replacement if a not in kept]
-
     def _atoms(self, ref) -> set:
         return set(self.class_atoms[ref])
 
@@ -305,7 +283,7 @@ class _Compiler:
             mine = self._atoms(this)
             if len(mine) == 1 and not mine & other_atoms:
                 (alpha,) = mine
-                self._substitute(alpha, self.class_atoms[other])
+                _substitute(self.class_atoms, alpha, self.class_atoms[other])
                 self._maybe_rename_merged(stmt, other)
                 return
         raise AmbiguousDeclaration(
@@ -355,7 +333,7 @@ class _Compiler:
             )
         alpha = eligible[0]
         remainder = self._new_atom(f"{self._qual(sup)}∖{self._qual(sub)}")
-        self._substitute(alpha, self.class_atoms[sub] + [remainder])
+        _substitute(self.class_atoms, alpha, self.class_atoms[sub] + [remainder])
 
     def _apply_overlap(self, stmt):
         a_ref, b_ref = stmt.first, stmt.second
@@ -373,8 +351,8 @@ class _Compiler:
         right = self._new_atom(f"{qb}∖{qa}")
         (alpha,) = a
         (beta,) = b
-        self._substitute(alpha, [left, inter])
-        self._substitute(beta, [right, inter])
+        _substitute(self.class_atoms, alpha, [left, inter])
+        _substitute(self.class_atoms, beta, [right, inter])
 
     def collection(self) -> Collection:
         used = sorted({a for atoms in self.class_atoms.values() for a in atoms})
@@ -403,8 +381,6 @@ def build_universal_from_declarations(program: DeclarationProgram):
     and InconsistentDeclaration when post-hoc verification of a declared
     relation fails.
     """
-    from .taxonomy import build_universal_from_atoms
-
     program.validate()
     compiler = _Compiler(program)
     for stmt in program.statements:

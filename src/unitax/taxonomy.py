@@ -364,7 +364,8 @@ def taxonomy_from_dict(data: dict):
     classes = []
     trainable = []
     dominators = {}
-    for i, entry in enumerate(require_field(data, "universal", list)):
+    entries = require_field(data, "universal", list)
+    for i, entry in enumerate(entries):
         where = f"universal[{i}]"
         if require_field(entry, "id", int, where + ".") != i:
             raise ValidationError(f"field {where + '.id'!r} must be {i}")
@@ -381,9 +382,14 @@ def taxonomy_from_dict(data: dict):
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"field {where!r} names an unknown atom or a malformed "
                                   f"or unknown signature pair") from None
-        trainable.append(bool(entry.get("trainable", True)))
+        trainable.append(require_field(entry, "trainable", bool, where + ".")
+                         if "trainable" in entry else True)
         if entry.get("dominator") is not None:
-            dominators[i] = entry["dominator"]
+            dominator = require_field(entry, "dominator", int, where + ".")
+            if not 0 <= dominator < len(entries) or dominator == i:
+                raise ValidationError(f"field {where + '.dominator'!r} must be null or "
+                                      f"the id of another universal class")
+            dominators[i] = dominator
     tax = UniversalTaxonomy(tuple(classes), tuple(trainable), dominators)
     mappings = require_field(data, "mappings", dict)
     maps = MappingSet({

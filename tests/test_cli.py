@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import pytest
 
@@ -393,6 +395,16 @@ def _latin1(tmp_path, name, text):
     return str(path)
 
 
+def _built_taxonomy(tmp_path, vehicle_file, edit):
+    """The taxonomy built from the vehicles collection, its ``universal``
+    list changed by ``edit``."""
+    path = tmp_path / "tax.json"
+    assert run(["build", "--atoms", vehicle_file, "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    edit(data["universal"])
+    return write_json(path, data)
+
+
 LATIN1_COLLECTION = '{"atoms": ["caf\xe9"], "datasets": []}\n'
 
 BAD_INPUTS = {
@@ -416,6 +428,19 @@ BAD_INPUTS = {
         ["pseudo-label", "--atoms", vehicles,
          "--in", _latin1(tmp, "r.jsonl", '{"gt_dataset": "Vistas", "gt_class": "caf\xe9"}\n'),
          "--out", str(tmp / "out.jsonl")], 1, ["r.jsonl"]),
+    "trainable-text": lambda tmp, vehicles: (
+        ["export-matrix", "--in", _built_taxonomy(
+            tmp, vehicles, lambda u: u[0].update(trainable="false")),
+         "--dataset", "VIPER", "--out", str(tmp / "m.csv")], 1,
+        ["tax.json", "'universal[0].trainable'"]),
+    "dominator-text": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(
+            tmp, vehicles, lambda u: u[0].update(dominator="nonsense"))], 1,
+        ["tax.json", "'universal[0].dominator'"]),
+    "dominator-itself": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(
+            tmp, vehicles, lambda u: u[1].update(trainable=False, dominator=1))], 1,
+        ["tax.json", "'universal[1].dominator'"]),
     "heads-entries-swapped": lambda tmp, vehicles: (
         ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
          "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
@@ -443,3 +468,157 @@ def test_bad_inputs_exit_with_a_message_naming_them(case, tmp_path, vehicle_file
     err = capsys.readouterr().err
     assert all(name in err for name in named), err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing: mutated inputs of every kind end in exit 0, 1 or 2
+
+
+# Values a mutation puts in place of a node.  No value exceeds the small
+# counts, epochs and grid sizes of the fixtures, so no mutated run is slow.
+FUZZ_VALUES = [float("nan"), float("inf"), -float("inf"), -1, 0, -0.5, "", "x",
+               None, True, [], [1], {}]
+FUZZ_TOKENS = ["", "dataset", "equiv", "subset", "overlap", "name=", "A.", ".x", "A.x",
+               ":", "#"]
+
+
+def _fuzz_model(tmp_path, problem, mode):
+    """A model.json document for ``problem`` with one hidden layer of 3
+    units, so that most of its nodes are structure, not weights."""
+    spec, tax, maps = problem_from_dict(problem)
+    space = build_space(mode, spec.collection, tax, maps)
+    path = tmp_path / f"{mode}.json"
+    save_model(path, TrainResult(MlpModel([2, 3, space.k], SplitMix64(0)), space, []))
+    return json.loads(path.read_text())
+
+
+def _as_json(doc):
+    return json.dumps(doc).encode()
+
+
+def _as_lines(doc, line):
+    """Bytes of one line per item of the list ``doc``, each made by ``line``."""
+    return "".join(line(item) + "\n" for item in doc).encode()
+
+
+def _fuzz_inputs(tmp_path):
+    """(cases, valid document, replacement values, render to bytes, argv
+    lists with FUZZ in place of the mutated file's path) for each input
+    kind.  The cheap inputs get more cases."""
+    problem = problems.cross_eval_problem(0)
+    vehicles = problems.vehicle_mini_collection()
+    spec = write_json(tmp_path / "problem.json", problem)
+    atoms = write_json(tmp_path / "vehicles.json", vehicles)
+    built = tmp_path / "taxonomy.json"
+    assert run(["build", "--atoms", atoms, "--out", str(built)]) == 0
+    concat = _fuzz_model(tmp_path, problem, "naive-concat")
+    model = write_json(tmp_path / "model.json", concat)
+    records = [{"sample_id": "s1", "gt_dataset": "Vistas", "gt_class": "car",
+                "foreign": {"VIPER": {"truck": 1.0}, "ADE20k": {"van": 1.0}}},
+               {"gt_dataset": "VIPER", "gt_class": "truck", "foreign": {"Vistas": {"car": 1.0}}}]
+    jsonl = tmp_path / "records.jsonl"
+    jsonl.write_bytes(_as_lines(records, json.dumps))
+    decls = [line.split() for line in ("dataset A: sky road", "dataset B: sky car",
+                                       "equiv A.sky B.sky", "subset B.car A.road",
+                                       "overlap A.sky C.sky name=haze")]
+    out = str(tmp_path / "out")
+    model_commands = [["surface", "--model", "FUZZ", "--grid=-1,1,-1,1,2,2", "--out", out],
+                      ["eval", "--model", "FUZZ", "--spec", spec, "--dataset", "D2",
+                       "--out", out]]
+    return [
+        (60, vehicles, FUZZ_VALUES, _as_json,
+         [["build", "--atoms", "FUZZ", "--out", out],
+          ["filter", "--atoms", "FUZZ", "--out", out],
+          ["export-matrix", "--atoms", "FUZZ", "--dataset", "VIPER", "--include-void",
+           "--out", out],
+          ["check", "--in", "FUZZ"],
+          ["pseudo-label", "--atoms", "FUZZ", "--in", str(jsonl), "--out", out]]),
+        (60, json.loads(built.read_text()), FUZZ_VALUES, _as_json,
+         [["check", "--in", "FUZZ"],
+          ["export-matrix", "--in", "FUZZ", "--dataset", "VIPER", "--out", out]]),
+        (40, problem, FUZZ_VALUES, _as_json,
+         [["toy-train", "--spec", "FUZZ", "--mode", "per-dataset-heads", "--epochs", "2",
+           "--out", str(tmp_path / "run")],
+          ["eval", "--model", model, "--spec", "FUZZ", "--dataset", "D2",
+           "--post-inference", "--out", out]]),
+        (40, _fuzz_model(tmp_path, problem, "universal-nll-plus"), FUZZ_VALUES, _as_json,
+         model_commands),
+        (40, concat, FUZZ_VALUES, _as_json, model_commands),
+        (40, _fuzz_model(tmp_path, problem, "per-dataset-heads"), FUZZ_VALUES, _as_json,
+         model_commands),
+        (120, records, FUZZ_VALUES, lambda doc: _as_lines(doc, json.dumps),
+         [["pseudo-label", "--atoms", atoms, "--in", "FUZZ", "--out", out]]),
+        (80, decls, FUZZ_TOKENS,
+         lambda doc: _as_lines(doc, lambda line: " ".join(line) if isinstance(line, list)
+                               else line),
+         [["build", "--decls", "FUZZ", "--out", out],
+          ["filter", "--decls", "FUZZ", "--out", out]]),
+    ]
+
+
+def _paths(doc, path=()):
+    """The key path of every node below the root of ``doc``."""
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _retype(value):
+    """``value`` truncated, or as a value of another type: a container as
+    its first key or item, a number as a string, a bool or null as 0."""
+    if isinstance(value, dict):
+        return next(iter(value), "")
+    if isinstance(value, list):
+        return value[0] if value else ""
+    if isinstance(value, str):
+        return value[:len(value) // 2]
+    if isinstance(value, bool) or value is None:
+        return 0
+    return str(value)
+
+
+def _mutate(rng, doc, values):
+    """``doc`` with one node, drawn uniformly, dropped, retyped or replaced
+    by one of ``values``.  The containers on its path are copied, so
+    ``doc`` itself stays as it was."""
+    path = rng.choice(list(_paths(doc)))
+    root = node = copy.copy(doc)
+    for key in path[:-1]:
+        node[key] = node = copy.copy(node[key])
+    key = path[-1]
+    op = rng.random()
+    if op < 0.25:
+        del node[key]
+    elif op < 0.5:
+        node[key] = _retype(node[key])
+    else:
+        node[key] = rng.choice(values)
+    return root
+
+
+def _damage(rng, data):
+    """``data`` truncated, emptied or made invalid UTF-8."""
+    cut = rng.randrange(len(data) + 1)
+    return rng.choice([data[:cut], b"", data[:cut] + b"\xff\xfe" + data[cut:]])
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(2024)
+    path = tmp_path / "fuzz"
+    for cases, doc, values, render, commands in _fuzz_inputs(tmp_path):
+        for _ in range(cases):
+            data = render(_mutate(rng, doc, values) if rng.random() < 0.85 else doc)
+            if rng.random() < 0.2:
+                data = _damage(rng, data)
+            path.write_bytes(data)
+            argv = [str(path) if a == "FUZZ" else a for a in rng.choice(commands)]
+            if argv[0] not in ("check", "toy-train") and rng.random() < 0.05:
+                argv[argv.index("--out") + 1] = str(tmp_path)  # a directory
+            try:
+                code = run(argv)
+            except Exception as exc:
+                pytest.fail(f"{argv} on {data[:300]!r} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, data[:300], err)

@@ -1,13 +1,15 @@
 """Golden sha256 digests of CLI outputs.
 
-The label-space commands (build, filter, export-matrix) and the inference
-commands (eval, surface) must keep writing these exact bytes.  The models
-are seeded and untrained, written by ``save_model``, so the bytes depend
-only on the label-space and inference code, not on training numerics.
+The label-space commands (build from a collection or from declarations,
+filter, export-matrix, pseudo-label) and the inference commands (eval,
+surface) must keep writing these exact bytes.  The models are seeded and
+untrained, written by ``save_model``, so the bytes depend only on the
+label-space and inference code, not on training numerics.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -27,6 +29,56 @@ PROBLEMS = {
     "two-split": problems.two_split_problem,
 }
 GRID = "--grid=-3,3,-2.5,2.5,9,7"
+
+# Every statement kind; the later statements substitute atoms inside
+# classes that already hold several.
+DECLARATIONS = """\
+dataset WD: sky road car truck
+dataset City: sky road vehicle
+equiv WD.sky City.sky
+equiv ADE.road City.road
+subset WD.car City.vehicle
+subset WD.truck City.vehicle
+overlap WD.truck ADE.truck name=pickup
+equiv ADE.car WD.car
+"""
+
+VEHICLE_CLASSES = {"VIPER": "truck", "Vistas": "car", "ADE20k": "van"}
+
+
+def vehicle_records():
+    """Each vehicles class as ground truth under every set of foreign
+    datasets (its own included, which the ensemble skips), and one record
+    without a sample id."""
+    return [
+        {"sample_id": f"{gt}-{mask}", "gt_dataset": gt, "gt_class": VEHICLE_CLASSES[gt],
+         "foreign": {ds: {cls: 1.0} for d, (ds, cls) in enumerate(VEHICLE_CLASSES.items())
+                     if mask >> d & 1}}
+        for gt in VEHICLE_CLASSES for mask in range(8)
+    ] + [{"gt_dataset": "Vistas", "gt_class": "car"}]
+
+
+def two_split_records():
+    """Each class of one split as ground truth, with a seeded posterior
+    over the classes of the other split, three times."""
+    classes = {ds["name"]: [c["name"] for c in ds["classes"]]
+               for ds in problems.two_split_problem()["datasets"]}
+    rng = random.Random(0)
+    records = []
+    for gt, other in (("CityA", "CityB"), ("CityB", "CityA")):
+        for name in classes[gt] * 3:
+            weights = [rng.randint(0, 9) for _ in classes[other]]
+            weights[rng.randrange(len(weights))] += 1
+            posterior = {c: w / sum(weights) for c, w in zip(classes[other], weights)}
+            records.append({"sample_id": len(records), "gt_dataset": gt, "gt_class": name,
+                            "foreign": {other: posterior}})
+    return records
+
+
+PSEUDO_LABEL_INPUTS = {
+    "vehicles": (problems.vehicle_mini_collection, vehicle_records),
+    "two-split": (problems.two_split_problem, two_split_records),
+}
 
 
 def _digest(path):
@@ -55,6 +107,27 @@ def render_label_space(tmp_path, name):
             assert run(argv + (["--include-void"] if void else [])) == 0
             out[path.stem] = _digest(path)
     return out
+
+
+def render_declarations(tmp_path):
+    decls = tmp_path / "program.decl"
+    decls.write_text(DECLARATIONS)
+    path = tmp_path / "build.json"
+    assert run(["build", "--decls", str(decls), "--out", str(path)]) == 0
+    return _digest(path)
+
+
+def render_pseudo_labels(tmp_path, name):
+    collection, records = PSEUDO_LABEL_INPUTS[name]
+    data = collection()
+    atoms = _write(tmp_path / "collection.json",
+                   {"atoms": data["atoms"], "datasets": data["datasets"]})
+    lines = [json.dumps(r) for r in records()]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")  # one blank line
+    out = tmp_path / "labels.jsonl"
+    assert run(["pseudo-label", "--atoms", atoms, "--in", str(path), "--out", str(out)]) == 0
+    return _digest(out)
 
 
 def render_model(tmp_path, name, mode):
@@ -112,6 +185,13 @@ GOLDEN_LABEL_SPACE = {
         "matrix-Vistas-1":
             "16bc6558cd3f5247cb865eb4fc686c420619607162a4d39cecc82ba44e8871a5",
     },
+}
+
+GOLDEN_DECLARATIONS = "ab1361ac0e282553042195440592ed0dcef22a08c9b7b350527e2c978187e75b"
+
+GOLDEN_PSEUDO_LABELS = {
+    "two-split": "95929c37fe3afa4fb295a6271387c07f78582ada7ba571ef12edfd51d9ef5b23",
+    "vehicles": "c5e18277b74565b820c97a7f5e58617f9520607359a4a00ec2eb5434a9142db4",
 }
 
 GOLDEN_MODELS = {
@@ -241,6 +321,15 @@ GOLDEN_MODELS = {
 @pytest.mark.parametrize("name", sorted(COLLECTIONS))
 def test_label_space_outputs_are_golden(tmp_path, name):
     assert render_label_space(tmp_path, name) == GOLDEN_LABEL_SPACE[name]
+
+
+def test_declaration_build_is_golden(tmp_path):
+    assert render_declarations(tmp_path) == GOLDEN_DECLARATIONS
+
+
+@pytest.mark.parametrize("name", sorted(PSEUDO_LABEL_INPUTS))
+def test_pseudo_labels_are_golden(tmp_path, name):
+    assert render_pseudo_labels(tmp_path, name) == GOLDEN_PSEUDO_LABELS[name]
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -9,6 +10,9 @@ from unitax.errors import (
     ValidationError,
 )
 from unitax.resolve import (
+    ResolutionState,
+    RuleApplication,
+    WorkingClass,
     build_universal_from_declarations,
     fixpoint_partition,
     initial_state,
@@ -16,7 +20,12 @@ from unitax.resolve import (
     resolve_fixpoint,
     resolve_step,
 )
-from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
+from unitax.taxonomy import (
+    Relation,
+    build_universal_from_atoms,
+    classify_relation,
+    collection_from_dict,
+)
 
 
 def random_collection(rng, max_datasets=6, max_classes=12, max_atoms=40):
@@ -114,6 +123,109 @@ def test_fixpoint_matches_signature_grouping_on_random_collections():
                 got = sorted(mappings[(ds.name, cls.name)], key=sorted)
                 want = sorted((tax.classes[u].atoms for u in maps.mapped(ds.name, cls.name)), key=sorted)
                 assert got == want
+
+
+# Brute-force reference: a full rescan of the working pairs for rule 1,
+# then rule 2, then rule 3, and one rewrite function per rule.
+
+
+def _ref_copy(state):
+    return ResolutionState(list(state.classes),
+                           {k: list(v) for k, v in state.mappings.items()},
+                           state.next_uid)
+
+
+def _ref_fresh(state, atoms):
+    wc = WorkingClass(state.next_uid, atoms)
+    state.next_uid += 1
+    state.classes.append(wc)
+    return wc
+
+
+def _ref_remap(state, old_uids, new_uids):
+    old = set(old_uids)
+    for key, uids in state.mappings.items():
+        if old & set(uids):
+            kept = [u for u in uids if u not in old]
+            state.mappings[key] = kept + [u for u in new_uids if u not in kept]
+
+
+def _ref_rule1(state, ci, cj):
+    new = _ref_copy(state)
+    new.classes = [c for c in new.classes if c.uid not in (ci.uid, cj.uid)]
+    merged = _ref_fresh(new, ci.atoms)
+    _ref_remap(new, (ci.uid, cj.uid), (merged.uid,))
+    return new, RuleApplication(1, (ci.uid, cj.uid), (merged.uid,))
+
+
+def _ref_rule2(state, sup, sub):
+    new = _ref_copy(state)
+    new.classes = [c for c in new.classes if c.uid != sup.uid]
+    remainder = _ref_fresh(new, sup.atoms - sub.atoms)
+    _ref_remap(new, (sup.uid,), (sub.uid, remainder.uid))
+    return new, RuleApplication(2, (sup.uid,), (remainder.uid,))
+
+
+def _ref_rule3(state, ci, cj):
+    new = _ref_copy(state)
+    new.classes = [c for c in new.classes if c.uid not in (ci.uid, cj.uid)]
+    inter = _ref_fresh(new, ci.atoms & cj.atoms)
+    left = _ref_fresh(new, ci.atoms - cj.atoms)
+    right = _ref_fresh(new, cj.atoms - ci.atoms)
+    _ref_remap(new, (ci.uid,), (inter.uid, left.uid))
+    for key, uids in new.mappings.items():
+        if cj.uid in uids:
+            kept = [u for u in uids if u != cj.uid]
+            new.mappings[key] = kept + [u for u in (inter.uid, right.uid) if u not in kept]
+    return new, RuleApplication(3, (ci.uid, cj.uid), (inter.uid, left.uid, right.uid))
+
+
+def reference_step(state):
+    classes = state.classes
+    for rule in (1, 2, 3):
+        for i in range(len(classes)):
+            for j in range(i + 1, len(classes)):
+                ci, cj = classes[i], classes[j]
+                rel = classify_relation(ci.atoms, cj.atoms)
+                if rule == 1 and rel is Relation.EQUAL:
+                    return _ref_rule1(state, ci, cj)
+                if rule == 2 and rel in (Relation.SUPERSET, Relation.SUBSET):
+                    sup, sub = (ci, cj) if rel is Relation.SUPERSET else (cj, ci)
+                    return _ref_rule2(state, sup, sub)
+                if rule == 3 and rel is Relation.OVERLAP:
+                    return _ref_rule3(state, ci, cj)
+    return state, None
+
+
+def test_resolution_matches_the_brute_force_reference():
+    rng = random.Random(23)
+    rules = set()
+    for _ in range(200):
+        col = random_collection(rng)
+        state = want = initial_state(col)
+        trace = []
+        while True:
+            state, applied = resolve_step(state)
+            want, expected = reference_step(want)
+            assert applied == expected
+            assert state == want  # classes, uids and mappings
+            if applied is None:
+                break
+            trace.append(applied)
+            rules.add(applied.rule)
+        assert resolve_fixpoint(col) == (state, trace)
+    assert rules == {1, 2, 3}
+
+
+def test_resolve_step_leaves_its_input_unmodified():
+    rng = random.Random(29)
+    for _ in range(50):
+        state, applied = initial_state(random_collection(rng)), True
+        while applied is not None:
+            before = copy.deepcopy(state)
+            after, applied = resolve_step(state)
+            assert state == before
+            state = after
 
 
 def test_fixpoint_terminates_and_is_disjoint():
