@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import evaluation, pseudolabel, training, toyproblem
-from .errors import UnitaxError, ValidationError, load_json, read_text
+from .errors import UnitaxError, ValidationError, load_json, read_text, write_json
 from .resolve import build_universal_from_declarations, parse_declarations
 from .taxonomy import (
     build_universal_from_atoms,
@@ -28,12 +28,6 @@ from .taxonomy import (
     taxonomy_from_dict,
     taxonomy_to_dict,
 )
-
-
-def _write_json(path, data) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_text(path, text) -> None:
@@ -60,7 +54,7 @@ def _build_artifacts(args):
 def _cmd_build(args):
     col, tax, maps = _build_artifacts(args)
     tax, _, _ = filter_untrainable(tax, maps)  # annotate trainability
-    _write_json(args.out, taxonomy_to_dict(col, tax, maps))
+    write_json(args.out, taxonomy_to_dict(col, tax, maps))
     return 0
 
 
@@ -84,7 +78,7 @@ def _cmd_filter(args):
         }
         for u, dom in report
     ]
-    _write_json(args.out, data)
+    write_json(args.out, data)
     return 0
 
 
@@ -135,7 +129,7 @@ def _cmd_toy_train(args):
             result.space, result.model, data.test_points
         ),
     }
-    _write_json(os.path.join(args.out, "report.json"), report)
+    write_json(os.path.join(args.out, "report.json"), report)
     return 0
 
 
@@ -165,7 +159,7 @@ def _cmd_eval(args):
     report["dataset"] = args.dataset
     report["post_inference"] = bool(args.post_inference)
     report["samples"] = len(truths)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     return 0
 
 
@@ -216,10 +210,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p, decls=True):
+    def add_inputs(p):
         p.add_argument("--atoms", help="collection JSON (atoms inventory)")
-        if decls:
-            p.add_argument("--decls", help="declaration program file")
+        p.add_argument("--decls", help="declaration program file")
 
     p = sub.add_parser("build", help="construct taxonomy and mappings")
     add_inputs(p)

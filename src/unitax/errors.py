@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks that raise
-them where input files are read."""
+"""Exception types shared across the package, the checks that raise them
+where input files are read, and the one JSON writer."""
 
 import json
 
@@ -46,7 +46,8 @@ class TrainingDiverged(UnitaxError):
 
 
 class OrthogonalDataset(UnitaxError):
-    """No class of the foreign dataset intersects the ground-truth class."""
+    """The classes of a foreign dataset that meet the ground-truth class
+    carry no probability mass."""
 
 
 def _is(value, kind):
@@ -89,16 +90,24 @@ def read_text(path):
         raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def load_json(path, parse=None):
-    """``parse(data)`` for the JSON value in the file at ``path`` (the value
-    itself without ``parse``).  A ValidationError, for the encoding, the
-    JSON syntax or from ``parse``, names the file."""
+def write_json(path, data) -> None:
+    """Write ``data`` to ``path`` as UTF-8 JSON: two-space indent, sorted
+    keys, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_json(path, parse):
+    """``parse(data)`` for the JSON value in the file at ``path``.  A
+    ValidationError, for the encoding, the JSON syntax or from ``parse``,
+    names the file."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
     try:
-        return parse(data) if parse else data
+        return parse(data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

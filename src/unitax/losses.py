@@ -18,15 +18,11 @@ from .errors import InvalidLogit, InvalidProbability, UnmappedLabel
 from .taxonomy import MappingSet
 
 
-def logsumexp(values: np.ndarray, axis=None) -> np.ndarray:
-    """Stable log(sum(exp(values))) via max subtraction."""
+def logsumexp(values: np.ndarray) -> float:
+    """Stable log(sum(exp(values))) over all entries, via max subtraction."""
     values = np.asarray(values, dtype=np.float64)
-    if axis is None:
-        m = float(np.max(values))
-        return m + float(np.log(np.sum(np.exp(values - m))))
-    m = np.max(values, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(values - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    m = float(np.max(values))
+    return m + float(np.log(np.sum(np.exp(values - m))))
 
 
 def universal_posteriors(logits: np.ndarray) -> np.ndarray:

@@ -94,12 +94,13 @@ class Adam:
     is a few operations on whole vectors.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         sizes = [p.size for p in params]
         self.m = np.zeros(sum(sizes))
         self.v = np.zeros(sum(sizes))
@@ -118,10 +119,10 @@ class Adam:
         (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)).
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         root_c2 = np.sqrt(1 - b2 ** self.t)
         step = self.lr * root_c2 / (1 - b1 ** self.t)
-        eps = self.eps * root_c2
+        eps = self.EPS * root_c2
         g, m, v, u = self.grad, self.m, self.v, self.update
         np.concatenate([grad.reshape(-1) for grad in grads], out=g)
         m *= b1

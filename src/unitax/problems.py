@@ -85,7 +85,7 @@ _SHARED_GEOMETRY = {
 }
 
 
-def two_split_problem(seed: int = 0, std: float = 0.55, count: int = 150) -> dict:
+def two_split_problem(seed: int = 0) -> dict:
     """Relabeled-city analog: two splits with overlapping vehicle groups.
 
     Split A groups car/bus/truck into four-wheel-vehicle and keeps bicycle
@@ -125,7 +125,7 @@ def two_split_problem(seed: int = 0, std: float = 0.55, count: int = 150) -> dic
         ),
     ]
     concepts = [
-        (name, center, std, count)
+        (name, center, 0.55, 150)
         for name, center in {**vehicles, **_SHARED_GEOMETRY}.items()
     ]
     return _problem(_SHARED + list(vehicles), datasets, concepts, seed)

@@ -60,8 +60,9 @@ def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
     """Score of universal class u from one foreign dataset, in [0, 1].
 
     Zero when the ground truth does not map to u or the foreign dataset has
-    no class mapping to u.  Raises OrthogonalDataset when no foreign class
-    intersects the ground truth at all.
+    no class mapping to u, as when no foreign class meets the ground truth.
+    Raises OrthogonalDataset when a foreign class maps to u but the foreign
+    classes that meet the ground truth carry no probability mass.
     """
     gt_dataset, gt_class = gt_label
     if u not in maps.mapped(gt_dataset, gt_class):
@@ -83,7 +84,8 @@ def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
         return 0.0
     if denominator == 0.0:
         raise OrthogonalDataset(
-            f"no class of {foreign.dataset!r} intersects {gt_dataset}.{gt_class}"
+            f"the classes of {foreign.dataset!r} that meet {gt_dataset}.{gt_class} "
+            f"carry no probability mass"
         )
     return numerator / denominator
 
@@ -93,8 +95,10 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     """Universal pseudo-label for one sample.
 
     Returns (universal id, per-candidate score dict, flags).  Flags record
-    foreign datasets orthogonal to the ground truth and the all-zero
-    fallback to the lowest candidate id.
+    the foreign datasets that put no mass on their classes meeting the
+    ground truth ("orthogonal:<dataset>") and the all-zero fallback to the
+    lowest candidate id.  A foreign dataset with no class meeting the
+    ground truth scores zero and is not flagged.
     """
     gt_dataset, gt_class = gt_label
     candidates = sorted(maps.mapped(gt_dataset, gt_class))

@@ -30,6 +30,9 @@ from .taxonomy import (
     validate_collection,
 )
 
+# resolve_fixpoint gives up after this many rule applications
+MAX_STEPS = 100000
+
 
 @dataclass(frozen=True)
 class WorkingClass:
@@ -127,14 +130,14 @@ def resolve_step(state: ResolutionState):
             RuleApplication(rule, tuple(parts), added))
 
 
-def resolve_fixpoint(col: Collection, max_steps: int = 100000):
+def resolve_fixpoint(col: Collection):
     """Iterate resolve_step from a collection until no rule applies.
 
     Returns (state, trace) where trace is the list of RuleApplications.
     """
     state = initial_state(col)
     trace = []
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         state, applied = resolve_step(state)
         if applied is None:
             return state, trace

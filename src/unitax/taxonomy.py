@@ -9,6 +9,7 @@ dataset class then maps to the set of universal classes it contains.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,13 +98,15 @@ class UniversalClass:
 @dataclass(frozen=True)
 class UniversalTaxonomy:
     classes: tuple  # of UniversalClass
-    trainable: tuple = ()  # of bool, parallel to classes
     dominators: dict = field(default_factory=dict)  # untrainable id -> dominator id
 
+    @property
+    def trainable(self) -> tuple:
+        """Per class, whether it is trainable: whether it has no dominator."""
+        return tuple(u.id not in self.dominators for u in self.classes)
+
     def trainable_ids(self) -> list:
-        if not self.trainable:
-            return [u.id for u in self.classes]
-        return [u.id for u, t in zip(self.classes, self.trainable) if t]
+        return [u.id for u in self.classes if u.id not in self.dominators]
 
 
 @dataclass(frozen=True)
@@ -187,14 +190,15 @@ def build_universal_from_atoms(col: Collection):
     for uid, (sig, atoms) in enumerate(ordered):
         display = "+".join(col.atom_names(atoms))
         classes.append(UniversalClass(uid, frozenset(atoms), sig, display))
-    tax = UniversalTaxonomy(tuple(classes), trainable=tuple(True for _ in classes))
-    by_dataset = {}
-    for d, ds in enumerate(col.datasets):
-        per_class = {}
-        for c, cls in enumerate(ds.classes):
-            per_class[cls.name] = tuple(u.id for u in classes if (d, c) in u.signature)
-        by_dataset[ds.name] = per_class
-    return tax, MappingSet(by_dataset)
+    holders = {}  # (dataset index, class index) -> ids of the classes inside it
+    for u in classes:
+        for pair in u.signature:
+            holders.setdefault(pair, []).append(u.id)
+    by_dataset = {
+        ds.name: {cls.name: tuple(holders[d, c]) for c, cls in enumerate(ds.classes)}
+        for d, ds in enumerate(col.datasets)
+    }
+    return UniversalTaxonomy(tuple(classes)), MappingSet(by_dataset)
 
 
 def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
@@ -206,26 +210,19 @@ def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
     (ties broken by lowest id).  Returns (taxonomy, mappings, report) where
     the report is a list of (untrainable id, dominator id) pairs.
     """
-    trainable = []
     dominators = {}
     for u in tax.classes:
         candidates = [
             v for v in tax.classes if v.id != u.id and u.signature <= v.signature
         ]
         if candidates:
-            dom = max(candidates, key=lambda v: (len(v.signature), -v.id))
-            trainable.append(False)
-            dominators[u.id] = dom.id
-        else:
-            trainable.append(True)
-    report = sorted(dominators.items())
-    filtered_tax = UniversalTaxonomy(tax.classes, tuple(trainable), dict(dominators))
-    kept = {u.id for u, t in zip(tax.classes, trainable) if t}
+            dominators[u.id] = max(candidates, key=lambda v: (len(v.signature), -v.id)).id
     by_dataset = {
-        ds: {cls: tuple(u for u in uids if u in kept) for cls, uids in per.items()}
+        ds: {cls: tuple(u for u in uids if u not in dominators) for cls, uids in per.items()}
         for ds, per in maps.by_dataset.items()
     }
-    return filtered_tax, MappingSet(by_dataset), report
+    filtered = UniversalTaxonomy(tax.classes, dominators)
+    return filtered, MappingSet(by_dataset), sorted(dominators.items())
 
 
 def projection(sources, targets, void: bool = False) -> np.ndarray:
@@ -236,8 +233,9 @@ def projection(sources, targets, void: bool = False) -> np.ndarray:
     ``void``, a last column marks the sources that meet no target.
 
     Meeting is the only rule needed: a universal class lies either inside
-    or outside each dataset class (validate_universal checks it), so for
-    them meeting a class and lying in it are the same.
+    or outside each dataset class (build_universal_from_atoms groups atoms
+    so, and validate_universal holds files to it), so for them meeting a
+    class and lying in it are the same.
     """
     holders = {}  # element -> the sources holding it
     for i, s in enumerate(sources):
@@ -339,7 +337,7 @@ def taxonomy_to_dict(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) 
                 [col.datasets[d].name, col.datasets[d].classes[c].name]
                 for d, c in sorted(u.signature)
             ],
-            "trainable": bool(tax.trainable[u.id]) if tax.trainable else True,
+            "trainable": u.id not in tax.dominators,
             "dominator": tax.dominators.get(u.id),
         }
         for u in tax.classes
@@ -362,7 +360,6 @@ def taxonomy_from_dict(data: dict):
         (ds.name, c.name): ci for ds in col.datasets for ci, c in enumerate(ds.classes)
     }
     classes = []
-    trainable = []
     dominators = {}
     entries = require_field(data, "universal", list)
     for i, entry in enumerate(entries):
@@ -382,15 +379,17 @@ def taxonomy_from_dict(data: dict):
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"field {where!r} names an unknown atom or a malformed "
                                   f"or unknown signature pair") from None
-        trainable.append(require_field(entry, "trainable", bool, where + ".")
-                         if "trainable" in entry else True)
-        if entry.get("dominator") is not None:
-            dominator = require_field(entry, "dominator", int, where + ".")
-            if not 0 <= dominator < len(entries) or dominator == i:
-                raise ValidationError(f"field {where + '.dominator'!r} must be null or "
-                                      f"the id of another universal class")
-            dominators[i] = dominator
-    tax = UniversalTaxonomy(tuple(classes), tuple(trainable), dominators)
+        dominator = entry.get("dominator")
+        if dominator is not None:
+            dominators[i] = require_field(entry, "dominator", int, where + ".")
+        if "trainable" in entry:
+            trainable = require_field(entry, "trainable", bool, where + ".")
+            if trainable != (dominator is None):
+                raise ValidationError(
+                    f"field {where + '.trainable'!r} is {json.dumps(trainable)} but "
+                    f"{where + '.dominator'!r} is {json.dumps(dominator)}: a class is "
+                    f"trainable exactly when it has no dominator")
+    tax = UniversalTaxonomy(tuple(classes), dominators)
     mappings = require_field(data, "mappings", dict)
     maps = MappingSet({
         ds: {cls: tuple(require_list(uids, int, f"mappings.{ds}.{cls}"))
@@ -402,51 +401,34 @@ def taxonomy_from_dict(data: dict):
 
 
 def validate_universal(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) -> None:
-    """Check the universal-taxonomy invariants against the collection."""
-    seen_sigs = set()
-    union = set()
-    for u in tax.classes:
-        if not u.atoms:
-            raise ValidationError(f"universal class {u.id} has an empty atom set")
-        if u.signature in seen_sigs:
-            raise ValidationError("distinct universal classes must have distinct signatures")
-        seen_sigs.add(u.signature)
-        union |= u.atoms
-    for i, u in enumerate(tax.classes):
-        for v in tax.classes[i + 1:]:
-            if u.atoms & v.atoms:
+    """Check that ``tax`` and ``maps`` are what build_universal_from_atoms
+    and filter_untrainable derive from ``col``.
+
+    The classes are the built ones in the built order (display names are
+    free).  The dominators are either none, as in an unfiltered build, or
+    exactly the filter's.  Each mapping holds, in any order, the universal
+    classes the dataset class contains, either all of them or the trainable
+    ones.  A ValidationError names the first field that differs.
+    """
+    built, built_maps = build_universal_from_atoms(col)
+    dominators = filter_untrainable(built, built_maps)[0].dominators
+    if len(tax.classes) != len(built.classes):
+        raise ValidationError(f"field 'universal' must list the {len(built.classes)} "
+                              f"universal classes of the collection, not {len(tax.classes)}")
+    for u, b in zip(tax.classes, built.classes):
+        if (u.atoms, u.signature) != (b.atoms, b.signature):
+            raise ValidationError(f"field 'universal[{b.id}]' must hold the atoms "
+                                  f"{col.atom_names(b.atoms)} and the classes containing them")
+    if tax.dominators and tax.dominators != dominators:
+        i = next(u.id for u in built.classes
+                 if tax.dominators.get(u.id) != dominators.get(u.id))
+        raise ValidationError(f"field 'universal[{i}].dominator' must be "
+                              f"{json.dumps(dominators.get(i))}, the class filter derives")
+    for ds in col.datasets:
+        for cls in ds.classes:
+            contained = built_maps.mapped(ds.name, cls.name)
+            kept = tuple(u for u in contained if u not in tax.dominators)
+            if sorted(maps.mapped(ds.name, cls.name)) not in (list(contained), list(kept)):
                 raise ValidationError(
-                    f"universal classes must be pairwise disjoint: {u.id} intersects {v.id}"
-                )
-    class_union = set()
-    for d, c, cls in col.all_classes():
-        class_union |= cls.atoms
-        for u in tax.classes:
-            inter = u.atoms & cls.atoms
-            if inter and not u.atoms <= cls.atoms:
-                raise ValidationError(
-                    f"universal class {u.id} must be disjoint from or contained in "
-                    f"{cls.dataset}.{cls.name}"
-                )
-            if ((d, c) in u.signature) != (u.atoms <= cls.atoms):
-                raise ValidationError(
-                    f"signature of universal class {u.id} disagrees with atom containment"
-                )
-    if union != class_union:
-        raise ValidationError(
-            "union of universal atoms must equal the union of all dataset-class atoms"
-        )
-    by_id = {u.id: u for u in tax.classes}
-    for d, ds in enumerate(col.datasets):
-        for c, cls in enumerate(ds.classes):
-            mapped = maps.mapped(ds.name, cls.name)
-            expected = [u.id for u in tax.classes if u.atoms <= cls.atoms]
-            kept = [u for u in expected if not tax.trainable or tax.trainable[u]]
-            if sorted(mapped) not in (sorted(expected), sorted(kept)):
-                raise ValidationError(
-                    f"mapping of {ds.name}.{cls.name} must be the universal classes "
-                    f"contained in it (optionally filtered)"
-                )
-            for a, b in zip(mapped, mapped[1:]):
-                if by_id[a].atoms & by_id[b].atoms:
-                    raise ValidationError("mapped sets must be pairwise disjoint")
+                    f"field 'mappings.{ds.name}.{cls.name}' must list the universal classes "
+                    f"{list(contained)} it contains, or the trainable ones {list(kept)}")

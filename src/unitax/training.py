@@ -17,14 +17,13 @@ loss:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (TrainingDiverged, ValidationError, load_json, require_field,
-                     require_list)
+                     require_list, write_json)
 from .losses import nll_plus_targets, universal_posteriors
 from .mlp import Adam, MlpModel
 from .rng import SplitMix64
@@ -44,6 +43,9 @@ MODES = (
 _UNIVERSAL = ("universal-nll-plus", "universal-nll-max", "oracle")
 
 HIDDEN = (64, 64)
+
+# dead_logit_report flags a class predicted for fewer than this share of points
+DEAD_FREQUENCY = 0.01
 
 
 @dataclass(frozen=True)
@@ -425,17 +427,16 @@ def per_class_accuracy(space, model, x, y_true) -> dict:
     return out
 
 
-def dead_logit_report(space: ModelSpace, model: MlpModel, x: np.ndarray,
-                      threshold: float = 0.01) -> dict:
+def dead_logit_report(space: ModelSpace, model: MlpModel, x: np.ndarray) -> dict:
     """Prediction frequency per universal class plus dead flags
-    (frequency below the threshold).  Baseline predictions are resolved with
+    (frequency below DEAD_FREQUENCY).  Baseline predictions are resolved with
     post-inference summation so every sample lands on a universal class."""
     pred = np.argmax(universal_scores(space, model, x), axis=1)
     n = len(pred)
     freqs = [float(np.sum(pred == u)) / n for u in range(space.n_universal)]
     return {
         "frequencies": freqs,
-        "dead": [f < threshold for f in freqs],
+        "dead": [f < DEAD_FREQUENCY for f in freqs],
     }
 
 
@@ -462,11 +463,8 @@ def surface_csv(rows, class_names) -> str:
 
 
 def save_model(path, result: TrainResult) -> None:
-    data = {"space": result.space.to_dict(), "model": result.model.to_dict(),
-            "loss_trace": result.loss_trace}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"space": result.space.to_dict(), "model": result.model.to_dict(),
+                      "loss_trace": result.loss_trace})
 
 
 def load_model(path) -> TrainResult:

@@ -11,6 +11,8 @@ from unitax.rng import SplitMix64
 from unitax.toyproblem import problem_from_dict
 from unitax.training import HIDDEN, TrainResult, build_space, save_model
 
+from test_golden import DECLARATIONS
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data) + "\n")
@@ -441,6 +443,19 @@ BAD_INPUTS = {
         ["check", "--in", _built_taxonomy(
             tmp, vehicles, lambda u: u[1].update(trainable=False, dominator=1))], 1,
         ["tax.json", "'universal[1].dominator'"]),
+    # on the vehicles taxonomy only pickup (universal[1]) is trainable, and
+    # the truck (universal[0]) is dominated by it
+    "trainable-with-dominator": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(tmp, vehicles, lambda u: u[1].update(dominator=0))],
+        1, ["tax.json", "'universal[1].trainable'", "'universal[1].dominator'"]),
+    "untrainable-without-dominator": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(tmp, vehicles, lambda u: u[0].update(dominator=None))],
+        1, ["tax.json", "'universal[0].trainable'", "'universal[0].dominator'"]),
+    "dominated-but-trainable": lambda tmp, vehicles: (
+        ["export-matrix", "--in", _built_taxonomy(
+            tmp, vehicles, lambda u: u[0].update(trainable=True)),
+         "--dataset", "VIPER", "--out", str(tmp / "m.csv")], 1,
+        ["tax.json", "'universal[0].trainable'"]),
     "heads-entries-swapped": lambda tmp, vehicles: (
         ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
          "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
@@ -468,6 +483,28 @@ def test_bad_inputs_exit_with_a_message_naming_them(case, tmp_path, vehicle_file
     err = capsys.readouterr().err
     assert all(name in err for name in named), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture", ["vehicles", "rider", "city", "two-split", "decls"])
+def test_check_accepts_what_build_and_filter_write(tmp_path, fixture):
+    if fixture == "decls":
+        source = tmp_path / "program.decl"
+        source.write_text(DECLARATIONS)
+        inputs, commands = ["--decls", str(source)], ["build"]
+    else:
+        data = {"vehicles": problems.vehicle_mini_collection, "rider": problems.rider_collection,
+                "city": problems.relabeled_city_collection,
+                "two-split": problems.two_split_problem}[fixture]()
+        source = write_json(tmp_path / "collection.json",
+                            {"atoms": data["atoms"], "datasets": data["datasets"]})
+        inputs, commands = ["--atoms", source], ["build", "filter"]
+    for command in commands:
+        out = tmp_path / f"{command}.json"
+        assert run([command, *inputs, "--out", str(out)]) == 0
+        assert run(["check", "--in", str(out)]) == 0, command
+        for ds in json.loads(out.read_text())["datasets"]:
+            assert run(["export-matrix", "--in", str(out), "--dataset", ds["name"],
+                        "--out", str(tmp_path / "m.csv")]) == 0, (command, ds["name"])
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,33 @@ def test_orthogonal_dataset_flagged():
     assert label == sorted(maps.mapped("D1", "x"))[0]
 
 
+def test_orthogonal_means_no_mass_where_the_ground_truth_is_met():
+    # D2.v meets D1.x but carries no mass, which is flagged; no class of D3
+    # meets D1.x at all, so D3 scores zero and is not flagged
+    col = collection_from_dict({
+        "atoms": ["a", "b", "c"],
+        "datasets": [
+            {"name": "D1", "classes": [{"name": "x", "atoms": ["a"]},
+                                       {"name": "y", "atoms": ["b"]}]},
+            {"name": "D2", "classes": [{"name": "v", "atoms": ["a"]},
+                                       {"name": "t", "atoms": ["b"]}]},
+            {"name": "D3", "classes": [{"name": "w", "atoms": ["c"]}]},
+        ],
+    })
+    tax, maps = build_universal_from_atoms(col)
+    (uid,) = maps.mapped("D1", "x")
+    massless = ForeignPrediction("D2", {"v": 0.0, "t": 1.0})
+    with pytest.raises(OrthogonalDataset) as info:
+        conditional_score(massless, ("D1", "x"), uid, col, tax, maps)
+    assert str(info.value) == "the classes of 'D2' that meet D1.x carry no probability mass"
+    assert ensemble_pseudo_label([massless], ("D1", "x"), col, tax, maps)[2] == [
+        "all-zero-fallback", "orthogonal:D2"]
+    disjoint = ForeignPrediction("D3", {"w": 1.0})
+    assert conditional_score(disjoint, ("D1", "x"), uid, col, tax, maps) == 0.0
+    assert ensemble_pseudo_label([disjoint], ("D1", "x"), col, tax, maps)[2] == [
+        "all-zero-fallback"]
+
+
 def test_same_dataset_predictions_are_skipped():
     col, tax, maps, uid = vehicle_setup()
     native = ForeignPrediction("Vistas", {"car": 1.0})
