@@ -8,13 +8,19 @@ for the acceptance thresholds.
 from __future__ import annotations
 
 
-def _problem(atoms, datasets, concepts, seed):
+def _collection(atoms, datasets):
     return {
         "atoms": atoms,
         "datasets": [
             {"name": name, "classes": [{"name": c, "atoms": a} for c, a in classes]}
             for name, classes in datasets
         ],
+    }
+
+
+def _problem(atoms, datasets, concepts, seed):
+    return {
+        **_collection(atoms, datasets),
         "concepts": [
             {"atom": atom, "center": [float(x), float(y)], "std": std, "count": count}
             for atom, (x, y), std, count in concepts
@@ -85,6 +91,20 @@ _SHARED_GEOMETRY = {
 }
 
 
+def _two_splits(first, second, standalone):
+    """Atoms and datasets of the two-split design.  Both splits keep the
+    ``standalone`` classes; ``first`` adds bicycle, motorcycle and
+    four-wheel-vehicle (car, bus, truck), ``second`` adds bus, truck and
+    personal-vehicle (car, bicycle, motorcycle)."""
+    shared = [(name, [name]) for name in standalone]
+    return standalone + ["car", "bus", "truck", "bicycle", "motorcycle"], [
+        (first, shared + [("bicycle", ["bicycle"]), ("motorcycle", ["motorcycle"]),
+                          ("four-wheel-vehicle", ["car", "bus", "truck"])]),
+        (second, shared + [("bus", ["bus"]), ("truck", ["truck"]),
+                           ("personal-vehicle", ["car", "bicycle", "motorcycle"])]),
+    ]
+
+
 def two_split_problem(seed: int = 0) -> dict:
     """Relabeled-city analog: two splits with overlapping vehicle groups.
 
@@ -103,32 +123,11 @@ def two_split_problem(seed: int = 0) -> dict:
         "bicycle": (1.2, 0.6),
         "motorcycle": (1.2, -0.6),
     }
-    shared = [(name, [name]) for name in _SHARED]
-    datasets = [
-        (
-            "CityA",
-            shared
-            + [
-                ("bicycle", ["bicycle"]),
-                ("motorcycle", ["motorcycle"]),
-                ("four-wheel-vehicle", ["car", "bus", "truck"]),
-            ],
-        ),
-        (
-            "CityB",
-            shared
-            + [
-                ("bus", ["bus"]),
-                ("truck", ["truck"]),
-                ("personal-vehicle", ["car", "bicycle", "motorcycle"]),
-            ],
-        ),
-    ]
     concepts = [
         (name, center, 0.55, 150)
         for name, center in {**vehicles, **_SHARED_GEOMETRY}.items()
     ]
-    return _problem(_SHARED + list(vehicles), datasets, concepts, seed)
+    return _problem(*_two_splits("CityA", "CityB", _SHARED), concepts, seed)
 
 
 def cross_eval_problem(seed: int = 0) -> dict:
@@ -168,52 +167,23 @@ def relabeled_city_collection() -> dict:
     vehicle class; the universal taxonomy recovers all 19 classes and every
     one of them is trainable.
     """
-    atoms = _CITY_COMMON + ["car", "bus", "truck", "bicycle", "motorcycle"]
-    common = [{"name": n, "atoms": [n]} for n in _CITY_COMMON]
-    return {
-        "atoms": atoms,
-        "datasets": [
-            {
-                "name": "City-4wheel",
-                "classes": common
-                + [
-                    {"name": "bicycle", "atoms": ["bicycle"]},
-                    {"name": "motorcycle", "atoms": ["motorcycle"]},
-                    {"name": "four-wheel-vehicle", "atoms": ["car", "bus", "truck"]},
-                ],
-            },
-            {
-                "name": "City-personal",
-                "classes": common
-                + [
-                    {"name": "bus", "atoms": ["bus"]},
-                    {"name": "truck", "atoms": ["truck"]},
-                    {"name": "personal-vehicle", "atoms": ["car", "bicycle", "motorcycle"]},
-                ],
-            },
-        ],
-    }
+    return _collection(*_two_splits("City-4wheel", "City-personal", _CITY_COMMON))
 
 
 def vehicle_mini_collection() -> dict:
     """The truck/car/van mini-collection with the pickup at the triple
     intersection."""
-    return {
-        "atoms": ["truck", "pickup", "car", "van"],
-        "datasets": [
-            {"name": "VIPER", "classes": [{"name": "truck", "atoms": ["truck", "pickup"]}]},
-            {"name": "Vistas", "classes": [{"name": "car", "atoms": ["car", "van", "pickup"]}]},
-            {"name": "ADE20k", "classes": [{"name": "van", "atoms": ["van", "pickup"]}]},
+    return _collection(
+        ["truck", "pickup", "car", "van"],
+        [
+            ("VIPER", [("truck", ["truck", "pickup"])]),
+            ("Vistas", [("car", ["car", "van", "pickup"])]),
+            ("ADE20k", [("van", ["van", "pickup"])]),
         ],
-    }
+    )
 
 
 def rider_collection() -> dict:
     """Collection form of the collapse problem (for the trainability filter)."""
-    return {
-        "atoms": ["bike", "rider", "ped"],
-        "datasets": [
-            {"name": "CamVid", "classes": [{"name": "bicycle", "atoms": ["bike", "rider"]}]},
-            {"name": "Pascal", "classes": [{"name": "person", "atoms": ["rider", "ped"]}]},
-        ],
-    }
+    problem = collapse_problem()
+    return {"atoms": problem["atoms"], "datasets": problem["datasets"]}

@@ -27,7 +27,6 @@ from .taxonomy import (
     Relation,
     build_universal_from_atoms,
     classify_relation,
-    validate_collection,
 )
 
 # resolve_fixpoint gives up after this many rule applications
@@ -360,12 +359,11 @@ class _Compiler:
     def collection(self) -> Collection:
         used = sorted({a for atoms in self.class_atoms.values() for a in atoms})
         dense = {a: i for i, a in enumerate(used)}
-        atoms = tuple(ConceptAtom(i, self.atom_names[a]) for a, i in
-                      sorted(dense.items(), key=lambda kv: kv[1]))
+        atoms = tuple(ConceptAtom(self.atom_names[a]) for a in used)
         taxonomies = []
         for ds, classes in self.program.datasets.items():
             ds_classes = tuple(
-                DatasetClass(ds, cls, frozenset(dense[a] for a in self.class_atoms[(ds, cls)]))
+                DatasetClass(cls, frozenset(dense[a] for a in self.class_atoms[(ds, cls)]))
                 for cls in classes
             )
             taxonomies.append(DatasetTaxonomy(ds, ds_classes))
@@ -388,9 +386,8 @@ def build_universal_from_declarations(program: DeclarationProgram):
     compiler = _Compiler(program)
     for stmt in program.statements:
         compiler.apply(stmt)
-    col = compiler.collection()
     try:
-        validate_collection(col)
+        col = compiler.collection()
     except ValidationError as exc:
         raise InconsistentDeclaration(f"declarations produce an invalid collection: {exc}")
     lookup = {(ds.name, c.name): c.atoms for ds in col.datasets for c in ds.classes}

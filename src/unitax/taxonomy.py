@@ -49,13 +49,11 @@ def classify_relation(a: frozenset, b: frozenset) -> Relation:
 
 @dataclass(frozen=True)
 class ConceptAtom:
-    id: int
     name: str
 
 
 @dataclass(frozen=True)
 class DatasetClass:
-    dataset: str
     name: str
     atoms: frozenset  # of atom ids
 
@@ -68,8 +66,14 @@ class DatasetTaxonomy:
 
 @dataclass(frozen=True)
 class Collection:
-    atoms: tuple  # of ConceptAtom, ids dense 0..A-1
+    """Atoms and dataset taxonomies over them.  Making one runs
+    validate_collection, so every Collection holds its invariants."""
+
+    atoms: tuple  # of ConceptAtom; an atom's id is its position
     datasets: tuple  # of DatasetTaxonomy
+
+    def __post_init__(self):
+        validate_collection(self)
 
     def atom_names(self, ids) -> list:
         return [self.atoms[i].name for i in sorted(ids)]
@@ -130,11 +134,8 @@ def validate_collection(col: Collection) -> None:
     """Check all structural invariants, raising ValidationError on the first
     violation with a message naming the invariant."""
     names = [a.name for a in col.atoms]
-    for i, atom in enumerate(col.atoms):
-        if atom.id != i:
-            raise ValidationError(f"atom ids must be dense 0..A-1, got id {atom.id} at position {i}")
-        if not atom.name:
-            raise ValidationError("atom names must be non-empty")
+    if not all(names):
+        raise ValidationError("atom names must be non-empty")
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})
         raise ValidationError(f"atom names must be unique, duplicated: {dup}")
@@ -174,7 +175,6 @@ def build_universal_from_atoms(col: Collection):
     sorted by signature, then atom ids.  Display names join atom names
     with "+".
     """
-    validate_collection(col)
     signature_of_atom = {i: set() for i in range(len(col.atoms))}
     for d, c, cls in col.all_classes():
         for a in cls.atoms:
@@ -284,9 +284,6 @@ def collection_from_dict(data: dict) -> Collection:
     or mistyped field."""
     atom_names = require_list(require_field(data, "atoms", list), str, "atoms")
     index = {name: i for i, name in enumerate(atom_names)}
-    if len(index) != len(atom_names):
-        raise ValidationError("atom names must be unique")
-    atoms = tuple(ConceptAtom(i, n) for i, n in enumerate(atom_names))
     taxonomies = []
     for d, ds in enumerate(require_field(data, "datasets", list)):
         where = f"datasets[{d}]."
@@ -300,11 +297,9 @@ def collection_from_dict(data: dict) -> Collection:
             if unknown:
                 raise ValidationError(f"field {at + 'atoms'!r}: class {name}.{cls_name} "
                                       f"references unknown atoms {unknown}")
-            classes.append(DatasetClass(name, cls_name, frozenset(index[a] for a in members)))
+            classes.append(DatasetClass(cls_name, frozenset(index[a] for a in members)))
         taxonomies.append(DatasetTaxonomy(name, tuple(classes)))
-    col = Collection(atoms, tuple(taxonomies))
-    validate_collection(col)
-    return col
+    return Collection(tuple(ConceptAtom(n) for n in atom_names), tuple(taxonomies))
 
 
 def collection_to_dict(col: Collection) -> dict:
@@ -354,7 +349,7 @@ def taxonomy_from_dict(data: dict):
     MappingSet) and re-validates the universal invariants.  A missing or
     mistyped field raises ValidationError naming it."""
     col = collection_from_dict(data)
-    index = {a.name: a.id for a in col.atoms}
+    index = {a.name: i for i, a in enumerate(col.atoms)}
     ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
     cls_index = {
         (ds.name, c.name): ci for ds in col.datasets for ci, c in enumerate(ds.classes)
@@ -408,7 +403,8 @@ def validate_universal(col: Collection, tax: UniversalTaxonomy, maps: MappingSet
     free).  The dominators are either none, as in an unfiltered build, or
     exactly the filter's.  Each mapping holds, in any order, the universal
     classes the dataset class contains, either all of them or the trainable
-    ones.  A ValidationError names the first field that differs.
+    ones, and there is one mapping for each class of the collection.  A
+    ValidationError names the first field that differs.
     """
     built, built_maps = build_universal_from_atoms(col)
     dominators = filter_untrainable(built, built_maps)[0].dominators
@@ -424,7 +420,9 @@ def validate_universal(col: Collection, tax: UniversalTaxonomy, maps: MappingSet
                  if tax.dominators.get(u.id) != dominators.get(u.id))
         raise ValidationError(f"field 'universal[{i}].dominator' must be "
                               f"{json.dumps(dominators.get(i))}, the class filter derives")
+    _same_keys(maps.by_dataset, built_maps.by_dataset, "mappings")
     for ds in col.datasets:
+        _same_keys(maps.by_dataset[ds.name], built_maps.by_dataset[ds.name], f"mappings.{ds.name}")
         for cls in ds.classes:
             contained = built_maps.mapped(ds.name, cls.name)
             kept = tuple(u for u in contained if u not in tax.dominators)
@@ -432,3 +430,13 @@ def validate_universal(col: Collection, tax: UniversalTaxonomy, maps: MappingSet
                 raise ValidationError(
                     f"field 'mappings.{ds.name}.{cls.name}' must list the universal classes "
                     f"{list(contained)} it contains, or the trainable ones {list(kept)}")
+
+
+def _same_keys(found: dict, built: dict, where: str) -> None:
+    """Raise a ValidationError naming the first key of ``found`` that
+    ``built`` lacks, or else the first key of ``built`` that ``found`` lacks."""
+    for key in [*found, *built]:
+        if key not in built:
+            raise ValidationError(f"field '{where}.{key}' names nothing in the collection")
+        if key not in found:
+            raise ValidationError(f"field '{where}.{key}' is missing")

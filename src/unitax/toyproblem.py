@@ -72,7 +72,7 @@ def problem_from_dict(data: dict):
     """
     col = collection_from_dict(data)
     tax, maps = build_universal_from_atoms(col)
-    atom_ids = {a.name: a.id for a in col.atoms}
+    atom_ids = {a.name: i for i, a in enumerate(col.atoms)}
     owner = {}
     for u in tax.classes:
         for a in u.atoms:

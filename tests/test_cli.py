@@ -1,17 +1,25 @@
 import copy
 import json
+import os
 import random
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from unitax import problems
-from unitax.cli import run
+from unitax.cli import _parser, run
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
 from unitax.toyproblem import problem_from_dict
 from unitax.training import HIDDEN, TrainResult, build_space, save_model
 
 from test_golden import DECLARATIONS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_json(path, data):
@@ -397,13 +405,13 @@ def _latin1(tmp_path, name, text):
     return str(path)
 
 
-def _built_taxonomy(tmp_path, vehicle_file, edit):
-    """The taxonomy built from the vehicles collection, its ``universal``
-    list changed by ``edit``."""
+def _built_taxonomy(tmp_path, vehicle_file, edit, field="universal"):
+    """The taxonomy built from the vehicles collection, its ``field``
+    changed by ``edit``."""
     path = tmp_path / "tax.json"
     assert run(["build", "--atoms", vehicle_file, "--out", str(path)]) == 0
     data = json.loads(path.read_text())
-    edit(data["universal"])
+    edit(data[field])
     return write_json(path, data)
 
 
@@ -456,6 +464,19 @@ BAD_INPUTS = {
             tmp, vehicles, lambda u: u[0].update(trainable=True)),
          "--dataset", "VIPER", "--out", str(tmp / "m.csv")], 1,
         ["tax.json", "'universal[0].trainable'"]),
+    "mappings-unknown-dataset": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(
+            tmp, vehicles, lambda m: m.update(Nope={"x": [0]}), "mappings")], 1,
+        ["tax.json", "'mappings.Nope'"]),
+    "mappings-unknown-class": lambda tmp, vehicles: (
+        ["export-matrix", "--in", _built_taxonomy(
+            tmp, vehicles, lambda m: m["VIPER"].update(ghost=[2]), "mappings"),
+         "--dataset", "VIPER", "--out", str(tmp / "m.csv")], 1,
+        ["tax.json", "'mappings.VIPER.ghost'"]),
+    "mappings-class-missing": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(
+            tmp, vehicles, lambda m: m["VIPER"].pop("truck"), "mappings")], 1,
+        ["tax.json", "'mappings.VIPER.truck'"]),
     "heads-entries-swapped": lambda tmp, vehicles: (
         ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
          "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
@@ -505,6 +526,29 @@ def test_check_accepts_what_build_and_filter_write(tmp_path, fixture):
         for ds in json.loads(out.read_text())["datasets"]:
             assert run(["export-matrix", "--in", str(out), "--dataset", ds["name"],
                         "--out", str(tmp_path / "m.csv")]) == 0, (command, ds["name"])
+
+
+def test_module_runs_the_command_line(tmp_path, vehicle_file):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    checked = subprocess.run([sys.executable, "-m", "unitax.cli", "check", "--in", vehicle_file],
+                             capture_output=True, text=True, env=env)
+    assert (checked.returncode, checked.stdout) == (0, f"{vehicle_file}: OK\n"), checked.stderr
+    bare = subprocess.run([sys.executable, "-m", "unitax.cli"], capture_output=True, env=env)
+    assert bare.returncode == 2
+
+
+def test_readme_command_lines_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("unitax ")]
+    assert len(commands) >= 9  # the examples of the Command line section
+    parser = _parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: unitax {shlex.join(argv)}")
 
 
 # ---------------------------------------------------------------------------

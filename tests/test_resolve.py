@@ -326,3 +326,11 @@ def test_equiv_after_subset_is_inconsistent():
     )
     with pytest.raises((InconsistentDeclaration, AmbiguousDeclaration, ValidationError)):
         build_universal_from_declarations(program)
+
+
+def test_declarations_compiling_to_an_invalid_collection_are_inconsistent():
+    # A.y hosts A.x, so the two classes of A overlap
+    program = parse_declarations("subset A.x A.y\n")
+    with pytest.raises(InconsistentDeclaration,
+                       match="^declarations produce an invalid collection: "):
+        build_universal_from_declarations(program)

@@ -1,11 +1,18 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
-from unitax import problems
+from unitax import problems, taxonomy
+from unitax.cli import run
 from unitax.errors import InvalidClass, NotFound, ValidationError
+from unitax.toyproblem import problem_from_dict
 from unitax.taxonomy import (
+    Collection,
+    ConceptAtom,
+    DatasetClass,
+    DatasetTaxonomy,
     Relation,
     build_universal_from_atoms,
     classify_relation,
@@ -102,6 +109,70 @@ def test_validate_collection_rejects_orphan_atoms():
     }
     with pytest.raises(ValidationError):
         validate_collection(collection_from_dict(data))
+
+
+def made(atoms, datasets):
+    """A Collection made directly from atom names and (dataset name,
+    [(class name, atom ids)]) pairs."""
+    return Collection(
+        tuple(ConceptAtom(name) for name in atoms),
+        tuple(DatasetTaxonomy(name, tuple(DatasetClass(c, frozenset(ids)) for c, ids in classes))
+              for name, classes in datasets))
+
+
+BROKEN_COLLECTIONS = {
+    "empty-atom-name": (["", "b"], [("D", [("x", [0]), ("y", [1])])]),
+    "duplicate-atom-name": (["a", "a"], [("D", [("x", [0]), ("y", [1])])]),
+    "duplicate-dataset": (["a"], [("D", [("x", [0])]), ("D", [("x", [0])])]),
+    "duplicate-class": (["a", "b"], [("D", [("x", [0]), ("x", [1])])]),
+    "empty-class": (["a"], [("D", [("x", [0]), ("y", [])])]),
+    "atom-out-of-range": (["a"], [("D", [("x", [0, 1])])]),
+    "overlapping-classes": (["a", "b"], [("D", [("x", [0, 1]), ("y", [1])])]),
+    "orphan-atom": (["a", "b"], [("D", [("x", [0])])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_COLLECTIONS))
+def test_a_collection_cannot_be_made_broken(case):
+    made(["a", "b"], [("D", [("x", [0]), ("y", [1])]), ("E", [("x", [0, 1])])])
+    with pytest.raises(ValidationError):  # InvalidClass is a ValidationError
+        made(*BROKEN_COLLECTIONS[case])
+
+
+def _read_taxonomy(tmp_path):
+    col = vehicles()
+    tax, maps = build_universal_from_atoms(col)
+    data = taxonomy_to_dict(col, *filter_untrainable(tax, maps)[:2])
+    return lambda: taxonomy_from_dict(data)
+
+
+def _build_command(tmp_path):
+    source = tmp_path / "vehicles.json"
+    source.write_text(json.dumps(problems.vehicle_mini_collection()))
+    argv = ["build", "--atoms", str(source), "--out", str(tmp_path / "tax.json")]
+
+    def build():
+        assert run(argv) == 0
+    return build
+
+
+READERS = {
+    "taxonomy_from_dict": _read_taxonomy,
+    "problem_from_dict": lambda tmp_path: lambda: problem_from_dict(
+        problems.intersection_problem()),
+    "build --atoms": _build_command,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_each_reader_checks_its_collection_once(reader, tmp_path, monkeypatch):
+    read = READERS[reader](tmp_path)
+    checked = []
+    original = taxonomy.validate_collection
+    monkeypatch.setattr(taxonomy, "validate_collection",
+                        lambda col: checked.append(col) or original(col))
+    read()
+    assert len(checked) == 1
 
 
 def test_filter_untrainable_rider():

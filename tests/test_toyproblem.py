@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -102,3 +104,23 @@ def test_unknown_concept_atom_rejected():
     data["concepts"][0]["atom"] = "wheelbarrow"
     with pytest.raises(ValidationError):
         problem_from_dict(data)
+
+
+# sha256 of json.dumps (key order kept) of each built-in problem factory's
+# output with its default arguments
+FACTORY_DIGESTS = {
+    "intersection_problem": "9c4294f4b91c29e26b3410e836235ae365fd77882b82781f6be74a41fed1b411",
+    "collapse_problem": "d2946aed8ad6250ce7d5b554fc89b99d14f510e75d498960f42ac4bb186f4dd4",
+    "two_split_problem": "17addcbf7bf3f3fae453d3a7931fef506dba28226bb2de1f6f53121a7fa97c77",
+    "cross_eval_problem": "0485bb32847be3cc34b3b868066c6a9790fd47c76b72f555d0ecb45d5c6266a8",
+    "relabeled_city_collection":
+        "85b3bd9f141bbf714e42d9a766afb1bec7c0365c8fc97dd562b6a655626c867c",
+    "vehicle_mini_collection": "c0e3e082c8d2fadf4f5c3ce6a6037081c8b9d598716ec423fa223c9038a1712a",
+    "rider_collection": "5ed9b810c2bfc3940a87b2cc158d7e563fabb08f3792e91b5ea9f07b51a6bb03",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORY_DIGESTS))
+def test_problem_factories_are_golden(name):
+    data = json.dumps(getattr(problems, name)()).encode()
+    assert hashlib.sha256(data).hexdigest() == FACTORY_DIGESTS[name]
