@@ -25,25 +25,27 @@ class ForeignPrediction:
     posterior: dict  # class name -> probability, sums to 1
 
     def validate(self, col: Collection):
-        ds = col.dataset(self.dataset)
-        known = {c.name for c in ds.classes}
+        known = col.dataset(self.dataset).class_names
         if not known.issuperset(self.posterior):
             unknown = sorted(set(self.posterior) - known)
             raise ValidationError(
                 f"foreign posterior for {self.dataset!r} names unknown classes {unknown}"
             )
-        # Sum and minimum run in C on the per-record path: a NaN or an
-        # infinity makes the sum miss 1, and a non-number makes either raise.
-        # Only a posterior that fails is walked in Python to name the class.
+        # Sum, minimum and the type scan run in C on the per-record path: a
+        # NaN or an infinity makes the sum miss 1, a non-number makes either
+        # raise, and a boolean is found among the types.  Only a posterior
+        # that fails is walked in Python to name the class.
         values = self.posterior.values()
         try:
-            if abs(sum(values) - 1.0) <= 1e-9 and min(values) >= 0.0:
+            if (abs(sum(values) - 1.0) <= 1e-9 and min(values) >= 0.0
+                    and bool not in map(type, values)):
                 return
         except (TypeError, ArithmeticError):
             pass
         total = 0.0
         for cls, p in self.posterior.items():
-            if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+                    or not 0.0 <= p <= 1.0):
                 raise ValidationError(
                     f"foreign posterior for {self.dataset!r} gives class {cls!r} "
                     f"the probability {p!r}, not a number in [0, 1]"

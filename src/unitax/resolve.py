@@ -9,13 +9,20 @@ pairwise disjoint:
 3. two overlapping classes are replaced by three disjoint parts.
 
 Rule and pair selection is deterministic: lowest rule number first, then
-lowest position pair in the working list.  One pass over the pairs
-classifies each pair once.  The fixpoint and the declaration compiler
-rewrite their mappings with one ordered substitution.
+lowest position pair in the working list.  A pair's relation never
+changes, and removal keeps the working order while fresh classes are
+appended, so one engine keeps the selection incremental: it holds a
+min-heap of position pairs per rule, classifies each fresh class against
+the live classes only, and drops a pair whose classes are gone when it
+reaches the top of its heap.  Each pair of working classes is thus
+classified once per fixpoint.  An index from each uid to the mapping keys
+that hold it lets a rewrite touch only those keys; the engine and the
+declaration compiler rewrite their mappings with one ordered substitution.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import AmbiguousDeclaration, InconsistentDeclaration, ValidationError
@@ -66,35 +73,101 @@ def initial_state(col: Collection) -> ResolutionState:
     return state
 
 
-def _substitute(lists: dict, old, new) -> None:
+def _substitute(lists: dict, old, new, keys=None) -> None:
     """Replace ``old`` in every list of ``lists`` that holds it: the list
-    loses ``old`` and gains, in order, each item of ``new`` it lacks.
+    loses ``old`` and gains, in order, each item of ``new`` it lacks.  Only
+    the lists under ``keys`` are looked at, when given.
 
     Each such list is replaced by a new one, never changed in place, so a
     shallow copy of ``lists`` leaves the original lists as they were.
     """
-    for key, items in lists.items():
+    for key in lists if keys is None else keys:
+        items = lists[key]
         if old in items:
             kept = [x for x in items if x != old]
             lists[key] = kept + [x for x in new if x not in kept]
 
 
-def _first_applicable_pair(classes):
-    """(rule, a, b) for the first working pair of the lowest applicable
-    rule, with a the superset and b the subset under rule 2, or None when
-    the classes are pairwise disjoint.  Each pair is classified once."""
-    best = None
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1:]:
-            rel = classify_relation(ci.atoms, cj.atoms)
-            if rel is Relation.DISJOINT:
-                continue
-            if rel is Relation.EQUAL:
-                return 1, ci, cj
-            rule = 3 if rel is Relation.OVERLAP else 2
-            if best is None or rule < best[0]:
-                best = (rule, cj, ci) if rel is Relation.SUBSET else (rule, ci, cj)
-    return best
+# heap index of the rule that applies to a pair of working classes
+_RULE = {Relation.EQUAL: 0, Relation.SUPERSET: 1, Relation.SUBSET: 1, Relation.OVERLAP: 2}
+
+
+class _Engine:
+    """The working multiset of a ResolutionState, rewritten in place.
+
+    A class's rank is its position in the working list; fresh classes get
+    rising ranks, so the live classes stay in rank order.  ``heaps[r]``
+    holds the (rank, rank) pairs to which rule r + 1 applies, stale ones
+    included, and ``holders`` maps each uid to the mapping keys that hold
+    it.  The state given is not modified.
+    """
+
+    def __init__(self, state: ResolutionState):
+        self.live = {}  # rank -> WorkingClass, in rank order
+        self.next_rank = 0
+        self.heaps = ([], [], [])
+        self.mappings = dict(state.mappings)
+        self.next_uid = state.next_uid
+        self.holders = {}
+        for key, uids in self.mappings.items():
+            for uid in uids:
+                self.holders.setdefault(uid, {})[key] = None
+        for wc in state.classes:
+            self._admit(wc)
+
+    def _admit(self, wc: WorkingClass) -> None:
+        rank = self.next_rank
+        self.next_rank += 1
+        atoms = wc.atoms
+        for other, oc in self.live.items():
+            rule = _RULE.get(classify_relation(oc.atoms, atoms))
+            if rule is not None:
+                heapq.heappush(self.heaps[rule], (other, rank))
+        self.live[rank] = wc
+
+    def state(self) -> ResolutionState:
+        return ResolutionState(list(self.live.values()), self.mappings, self.next_uid)
+
+    def step(self):
+        """Apply the lowest rule at its lowest live pair and return its
+        RuleApplication, or None when the classes are pairwise disjoint."""
+        live = self.live
+        for rule, heap in enumerate(self.heaps, start=1):
+            while heap and not (heap[0][0] in live and heap[0][1] in live):
+                heapq.heappop(heap)
+            if heap:
+                i, j = heapq.heappop(heap)
+                break
+        else:
+            return None
+        a, b = live[i], live[j]
+        if rule == 2 and len(a.atoms) < len(b.atoms):
+            a, b = b, a  # a is the superset
+        n = self.next_uid
+        # The fresh parts get uids n, n + 1, ...; each removed uid maps to the
+        # parts that lie inside it.
+        if rule == 1:
+            fresh = [a.atoms]
+            parts = {a.uid: (n,), b.uid: (n,)}
+        elif rule == 2:
+            fresh = [a.atoms - b.atoms]
+            parts = {a.uid: (b.uid, n)}
+        else:
+            fresh = [a.atoms & b.atoms, a.atoms - b.atoms, b.atoms - a.atoms]
+            parts = {a.uid: (n, n + 1), b.uid: (n, n + 2)}
+        added = tuple(range(n, n + len(fresh)))
+        self.next_uid = n + len(fresh)
+        for rank in (i, j):
+            if live[rank].uid in parts:
+                del live[rank]
+        for wc in map(WorkingClass, added, fresh):
+            self._admit(wc)
+        for old, new in parts.items():
+            keys = self.holders.pop(old, {})
+            _substitute(self.mappings, old, new, keys)
+            for uid in new:
+                self.holders.setdefault(uid, {}).update(keys)
+        return RuleApplication(rule, tuple(parts), added)
 
 
 def resolve_step(state: ResolutionState):
@@ -103,43 +176,24 @@ def resolve_step(state: ResolutionState):
     Returns (state', RuleApplication) or (state, None) at the fixpoint.
     The input state is not modified.
     """
-    picked = _first_applicable_pair(state.classes)
-    if picked is None:
+    engine = _Engine(state)
+    applied = engine.step()
+    if applied is None:
         return state, None
-    rule, a, b = picked
-    n = state.next_uid
-    # The fresh parts get uids n, n + 1, ...; each removed uid maps to the
-    # parts that lie inside it.
-    if rule == 1:
-        fresh = [a.atoms]
-        parts = {a.uid: (n,), b.uid: (n,)}
-    elif rule == 2:
-        fresh = [a.atoms - b.atoms]
-        parts = {a.uid: (b.uid, n)}
-    else:
-        fresh = [a.atoms & b.atoms, a.atoms - b.atoms, b.atoms - a.atoms]
-        parts = {a.uid: (n, n + 1), b.uid: (n, n + 2)}
-    added = tuple(range(n, n + len(fresh)))
-    classes = [c for c in state.classes if c.uid not in parts]
-    classes += map(WorkingClass, added, fresh)
-    mappings = dict(state.mappings)
-    for old, new in parts.items():
-        _substitute(mappings, old, new)
-    return (ResolutionState(classes, mappings, n + len(fresh)),
-            RuleApplication(rule, tuple(parts), added))
+    return engine.state(), applied
 
 
 def resolve_fixpoint(col: Collection):
-    """Iterate resolve_step from a collection until no rule applies.
+    """Step one resolution engine from a collection until no rule applies.
 
     Returns (state, trace) where trace is the list of RuleApplications.
     """
-    state = initial_state(col)
+    engine = _Engine(initial_state(col))
     trace = []
     for _ in range(MAX_STEPS):
-        state, applied = resolve_step(state)
+        applied = engine.step()
         if applied is None:
-            return state, trace
+            return engine.state(), trace
         trace.append(applied)
     raise RuntimeError("resolution did not reach a fixpoint")
 

@@ -9,6 +9,7 @@ dataset class then maps to the set of universal classes it contains.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -62,6 +63,10 @@ class DatasetClass:
 class DatasetTaxonomy:
     name: str
     classes: tuple  # of DatasetClass
+
+    @functools.cached_property
+    def class_names(self) -> frozenset:
+        return frozenset(c.name for c in self.classes)
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ def test_foreign_prediction_validation():
 
 
 @pytest.mark.parametrize("bad", [
-    float("nan"), float("inf"), float("-inf"), -0.5, "0.5", None, [0.5],
+    float("nan"), float("inf"), float("-inf"), -0.5, "0.5", None, [0.5], True, False,
 ])
 def test_foreign_prediction_rejects_invalid_probabilities(bad):
     col, _, _, _ = rich_vehicle_setup()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from unitax import problems
+from unitax import problems, resolve
 from unitax.errors import (
     AmbiguousDeclaration,
     InconsistentDeclaration,
@@ -215,6 +215,38 @@ def test_resolution_matches_the_brute_force_reference():
             rules.add(applied.rule)
         assert resolve_fixpoint(col) == (state, trace)
     assert rules == {1, 2, 3}
+
+
+def test_resolution_of_large_collections_steps_like_the_fixpoint():
+    # Larger draws leave many stale pairs in the rule heaps of the fixpoint;
+    # stepping from a fresh state each time has none.
+    rng = random.Random(31)
+    for _ in range(20):
+        col = random_collection(rng, max_datasets=8, max_classes=16, max_atoms=60)
+        state, trace = initial_state(col), []
+        while True:
+            state, applied = resolve_step(state)
+            if applied is None:
+                break
+            trace.append(applied)
+        assert resolve_fixpoint(col) == (state, trace)
+
+
+def test_fixpoint_classifies_each_pair_of_working_classes_at_most_once(monkeypatch):
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return classify_relation(a, b)
+
+    monkeypatch.setattr(resolve, "classify_relation", counting)
+    rng = random.Random(37)
+    for _ in range(100):
+        calls = 0
+        state, _ = resolve_fixpoint(
+            random_collection(rng, max_datasets=8, max_classes=16, max_atoms=60))
+        assert calls <= state.next_uid * (state.next_uid - 1) // 2
 
 
 def test_resolve_step_leaves_its_input_unmodified():
