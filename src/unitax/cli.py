@@ -36,19 +36,18 @@ def _write_text(path, text) -> None:
 
 
 def _build_artifacts(args):
-    """(collection, taxonomy, mappings) from --atoms or --decls."""
-    if getattr(args, "atoms", None):
+    """(collection, taxonomy, mappings) from --atoms or --decls, of which
+    argparse admits exactly one."""
+    if args.atoms is not None:
         col = load_collection(args.atoms)
         tax, maps = build_universal_from_atoms(col)
         return col, tax, maps
-    if getattr(args, "decls", None):
-        text = read_text(args.decls)
-        try:
-            program = parse_declarations(text)
-            return build_universal_from_declarations(program)
-        except (ValidationError, UnitaxError) as exc:
-            raise type(exc)(f"{args.decls}: {exc}")
-    raise ValidationError("one of --atoms or --decls is required")
+    text = read_text(args.decls)
+    try:
+        program = parse_declarations(text)
+        return build_universal_from_declarations(program)
+    except (ValidationError, UnitaxError) as exc:
+        raise type(exc)(f"{args.decls}: {exc}")
 
 
 def _cmd_build(args):
@@ -83,7 +82,7 @@ def _cmd_filter(args):
 
 
 def _cmd_export_matrix(args):
-    if args.input:
+    if args.input is not None:
         col, tax, maps = load_json(args.input, taxonomy_from_dict)
     else:
         col, tax, maps = _build_artifacts(args)
@@ -138,6 +137,10 @@ def _cmd_eval(args):
     if args.post_inference and not result.space.entries:
         raise ValidationError("--post-inference requires a concatenated-space model")
     spec, tax, maps = _load_problem(args)
+    mode = result.space.mode
+    if result.space != training.build_space(mode, spec.collection, tax, maps):
+        raise ValidationError(f"{args.model}: field 'space' is not the {mode} space "
+                              f"of the problem in {args.spec}")
     data = toyproblem.generate_toy(spec, maps)
     ds = spec.collection.dataset(args.dataset)
     class_names = [c.name for c in ds.classes]
@@ -211,8 +214,12 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_inputs(p):
-        p.add_argument("--atoms", help="collection JSON (atoms inventory)")
-        p.add_argument("--decls", help="declaration program file")
+        """Exactly one input, --atoms or --decls; returns the group, to
+        which a command may add another input."""
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--atoms", help="collection JSON (atoms inventory)")
+        group.add_argument("--decls", help="declaration program file")
+        return group
 
     p = sub.add_parser("build", help="construct taxonomy and mappings")
     add_inputs(p)
@@ -229,8 +236,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("export-matrix", help="mapping matrix CSV")
-    add_inputs(p)
-    p.add_argument("--in", dest="input", help="built taxonomy JSON")
+    add_inputs(p).add_argument("--in", dest="input", help="built taxonomy JSON")
     p.add_argument("--dataset", required=True)
     p.add_argument("--include-void", action="store_true")
     p.add_argument("--out", required=True)

@@ -11,13 +11,14 @@ pairwise disjoint:
 Rule and pair selection is deterministic: lowest rule number first, then
 lowest position pair in the working list.  A pair's relation never
 changes, and removal keeps the working order while fresh classes are
-appended, so one engine keeps the selection incremental: it holds a
-min-heap of position pairs per rule, classifies each fresh class against
-the live classes only, and drops a pair whose classes are gone when it
-reaches the top of its heap.  Each pair of working classes is thus
-classified once per fixpoint.  An index from each uid to the mapping keys
-that hold it lets a rewrite touch only those keys; the engine and the
-declaration compiler rewrite their mappings with one ordered substitution.
+appended, so one engine keeps the selection incremental: it holds one
+min-heap of (rule, position, position) entries, whose order is that
+selection order, classifies each fresh class against the live classes
+only, and drops an entry whose classes are gone when it reaches the top
+of the heap.  Each pair of working classes is thus classified once per
+fixpoint.  An index from each uid to the mapping keys that hold it lets a
+rewrite touch only those keys; the engine and the declaration compiler
+rewrite their mappings with one ordered substitution.
 """
 
 from __future__ import annotations
@@ -88,24 +89,24 @@ def _substitute(lists: dict, old, new, keys=None) -> None:
             lists[key] = kept + [x for x in new if x not in kept]
 
 
-# heap index of the rule that applies to a pair of working classes
-_RULE = {Relation.EQUAL: 0, Relation.SUPERSET: 1, Relation.SUBSET: 1, Relation.OVERLAP: 2}
+# the rule that applies to a pair of working classes
+_RULE = {Relation.EQUAL: 1, Relation.SUPERSET: 2, Relation.SUBSET: 2, Relation.OVERLAP: 3}
 
 
 class _Engine:
     """The working multiset of a ResolutionState, rewritten in place.
 
     A class's rank is its position in the working list; fresh classes get
-    rising ranks, so the live classes stay in rank order.  ``heaps[r]``
-    holds the (rank, rank) pairs to which rule r + 1 applies, stale ones
-    included, and ``holders`` maps each uid to the mapping keys that hold
-    it.  The state given is not modified.
+    rising ranks, so the live classes stay in rank order.  ``heap`` holds
+    a (rule, rank, rank) entry for each pair to which a rule applies,
+    stale ones included, and ``holders`` maps each uid to the mapping keys
+    that hold it.  The state given is not modified.
     """
 
     def __init__(self, state: ResolutionState):
         self.live = {}  # rank -> WorkingClass, in rank order
         self.next_rank = 0
-        self.heaps = ([], [], [])
+        self.heap = []
         self.mappings = dict(state.mappings)
         self.next_uid = state.next_uid
         self.holders = {}
@@ -122,7 +123,7 @@ class _Engine:
         for other, oc in self.live.items():
             rule = _RULE.get(classify_relation(oc.atoms, atoms))
             if rule is not None:
-                heapq.heappush(self.heaps[rule], (other, rank))
+                heapq.heappush(self.heap, (rule, other, rank))
         self.live[rank] = wc
 
     def state(self) -> ResolutionState:
@@ -131,15 +132,12 @@ class _Engine:
     def step(self):
         """Apply the lowest rule at its lowest live pair and return its
         RuleApplication, or None when the classes are pairwise disjoint."""
-        live = self.live
-        for rule, heap in enumerate(self.heaps, start=1):
-            while heap and not (heap[0][0] in live and heap[0][1] in live):
-                heapq.heappop(heap)
-            if heap:
-                i, j = heapq.heappop(heap)
-                break
-        else:
+        live, heap = self.live, self.heap
+        while heap and not (heap[0][1] in live and heap[0][2] in live):
+            heapq.heappop(heap)
+        if not heap:
             return None
+        rule, i, j = heapq.heappop(heap)
         a, b = live[i], live[j]
         if rule == 2 and len(a.atoms) < len(b.atoms):
             a, b = b, a  # a is the superset

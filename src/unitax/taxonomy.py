@@ -351,18 +351,40 @@ def taxonomy_to_dict(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) 
 
 def taxonomy_from_dict(data: dict):
     """Re-read a built taxonomy file.  Returns (Collection, UniversalTaxonomy,
-    MappingSet) and re-validates the universal invariants.  A missing or
-    mistyped field raises ValidationError naming it."""
+    MappingSet); validate_universal reads and checks the universal classes
+    and the mappings.  A missing, mistyped or wrong field raises
+    ValidationError naming it."""
     col = collection_from_dict(data)
+    return (col, *validate_universal(col, data))
+
+
+def validate_universal(col: Collection, data: dict):
+    """Read the ``universal`` and ``mappings`` sections of a taxonomy file
+    over ``col``, checking each entry as it is read against what
+    build_universal_from_atoms and filter_untrainable derive from ``col``.
+    Returns (UniversalTaxonomy, MappingSet) with the file's display names
+    and mapping order.
+
+    The classes are the built ones in the built order (display names are
+    free).  The dominators are either none, as in an unfiltered build, or
+    exactly the filter's.  Each mapping holds, in any order, the universal
+    classes the dataset class contains, either all of them or the trainable
+    ones, and there is one mapping for each class of the collection.  The
+    universal entries are read before the mappings, each section in file
+    order, and a ValidationError names the first field that is wrong.
+    """
+    built, built_maps = build_universal_from_atoms(col)
+    derived = filter_untrainable(built, built_maps)[0].dominators
     index = {a.name: i for i, a in enumerate(col.atoms)}
     ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
     cls_index = {
         (ds.name, c.name): ci for ds in col.datasets for ci, c in enumerate(ds.classes)
     }
+    entries = require_field(data, "universal", list)
     classes = []
     dominators = {}
-    entries = require_field(data, "universal", list)
-    for i, entry in enumerate(entries):
+    differs = None  # the first class whose dominator is not the derived one
+    for i, (entry, b) in enumerate(zip(entries, built.classes)):
         where = f"universal[{i}]"
         if require_field(entry, "id", int, where + ".") != i:
             raise ValidationError(f"field {where + '.id'!r} must be {i}")
@@ -370,12 +392,8 @@ def taxonomy_from_dict(data: dict):
         signature = require_field(entry, "signature", list, where + ".")
         display = require_field(entry, "display_name", str, where + ".")
         try:
-            classes.append(UniversalClass(
-                i,
-                frozenset(index[a] for a in atoms),
-                frozenset((ds_index[d], cls_index[(d, c)]) for d, c in signature),
-                display,
-            ))
+            atoms = frozenset(index[a] for a in atoms)
+            signature = frozenset((ds_index[d], cls_index[(d, c)]) for d, c in signature)
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"field {where!r} names an unknown atom or a malformed "
                                   f"or unknown signature pair") from None
@@ -389,59 +407,49 @@ def taxonomy_from_dict(data: dict):
                     f"field {where + '.trainable'!r} is {json.dumps(trainable)} but "
                     f"{where + '.dominator'!r} is {json.dumps(dominator)}: a class is "
                     f"trainable exactly when it has no dominator")
-    tax = UniversalTaxonomy(tuple(classes), dominators)
-    mappings = require_field(data, "mappings", dict)
-    maps = MappingSet({
-        ds: {cls: tuple(require_list(uids, int, f"mappings.{ds}.{cls}"))
-             for cls, uids in require_field(mappings, ds, dict, "mappings.").items()}
-        for ds in mappings
-    })
-    validate_universal(col, tax, maps)
-    return col, tax, maps
-
-
-def validate_universal(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) -> None:
-    """Check that ``tax`` and ``maps`` are what build_universal_from_atoms
-    and filter_untrainable derive from ``col``.
-
-    The classes are the built ones in the built order (display names are
-    free).  The dominators are either none, as in an unfiltered build, or
-    exactly the filter's.  Each mapping holds, in any order, the universal
-    classes the dataset class contains, either all of them or the trainable
-    ones, and there is one mapping for each class of the collection.  A
-    ValidationError names the first field that differs.
-    """
-    built, built_maps = build_universal_from_atoms(col)
-    dominators = filter_untrainable(built, built_maps)[0].dominators
-    if len(tax.classes) != len(built.classes):
-        raise ValidationError(f"field 'universal' must list the {len(built.classes)} "
-                              f"universal classes of the collection, not {len(tax.classes)}")
-    for u, b in zip(tax.classes, built.classes):
-        if (u.atoms, u.signature) != (b.atoms, b.signature):
-            raise ValidationError(f"field 'universal[{b.id}]' must hold the atoms "
+        if (atoms, signature) != (b.atoms, b.signature):
+            raise ValidationError(f"field {where!r} must hold the atoms "
                                   f"{col.atom_names(b.atoms)} and the classes containing them")
-    if tax.dominators and tax.dominators != dominators:
-        i = next(u.id for u in built.classes
-                 if tax.dominators.get(u.id) != dominators.get(u.id))
-        raise ValidationError(f"field 'universal[{i}].dominator' must be "
-                              f"{json.dumps(dominators.get(i))}, the class filter derives")
-    _same_keys(maps.by_dataset, built_maps.by_dataset, "mappings")
-    for ds in col.datasets:
-        _same_keys(maps.by_dataset[ds.name], built_maps.by_dataset[ds.name], f"mappings.{ds.name}")
-        for cls in ds.classes:
-            contained = built_maps.mapped(ds.name, cls.name)
-            kept = tuple(u for u in contained if u not in tax.dominators)
-            if sorted(maps.mapped(ds.name, cls.name)) not in (list(contained), list(kept)):
+        # The dominators are all null (an unfiltered file) or all derived:
+        # a class that differs is wrong once some class has a dominator.
+        if differs is None and dominator != derived.get(i):
+            differs = i
+        if dominators and differs is not None:
+            raise ValidationError(f"field 'universal[{differs}].dominator' must be "
+                                  f"{json.dumps(derived.get(differs))}, the class filter "
+                                  f"derives")
+        classes.append(UniversalClass(i, atoms, signature, display))
+    if len(entries) != len(built.classes):
+        raise ValidationError(f"field 'universal' must list the {len(built.classes)} "
+                              f"universal classes of the collection, not {len(entries)}")
+    mappings = require_field(data, "mappings", dict)
+    by_dataset = {}
+    for ds in mappings:
+        if ds not in built_maps.by_dataset:
+            raise ValidationError(f"field 'mappings.{ds}' names nothing in the collection")
+        per_class = require_field(mappings, ds, dict, "mappings.")
+        built_classes = built_maps.by_dataset[ds]
+        by_dataset[ds] = {}
+        for cls, uids in per_class.items():
+            if cls not in built_classes:
+                raise ValidationError(f"field 'mappings.{ds}.{cls}' names nothing in "
+                                      f"the collection")
+            uids = tuple(require_list(uids, int, f"mappings.{ds}.{cls}"))
+            contained = built_classes[cls]
+            kept = [u for u in contained if u not in dominators]
+            if sorted(uids) not in (list(contained), kept):
                 raise ValidationError(
-                    f"field 'mappings.{ds.name}.{cls.name}' must list the universal classes "
-                    f"{list(contained)} it contains, or the trainable ones {list(kept)}")
+                    f"field 'mappings.{ds}.{cls}' must list the universal classes "
+                    f"{list(contained)} it contains, or the trainable ones {kept}")
+            by_dataset[ds][cls] = uids
+        _missing(built_classes, per_class, f"mappings.{ds}")
+    _missing(built_maps.by_dataset, mappings, "mappings")
+    return UniversalTaxonomy(tuple(classes), dominators), MappingSet(by_dataset)
 
 
-def _same_keys(found: dict, built: dict, where: str) -> None:
-    """Raise a ValidationError naming the first key of ``found`` that
-    ``built`` lacks, or else the first key of ``built`` that ``found`` lacks."""
-    for key in [*found, *built]:
-        if key not in built:
-            raise ValidationError(f"field '{where}.{key}' names nothing in the collection")
+def _missing(built: dict, found: dict, where: str) -> None:
+    """Raise a ValidationError naming the first key of ``built`` that
+    ``found`` lacks."""
+    for key in built:
         if key not in found:
             raise ValidationError(f"field '{where}.{key}' is missing")

@@ -38,20 +38,6 @@ class ToyProblemSpec:
     concepts: tuple  # of Concept
     seed: int
 
-    def validate(self, tax: UniversalTaxonomy):
-        uids = {u.id for u in tax.classes}
-        for i, concept in enumerate(self.concepts):
-            if concept.count <= 0:
-                raise ValidationError(f"field 'concepts[{i}].count' must be positive")
-            if not 0 < concept.std < np.inf:
-                raise ValidationError(f"field 'concepts[{i}].std' must be positive and finite")
-            if len(concept.center) != 2 or not np.all(np.isfinite(concept.center)):
-                raise ValidationError(f"field 'concepts[{i}].center' must be 2 finite numbers")
-            if concept.universal_id not in uids:
-                raise ValidationError(
-                    f"concept references unknown universal class {concept.universal_id}"
-                )
-
 
 @dataclass(frozen=True)
 class ToyData:
@@ -68,35 +54,33 @@ class ToyData:
 def problem_from_dict(data: dict):
     """Build (spec, taxonomy, mappings) from a problem JSON dict.
 
-    Concepts reference their universal class by one of its atom names.
+    Concepts reference their universal class by one of its atom names.  A
+    missing, mistyped or out-of-range field raises ValidationError naming
+    it, checked as the concept holding it is read.
     """
     col = collection_from_dict(data)
     tax, maps = build_universal_from_atoms(col)
-    atom_ids = {a.name: i for i, a in enumerate(col.atoms)}
-    owner = {}
-    for u in tax.classes:
-        for a in u.atoms:
-            owner[a] = u.id
+    owner = {col.atoms[a].name: u.id for u in tax.classes for a in u.atoms}
     concepts = []
     for i, entry in enumerate(require_field(data, "concepts", list)):
         where = f"concepts[{i}]."
         name = require_field(entry, "atom", str, where)
-        if name not in atom_ids:
-            raise ValidationError(f"concept references unknown atom {name!r}")
-        center = require_list(require_field(entry, "center", list, where), float,
-                              where + "center", 2)
-        concepts.append(
-            Concept(
-                owner[atom_ids[name]],
-                tuple(float(v) for v in center),
-                float(require_field(entry, "std", float, where)),
-                require_field(entry, "count", int, where),
-            )
-        )
+        if name not in owner:
+            raise ValidationError(f"field {where + 'atom'!r}: concept references "
+                                  f"unknown atom {name!r}")
+        center = tuple(float(v) for v in require_list(
+            require_field(entry, "center", list, where), float, where + "center", 2))
+        if not np.all(np.isfinite(center)):
+            raise ValidationError(f"field {where + 'center'!r} must be 2 finite numbers")
+        std = float(require_field(entry, "std", float, where))
+        if not 0 < std < np.inf:
+            raise ValidationError(f"field {where + 'std'!r} must be positive and finite")
+        count = require_field(entry, "count", int, where)
+        if count <= 0:
+            raise ValidationError(f"field {where + 'count'!r} must be positive")
+        concepts.append(Concept(owner[name], center, std, count))
     seed = require_field(data, "seed", int) if "seed" in data else 0
-    spec = ToyProblemSpec(col, tuple(concepts), seed)
-    spec.validate(tax)
-    return spec, tax, maps
+    return ToyProblemSpec(col, tuple(concepts), seed), tax, maps
 
 
 def problem_to_dict(spec: ToyProblemSpec, tax: UniversalTaxonomy) -> dict:

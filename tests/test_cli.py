@@ -152,9 +152,17 @@ def _concept(problem, **fields):
     (lambda p: _concept(p, center=[float("nan"), 0.0]), "concepts[0].center"),
     (lambda p: {**p, "seed": "x"}, "seed"),
     (lambda p: _concept(p, count="many"), "concepts[0].count"),
+    (lambda p: _concept(p, count=0), "concepts[0].count"),
+    (lambda p: _concept(p, count=-2), "concepts[0].count"),
+    (lambda p: _concept(p, std=0), "concepts[0].std"),
+    (lambda p: _concept(p, std=-1), "concepts[0].std"),
+    (lambda p: _concept(p, std=float("inf")), "concepts[0].std"),
+    (lambda p: _concept(p, center=[float("inf"), 0]), "concepts[0].center"),
+    (lambda p: _concept(p, atom="nope"), "concepts[0].atom"),
     (lambda p: _concept(p, center=[0, 1], std=1), None),  # ints are numbers
 ], ids=["no-concepts", "no-std", "std-string", "std-nan", "center-3", "center-int",
-        "center-nan", "seed-string", "count-string", "int-numbers"])
+        "center-nan", "seed-string", "count-string", "count-zero", "count-negative",
+        "std-zero", "std-negative", "std-inf", "center-inf", "unknown-atom", "int-numbers"])
 def test_toy_train_rejects_malformed_problems(tmp_path, capsys, edit, field):
     path = write_json(tmp_path / "problem.json", edit(problems.collapse_problem(seed=0)))
     code = run(["toy-train", "--spec", path, "--mode", "oracle", "--epochs", "2",
@@ -415,6 +423,33 @@ def _built_taxonomy(tmp_path, vehicle_file, edit, field="universal"):
     return write_json(path, data)
 
 
+def _inputs(tmp_path, vehicle_file, command, *options):
+    """``command`` given a valid file for each of the input ``options``
+    (``--atoms``, ``--decls``, ``--in``), and valid other arguments."""
+    decls = tmp_path / "program.decl"
+    decls.write_text(DECLARATIONS)
+    built = tmp_path / "taxonomy.json"
+    assert run(["build", "--atoms", vehicle_file, "--out", str(built)]) == 0
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({"gt_dataset": "Vistas", "gt_class": "car",
+                                   "foreign": {"VIPER": {"truck": 1.0}}}) + "\n")
+    paths = {"--atoms": vehicle_file, "--decls": str(decls), "--in": str(built)}
+    extra = {"pseudo-label": ["--in", str(records)], "export-matrix": ["--dataset", "VIPER"]}
+    return [command, *(a for option in options for a in (option, paths[option])),
+            *extra.get(command, []), "--out", str(tmp_path / "out")]
+
+
+def _eval_on_another_problem(tmp_path, mode):
+    """eval on the collapse problem of a ``mode`` model trained on the
+    intersection problem."""
+    spec = write_json(tmp_path / "intersection.json", problems.intersection_problem(0))
+    assert run(["toy-train", "--spec", spec, "--mode", mode, "--epochs", "3",
+                "--out", str(tmp_path / "run")]) == 0
+    return ["eval", "--model", str(tmp_path / "run" / "model.json"),
+            "--spec", write_json(tmp_path / "collapse.json", problems.collapse_problem(0)),
+            "--dataset", "CamVid", "--out", str(tmp_path / "eval.json")]
+
+
 LATIN1_COLLECTION = '{"atoms": ["caf\xe9"], "datasets": []}\n'
 
 BAD_INPUTS = {
@@ -477,6 +512,31 @@ BAD_INPUTS = {
         ["check", "--in", _built_taxonomy(
             tmp, vehicles, lambda m: m["VIPER"].pop("truck"), "mappings")], 1,
         ["tax.json", "'mappings.VIPER.truck'"]),
+    "eval-universal-model-of-another-problem": lambda tmp, vehicles: (
+        _eval_on_another_problem(tmp, "universal-nll-plus"), 1, ["model.json", "'space'"]),
+    "eval-concat-model-of-another-problem": lambda tmp, vehicles: (
+        _eval_on_another_problem(tmp, "naive-concat"), 1, ["model.json", "'space'"]),
+    "build-no-input": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "build"), 2,
+        ["usage: unitax build", "one of the arguments --atoms --decls is required"]),
+    "build-atoms-and-decls": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "build", "--atoms", "--decls"), 2,
+        ["usage: unitax build", "argument --decls: not allowed with argument --atoms"]),
+    "filter-no-input": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "filter"), 2,
+        ["usage: unitax filter", "one of the arguments --atoms --decls is required"]),
+    "filter-atoms-and-decls": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "filter", "--atoms", "--decls"), 2,
+        ["usage: unitax filter", "argument --decls: not allowed with argument --atoms"]),
+    "pseudo-label-no-input": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "pseudo-label"), 2,
+        ["usage: unitax pseudo-label", "one of the arguments --atoms --decls is required"]),
+    "pseudo-label-atoms-and-decls": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "pseudo-label", "--atoms", "--decls"), 2,
+        ["usage: unitax pseudo-label", "argument --decls: not allowed with argument --atoms"]),
+    "export-matrix-in-and-atoms": lambda tmp, vehicles: (
+        _inputs(tmp, vehicles, "export-matrix", "--in", "--atoms"), 2,
+        ["usage: unitax export-matrix", "argument --atoms: not allowed with argument --in"]),
     "heads-entries-swapped": lambda tmp, vehicles: (
         ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
          "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
@@ -685,8 +745,24 @@ def _damage(rng, data):
     return rng.choice([data[:cut], b"", data[:cut] + b"\xff\xfe" + data[cut:]])
 
 
+# the options of which each taxonomy command takes exactly one
+INPUT_OPTIONS = {"build": ["--atoms", "--decls"], "filter": ["--atoms", "--decls"],
+                 "pseudo-label": ["--atoms", "--decls"],
+                 "export-matrix": ["--atoms", "--decls", "--in"]}
+
+
+def _misuse_inputs(rng, argv):
+    """``argv`` with its input option dropped, or with a second one added."""
+    options = INPUT_OPTIONS[argv[0]]
+    k = next(i for i, a in enumerate(argv) if a in options)
+    if rng.random() < 0.5:
+        return argv[:k] + argv[k + 2:]
+    return argv + [rng.choice([o for o in options if o != argv[k]]), argv[k + 1]]
+
+
 def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
     rng = random.Random(2024)
+    misuse = random.Random(7)  # its own stream, so that rng draws the same cases
     path = tmp_path / "fuzz"
     for cases, doc, values, render, commands in _fuzz_inputs(tmp_path):
         for _ in range(cases):
@@ -697,9 +773,12 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
             argv = [str(path) if a == "FUZZ" else a for a in rng.choice(commands)]
             if argv[0] not in ("check", "toy-train") and rng.random() < 0.05:
                 argv[argv.index("--out") + 1] = str(tmp_path)  # a directory
+            codes = (0, 1, 2)
+            if argv[0] in INPUT_OPTIONS and misuse.random() < 0.1:
+                argv, codes = _misuse_inputs(misuse, argv), (2,)
             try:
                 code = run(argv)
             except Exception as exc:
                 pytest.fail(f"{argv} on {data[:300]!r} raised {exc!r}")
             err = capsys.readouterr().err
-            assert code in (0, 1, 2) and "Traceback" not in err, (argv, data[:300], err)
+            assert code in codes and "Traceback" not in err, (argv, data[:300], err)

@@ -239,7 +239,7 @@ def test_taxonomy_round_trip_and_validation():
     col2, tax2, maps2 = taxonomy_from_dict(taxonomy_to_dict(col, tax, maps))
     assert [u.display_name for u in tax2.classes] == [u.display_name for u in tax.classes]
     assert maps2.by_dataset == maps.by_dataset
-    validate_universal(col2, tax2, maps2)
+    assert validate_universal(col2, taxonomy_to_dict(col2, tax2, maps2)) == (tax2, maps2)
 
 
 def test_unknown_dataset_raises():
