@@ -201,8 +201,8 @@ def _parse_grid(text):
 def _cmd_surface(args):
     grid = _parse_grid(args.grid)
     result = training.load_model(args.model)
-    rows, names = training.decision_surface(result.space, result.model, *grid)
-    _write_text(args.out, training.surface_csv(rows, names))
+    surface = training.decision_surface(result.space, result.model, *grid)
+    _write_text(args.out, training.surface_csv(*surface))
     return 0
 
 

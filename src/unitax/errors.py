@@ -2,6 +2,7 @@
 where input files are read, and the one JSON writer."""
 
 import json
+import sys
 
 
 class UnitaxError(Exception):
@@ -51,11 +52,14 @@ class OrthogonalDataset(UnitaxError):
 
 
 def _is(value, kind):
-    """isinstance, except that an int is also a float and a bool is only a
-    bool."""
+    """isinstance, except that a bool is only a bool and an int is also a
+    float when ``float()`` can convert it."""
     if kind is bool or isinstance(value, bool):
         return type(value) is kind
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, float) or (
+            isinstance(value, int) and -sys.float_info.max <= value <= sys.float_info.max)
+    return isinstance(value, kind)
 
 
 def require_field(data, key, kind, where=""):

@@ -56,6 +56,35 @@ class ForeignPrediction:
         )
 
 
+def _plan(gt_label, dataset: str, col: Collection, tax: UniversalTaxonomy,
+          maps: MappingSet) -> tuple:
+    """What scoring a ground-truth label against one foreign dataset reads
+    of the posterior: (the names of the foreign classes that meet the
+    ground truth, in class order; for each sorted candidate of the label,
+    the name of the foreign class that contains it, or None).  The classes
+    of a dataset are disjoint, so at most one contains a candidate."""
+    gt_dataset, gt_class = gt_label
+    gt_atoms = next(
+        c.atoms for c in col.dataset(gt_dataset).classes if c.name == gt_class
+    )
+    classes = col.dataset(dataset).classes
+    meeting = tuple(c.name for c in classes if c.atoms & gt_atoms)
+    owners = tuple(
+        next((c.name for c in classes if tax.classes[u].atoms <= c.atoms), None)
+        for u in sorted(maps.mapped(gt_dataset, gt_class))
+    )
+    return meeting, owners
+
+
+def _mass(posterior: dict, names) -> float:
+    """The probability ``posterior`` puts on ``names``, summed left to right
+    from 0.0 (the order fixes every bit of the sum)."""
+    total = 0.0
+    for name in names:
+        total += float(posterior.get(name, 0.0))
+    return total
+
+
 def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
                       col: Collection, tax: UniversalTaxonomy,
                       maps: MappingSet) -> float:
@@ -67,33 +96,24 @@ def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
     classes that meet the ground truth carry no probability mass.
     """
     gt_dataset, gt_class = gt_label
-    if u not in maps.mapped(gt_dataset, gt_class):
+    candidates = sorted(maps.mapped(gt_dataset, gt_class))
+    if u not in candidates:
         return 0.0
-    u_atoms = tax.classes[u].atoms
-    gt_atoms = next(
-        c.atoms for c in col.dataset(gt_dataset).classes if c.name == gt_class
-    )
-    ds = col.dataset(foreign.dataset)
-    numerator = None
-    denominator = 0.0
-    for cls in ds.classes:
-        p = float(foreign.posterior.get(cls.name, 0.0))
-        if cls.atoms & gt_atoms:
-            denominator += p
-        if u_atoms <= cls.atoms:
-            numerator = p
-    if numerator is None:
+    meeting, owners = _plan(gt_label, foreign.dataset, col, tax, maps)
+    owner = owners[candidates.index(u)]
+    if owner is None:
         return 0.0
+    denominator = _mass(foreign.posterior, meeting)
     if denominator == 0.0:
         raise OrthogonalDataset(
             f"the classes of {foreign.dataset!r} that meet {gt_dataset}.{gt_class} "
             f"carry no probability mass"
         )
-    return numerator / denominator
+    return float(foreign.posterior.get(owner, 0.0)) / denominator
 
 
 def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
-                          tax: UniversalTaxonomy, maps: MappingSet):
+                          tax: UniversalTaxonomy, maps: MappingSet, plans=None):
     """Universal pseudo-label for one sample.
 
     Returns (universal id, per-candidate score dict, flags).  Flags record
@@ -101,23 +121,37 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     ground truth ("orthogonal:<dataset>") and the all-zero fallback to the
     lowest candidate id.  A foreign dataset with no class meeting the
     ground truth scores zero and is not flagged.
+
+    ``plans`` memoises the scan of the foreign classes per (ground-truth
+    label, foreign dataset); one dict serves every call on the same
+    collection, taxonomy and mappings.
     """
     gt_dataset, gt_class = gt_label
     candidates = sorted(maps.mapped(gt_dataset, gt_class))
     if not candidates:
         raise UnmappedLabel(f"label {gt_dataset}.{gt_class} maps to no universal class")
-    scores = {u: 0.0 for u in candidates}
+    if plans is None:
+        plans = {}
+    scores = dict.fromkeys(candidates, 0.0)
     flags = []
     for foreign in foreign_predictions:
         if foreign.dataset == gt_dataset:
             continue
         foreign.validate(col)
-        for u in candidates:
-            try:
-                scores[u] += conditional_score(foreign, gt_label, u, col, tax, maps)
-            except OrthogonalDataset:
-                flags.append(f"orthogonal:{foreign.dataset}")
-                break
+        key = (gt_dataset, gt_class, foreign.dataset)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _plan(gt_label, foreign.dataset, col, tax, maps)
+        meeting, owners = plan
+        if owners.count(None) == len(owners):
+            continue
+        denominator = _mass(foreign.posterior, meeting)
+        if denominator == 0.0:
+            flags.append(f"orthogonal:{foreign.dataset}")
+            continue
+        for u, owner in zip(candidates, owners):
+            if owner is not None:
+                scores[u] += float(foreign.posterior.get(owner, 0.0)) / denominator
     best = max(candidates, key=lambda u: (scores[u], -u))
     if all(s == 0.0 for s in scores.values()):
         flags.append("all-zero-fallback")
@@ -148,6 +182,7 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
     pseudo-label, per-candidate scores, and flags.  A record of another
     shape raises a ValidationError naming its line and field.
     """
+    plans = {}
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
@@ -160,7 +195,7 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
             gt = (require_field(record, "gt_dataset", str),
                   require_field(record, "gt_class", str))
             foreign = _foreign_predictions(record.get("foreign", {}))
-            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps)
+            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps, plans)
         except (ValidationError, NotFound) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
         yield {

@@ -23,6 +23,9 @@ from .taxonomy import (
     collection_to_dict,
 )
 
+# samples per concept that a problem may ask for at most
+COUNT_MAX = 100_000
+
 
 @dataclass(frozen=True)
 class Concept:
@@ -76,8 +79,8 @@ def problem_from_dict(data: dict):
         if not 0 < std < np.inf:
             raise ValidationError(f"field {where + 'std'!r} must be positive and finite")
         count = require_field(entry, "count", int, where)
-        if count <= 0:
-            raise ValidationError(f"field {where + 'count'!r} must be positive")
+        if not 1 <= count <= COUNT_MAX:
+            raise ValidationError(f"field {where + 'count'!r} must lie in 1..{COUNT_MAX}")
         concepts.append(Concept(owner[name], center, std, count))
     seed = require_field(data, "seed", int) if "seed" in data else 0
     return ToyProblemSpec(col, tuple(concepts), seed), tax, maps

@@ -444,21 +444,27 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
                      nx: int, ny: int):
     """Argmax class of the model's own output space over a regular grid.
 
-    Returns (rows, class_names) with rows of (x, y, class index) in
-    row-major order (y outer, x inner).  Argmax ties go to the lowest index.
+    Returns (xs, ys, classes, class_names): the nx x and the ny y
+    coordinates, and the (ny, nx) array of class indices, y outer, so that
+    ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The grid goes
+    through the model in one forward pass; argmax ties go to the lowest
+    index.
     """
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    grid = np.asarray([(x, y) for y in ys for x in xs], dtype=np.float64)
-    pred = _own_argmax(space, forward_logits(model, grid))
-    rows = [(float(px), float(py), int(c)) for (px, py), c in zip(grid, pred)]
-    return rows, space.class_names()
+    grid = np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
+    classes = _own_argmax(space, forward_logits(model, grid)).reshape(ny, nx)
+    return xs, ys, classes, space.class_names()
 
 
-def surface_csv(rows, class_names) -> str:
+def surface_csv(xs, ys, classes, class_names) -> str:
+    """The surface as CSV lines ``x,y,class`` in row-major order (y outer,
+    x inner), each coordinate as its shortest round-trip repr."""
+    x_text = [repr(x) for x in xs.tolist()]
     lines = ["x,y,class"]
-    for x, y, c in rows:
-        lines.append(f"{x!r},{y!r},{class_names[c]}")
+    for y, row in zip(ys.tolist(), classes.tolist()):
+        y_text = repr(y)
+        lines += [f"{x},{y_text},{class_names[c]}" for x, c in zip(x_text, row)]
     return "\n".join(lines) + "\n"
 
 

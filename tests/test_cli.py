@@ -159,10 +159,14 @@ def _concept(problem, **fields):
     (lambda p: _concept(p, std=float("inf")), "concepts[0].std"),
     (lambda p: _concept(p, center=[float("inf"), 0]), "concepts[0].center"),
     (lambda p: _concept(p, atom="nope"), "concepts[0].atom"),
+    (lambda p: _concept(p, std=10**400), "concepts[0].std"),
+    (lambda p: _concept(p, center=[10**400, 0]), "concepts[0].center"),
+    (lambda p: _concept(p, count=10**12), "concepts[0].count"),
     (lambda p: _concept(p, center=[0, 1], std=1), None),  # ints are numbers
 ], ids=["no-concepts", "no-std", "std-string", "std-nan", "center-3", "center-int",
         "center-nan", "seed-string", "count-string", "count-zero", "count-negative",
-        "std-zero", "std-negative", "std-inf", "center-inf", "unknown-atom", "int-numbers"])
+        "std-zero", "std-negative", "std-inf", "center-inf", "unknown-atom", "std-huge-int",
+        "center-huge-int", "count-huge", "int-numbers"])
 def test_toy_train_rejects_malformed_problems(tmp_path, capsys, edit, field):
     path = write_json(tmp_path / "problem.json", edit(problems.collapse_problem(seed=0)))
     code = run(["toy-train", "--spec", path, "--mode", "oracle", "--epochs", "2",
@@ -619,6 +623,9 @@ def test_readme_command_lines_parse():
 # counts, epochs and grid sizes of the fixtures, so no mutated run is slow.
 FUZZ_VALUES = [float("nan"), float("inf"), -float("inf"), -1, 0, -0.5, "", "x",
                None, True, [], [1], {}]
+# Integers beyond the float range and beyond every count bound, which a
+# second stream of draws puts in place of numbers.
+HUGE_VALUES = [10**400, -10**400, 10**12]
 FUZZ_TOKENS = ["", "dataset", "equiv", "subset", "overlap", "name=", "A.", ".x", "A.x",
                ":", "#"]
 
@@ -720,14 +727,21 @@ def _retype(value):
     return str(value)
 
 
-def _mutate(rng, doc, values):
-    """``doc`` with one node, drawn uniformly, dropped, retyped or replaced
-    by one of ``values``.  The containers on its path are copied, so
-    ``doc`` itself stays as it was."""
-    path = rng.choice(list(_paths(doc)))
+def _copied(doc, path):
+    """(a copy of ``doc``, the copy of the container holding the node at
+    ``path``).  Only the containers on the path are copied, so ``doc``
+    itself stays as it was."""
     root = node = copy.copy(doc)
     for key in path[:-1]:
         node[key] = node = copy.copy(node[key])
+    return root, node
+
+
+def _mutate(rng, doc, values):
+    """``doc`` with one node, drawn uniformly, dropped, retyped or replaced
+    by one of ``values``."""
+    path = rng.choice(list(_paths(doc)))
+    root, node = _copied(doc, path)
     key = path[-1]
     op = rng.random()
     if op < 0.25:
@@ -736,6 +750,24 @@ def _mutate(rng, doc, values):
         node[key] = _retype(node[key])
     else:
         node[key] = rng.choice(values)
+    return root
+
+
+def _enlarge(rng, doc):
+    """``doc`` with one number, drawn uniformly, replaced by one of
+    HUGE_VALUES; None when ``doc`` holds no number."""
+    numbers = []
+    for path in _paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            numbers.append(path)
+    if not numbers:
+        return None
+    path = rng.choice(numbers)
+    root, node = _copied(doc, path)
+    node[path[-1]] = rng.choice(HUGE_VALUES)
     return root
 
 
@@ -763,22 +795,33 @@ def _misuse_inputs(rng, argv):
 def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
     rng = random.Random(2024)
     misuse = random.Random(7)  # its own stream, so that rng draws the same cases
+    huge = random.Random(11)  # likewise
     path = tmp_path / "fuzz"
+
+    def exits_cleanly(data, argv, codes=(0, 1, 2)):
+        path.write_bytes(data)
+        try:
+            code = run(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} on {data[:300]!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in codes and "Traceback" not in err, (argv, data[:300], err)
+
     for cases, doc, values, render, commands in _fuzz_inputs(tmp_path):
         for _ in range(cases):
             data = render(_mutate(rng, doc, values) if rng.random() < 0.85 else doc)
             if rng.random() < 0.2:
                 data = _damage(rng, data)
-            path.write_bytes(data)
             argv = [str(path) if a == "FUZZ" else a for a in rng.choice(commands)]
             if argv[0] not in ("check", "toy-train") and rng.random() < 0.05:
                 argv[argv.index("--out") + 1] = str(tmp_path)  # a directory
             codes = (0, 1, 2)
             if argv[0] in INPUT_OPTIONS and misuse.random() < 0.1:
                 argv, codes = _misuse_inputs(misuse, argv), (2,)
-            try:
-                code = run(argv)
-            except Exception as exc:
-                pytest.fail(f"{argv} on {data[:300]!r} raised {exc!r}")
-            err = capsys.readouterr().err
-            assert code in codes and "Traceback" not in err, (argv, data[:300], err)
+            exits_cleanly(data, argv, codes)
+        for _ in range(cases // 4):
+            enlarged = _enlarge(huge, doc)
+            if enlarged is None:
+                break
+            argv = [str(path) if a == "FUZZ" else a for a in huge.choice(commands)]
+            exits_cleanly(render(enlarged), argv)

@@ -130,7 +130,9 @@ def render_pseudo_labels(tmp_path, name):
     return _digest(out)
 
 
-def render_model(tmp_path, name, mode):
+def _write_model(tmp_path, name, mode):
+    """(spec, problem path, space, model path) of the seeded untrained
+    model of ``mode`` on problem ``name``."""
     problem = PROBLEMS[name]()
     spec_path = _write(tmp_path / "problem.json", problem)
     spec, tax, maps = problem_from_dict(problem)
@@ -138,10 +140,18 @@ def render_model(tmp_path, name, mode):
     model = MlpModel([2, *HIDDEN, space.k], SplitMix64(7))
     model_path = tmp_path / "model.json"
     save_model(model_path, TrainResult(model, space, []))
-    out = {}
+    return spec, spec_path, space, model_path
+
+
+def render_surface(tmp_path, model_path, grid):
     path = tmp_path / "surface.csv"
-    assert run(["surface", "--model", str(model_path), GRID, "--out", str(path)]) == 0
-    out["surface"] = _digest(path)
+    assert run(["surface", "--model", str(model_path), grid, "--out", str(path)]) == 0
+    return _digest(path)
+
+
+def render_model(tmp_path, name, mode):
+    spec, spec_path, space, model_path = _write_model(tmp_path, name, mode)
+    out = {"surface": render_surface(tmp_path, model_path, GRID)}
     for ds in spec.collection.datasets:
         for post in ((False, True) if space.entries else (False,)):
             path = tmp_path / f"eval-{ds.name}-{int(post)}.json"
@@ -317,6 +327,15 @@ GOLDEN_MODELS = {
     },
 }
 
+# More grids for one model: a single point, and 173 x 91 points whose x axis
+# ends at 1e-3, so that the coordinates print with long reprs.
+GOLDEN_SURFACES = {
+    "--grid=-3,3,-2.5,2.5,1,1":
+        "dc627ee195d6d394908f01fc4efc16ecb09198293caf1aa41f80b96b3a9d93ab",
+    "--grid=-3,0.001,-2.5,2.5,173,91":
+        "4ee9d7e8162aae399b08eaafab101ca78d284bc5fd6c63229812f93b57752286",
+}
+
 
 @pytest.mark.parametrize("name", sorted(COLLECTIONS))
 def test_label_space_outputs_are_golden(tmp_path, name):
@@ -336,3 +355,9 @@ def test_pseudo_labels_are_golden(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_inference_outputs_are_golden(tmp_path, name, mode):
     assert render_model(tmp_path, name, mode) == GOLDEN_MODELS[name, mode]
+
+
+@pytest.mark.parametrize("grid", sorted(GOLDEN_SURFACES))
+def test_surface_grids_are_golden(tmp_path, grid):
+    *_, model_path = _write_model(tmp_path, "two-split", "per-dataset-heads")
+    assert render_surface(tmp_path, model_path, grid) == GOLDEN_SURFACES[grid]

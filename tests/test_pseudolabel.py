@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -241,3 +242,150 @@ def test_relabel_stream_rejects_bad_lines():
         list(relabel_stream(["not json"], col, tax, maps))
     with pytest.raises(ValidationError):
         list(relabel_stream([json.dumps({"gt_dataset": "Vistas"})], col, tax, maps))
+
+
+# ---------------------------------------------------------------------------
+# the plan per (ground-truth label, foreign dataset) against the scan it
+# replaced
+
+
+def _reference_conditional_score(foreign, gt_label, u, col, tax, maps):
+    """conditional_score as a scan of every foreign class per candidate."""
+    gt_dataset, gt_class = gt_label
+    if u not in maps.mapped(gt_dataset, gt_class):
+        return 0.0
+    u_atoms = tax.classes[u].atoms
+    gt_atoms = next(
+        c.atoms for c in col.dataset(gt_dataset).classes if c.name == gt_class
+    )
+    ds = col.dataset(foreign.dataset)
+    numerator = None
+    denominator = 0.0
+    for cls in ds.classes:
+        p = float(foreign.posterior.get(cls.name, 0.0))
+        if cls.atoms & gt_atoms:
+            denominator += p
+        if u_atoms <= cls.atoms:
+            numerator = p
+    if numerator is None:
+        return 0.0
+    if denominator == 0.0:
+        raise OrthogonalDataset(
+            f"the classes of {foreign.dataset!r} that meet {gt_dataset}.{gt_class} "
+            f"carry no probability mass"
+        )
+    return numerator / denominator
+
+
+def _reference_ensemble(foreign_predictions, gt_label, col, tax, maps):
+    """ensemble_pseudo_label over the reference scan."""
+    gt_dataset, gt_class = gt_label
+    candidates = sorted(maps.mapped(gt_dataset, gt_class))
+    scores = {u: 0.0 for u in candidates}
+    flags = []
+    for foreign in foreign_predictions:
+        if foreign.dataset == gt_dataset:
+            continue
+        foreign.validate(col)
+        for u in candidates:
+            try:
+                scores[u] += _reference_conditional_score(foreign, gt_label, u, col, tax, maps)
+            except OrthogonalDataset:
+                flags.append(f"orthogonal:{foreign.dataset}")
+                break
+    best = max(candidates, key=lambda u: (scores[u], -u))
+    if all(s == 0.0 for s in scores.values()):
+        flags.append("all-zero-fallback")
+        best = candidates[0]
+    return best, scores, sorted(set(flags))
+
+
+def _random_collection(rng):
+    """Atoms and 2 to 4 datasets of disjoint classes over random subsets of
+    them; each atom is labelled by at least one dataset."""
+    atoms = [f"a{i}" for i in range(rng.randint(2, 7))]
+    n_datasets = rng.randint(2, 4)
+    home = {a: rng.randrange(n_datasets) for a in atoms}
+    datasets = []
+    for d in range(n_datasets):
+        covered = [a for a in atoms if home[a] == d or rng.random() < 0.5]
+        rng.shuffle(covered)
+        classes = []
+        while covered:
+            k = rng.randint(1, len(covered))
+            classes.append({"name": f"c{len(classes)}", "atoms": covered[:k]})
+            covered = covered[k:]
+        if classes:
+            datasets.append({"name": f"D{d}", "classes": classes})
+    return collection_from_dict({"atoms": atoms, "datasets": datasets})
+
+
+def _random_posterior(rng, ds, gt_atoms):
+    """A valid posterior over some classes of ``ds``: random weights, all
+    mass on one class (sometimes as the integer 1), or all mass away from
+    the classes that meet the ground truth, with -0.0 and 0 among the
+    zeros."""
+    names = [c.name for c in ds.classes]
+    away = [c.name for c in ds.classes if not c.atoms & gt_atoms]
+    kind = rng.random()
+    if kind < 0.25 and away:
+        post = {rng.choice(away): 1.0}
+    elif kind < 0.5:
+        post = {rng.choice(names): rng.choice([1, 1.0])}
+    else:
+        weights = {n: rng.random() for n in names if rng.random() < 0.8} or {names[0]: 1.0}
+        total = sum(weights.values())
+        post = {n: w / total for n, w in weights.items()}
+    for n in names:
+        if n not in post and rng.random() < 0.3:
+            post[n] = rng.choice([0.0, -0.0, 0])
+    return post
+
+
+def test_plans_score_bit_for_bit_like_the_reference_scan():
+    rng = random.Random(41)
+    seen = dict.fromkeys(["several foreign", "unowned candidate", "orthogonal", "all-zero",
+                          "no class meets", "own dataset", "integer 1", "-0.0"], 0)
+    for _ in range(300):
+        col = _random_collection(rng)
+        tax, maps = build_universal_from_atoms(col)
+        plans = {}
+        for _ in range(20):
+            gt_ds = rng.choice(col.datasets)
+            gt_cls = rng.choice(gt_ds.classes)
+            gt = (gt_ds.name, gt_cls.name)
+            chosen = [ds for ds in col.datasets if rng.random() < 0.7] or [gt_ds]
+            foreign = [ForeignPrediction(ds.name, _random_posterior(rng, ds, gt_cls.atoms))
+                       for ds in chosen]
+            expected = _reference_ensemble(foreign, gt, col, tax, maps)
+            for got in (ensemble_pseudo_label(foreign, gt, col, tax, maps, plans),
+                        ensemble_pseudo_label(foreign, gt, col, tax, maps)):
+                assert got[0] == expected[0] and got[2] == expected[2]
+                assert {u: s.hex() for u, s in got[1].items()} == {
+                    u: s.hex() for u, s in expected[1].items()}
+            for f in foreign:
+                for u in range(len(tax.classes)):
+                    try:
+                        want = _reference_conditional_score(f, gt, u, col, tax, maps).hex()
+                    except OrthogonalDataset as exc:
+                        want = str(exc)
+                    try:
+                        have = conditional_score(f, gt, u, col, tax, maps).hex()
+                    except OrthogonalDataset as exc:
+                        have = str(exc)
+                    assert have == want
+            others = [f for f in foreign if f.dataset != gt_ds.name]
+            seen["several foreign"] += len(others) > 1
+            seen["own dataset"] += len(others) < len(foreign)
+            seen["orthogonal"] += any(flag.startswith("orthogonal") for flag in expected[2])
+            seen["all-zero"] += "all-zero-fallback" in expected[2]
+            for f in others:
+                classes = col.dataset(f.dataset).classes
+                seen["unowned candidate"] += any(
+                    all(not tax.classes[u].atoms <= c.atoms for c in classes)
+                    for u in maps.mapped(*gt))
+                seen["no class meets"] += all(not c.atoms & gt_cls.atoms for c in classes)
+                seen["integer 1"] += any(type(p) is int and p == 1
+                                         for p in f.posterior.values())
+                seen["-0.0"] += any(p == 0 and str(p) == "-0.0" for p in f.posterior.values())
+    assert all(seen.values()), seen

@@ -7,7 +7,7 @@ import pytest
 
 from unitax import problems
 from unitax.errors import ValidationError
-from unitax.toyproblem import generate_toy, problem_from_dict, problem_to_dict
+from unitax.toyproblem import COUNT_MAX, generate_toy, problem_from_dict, problem_to_dict
 
 
 def test_split_sizes_are_exact():
@@ -103,6 +103,15 @@ def test_unknown_concept_atom_rejected():
     data = problems.intersection_problem(0)
     data["concepts"][0]["atom"] = "wheelbarrow"
     with pytest.raises(ValidationError):
+        problem_from_dict(data)
+
+
+def test_count_is_bounded():
+    data = problems.intersection_problem(0)
+    data["concepts"][0]["count"] = COUNT_MAX
+    assert problem_from_dict(data)[0].concepts[0].count == COUNT_MAX
+    data["concepts"][0]["count"] = COUNT_MAX + 1
+    with pytest.raises(ValidationError, match=r"'concepts\[0\]\.count' must lie in 1\.\.100000"):
         problem_from_dict(data)
 
 

@@ -22,6 +22,7 @@ from unitax.training import (
     dataset_scores,
     dead_logit_report,
     decision_surface,
+    forward_logits,
     load_model,
     predict_universal,
     save_model,
@@ -169,13 +170,14 @@ def test_dead_logit_frequencies_sum_to_one():
 
 def test_decision_surface_grid():
     result, *_ = quick_train("oracle", epochs=5)
-    rows, names = decision_surface(result.space, result.model, -1, 1, -1, 1, 3, 3)
-    assert len(rows) == 9
-    # row-major: y outer, x inner
-    assert [r[:2] for r in rows[:3]] == [(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0)]
-    csv = surface_csv(rows, names)
+    xs, ys, classes, names = decision_surface(result.space, result.model, -1, 1, -1, 1, 3, 3)
+    assert classes.shape == (3, 3)  # 9 cells
+    csv = surface_csv(xs, ys, classes, names)
     assert csv.splitlines()[0] == "x,y,class"
     assert len(csv.splitlines()) == 10
+    # row-major: y outer, x inner
+    assert [line.split(",")[:2] for line in csv.splitlines()[1:4]] == [
+        ["-1.0", "-1.0"], ["0.0", "-1.0"], ["1.0", "-1.0"]]
 
 
 def test_constant_logits_tie_break_to_lowest_class():
@@ -184,8 +186,43 @@ def test_constant_logits_tie_break_to_lowest_class():
         w[:] = 0.0
     for b in result.model.biases:
         b[:] = 0.0
-    rows, names = decision_surface(result.space, result.model, -1, 1, -1, 1, 2, 2)
-    assert {r[2] for r in rows} == {0}
+    xs, ys, classes, names = decision_surface(result.space, result.model, -1, 1, -1, 1, 2, 2)
+    assert set(classes.ravel().tolist()) == {0}
+
+
+def _reference_surface_csv(space, model, xmin, xmax, ymin, ymax, nx, ny):
+    """The surface CSV as the per-point implementation wrote it: one grid
+    tuple, one row tuple and one formatted line per point."""
+    xs = np.linspace(xmin, xmax, nx)
+    ys = np.linspace(ymin, ymax, ny)
+    grid = np.asarray([(x, y) for y in ys for x in xs], dtype=np.float64)
+    pred = np.argmax(forward_logits(model, grid)[:, :len(space.outputs)], axis=1)
+    rows = [(float(px), float(py), int(c)) for (px, py), c in zip(grid, pred)]
+    class_names = space.class_names()
+    lines = ["x,y,class"]
+    for x, y, c in rows:
+        lines.append(f"{x!r},{y!r},{class_names[c]}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [
+    (-3, 3, -2.5, 2.5, 1, 1),
+    (-3, 1e-3, -2.5, 2.5, 173, 91),
+    (-3, 3, -2.5, 2.5, 1000, 3),
+    (0.5, 0.5, -1, 1, 4, 5),  # zero-width x range
+    (3, -3, 2, -2, 6, 4),  # xmin > xmax and ymin > ymax
+], ids=["1x1", "173x91", "1000x3", "zero-width", "reversed"])
+@pytest.mark.parametrize("mode", MODES)
+def test_surface_csv_matches_the_per_point_reference(mode, grid):
+    spec, tax, maps = cross_problem()
+    space = build_space(mode, spec.collection, tax, maps)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(7))
+    csv = surface_csv(*decision_surface(space, model, *grid))
+    want = _reference_surface_csv(space, model, *grid)
+    same = csv == want  # kept out of the assert, whose diff of long texts is slow
+    assert same, next(((i, a, b) for i, (a, b) in
+                       enumerate(zip(csv.splitlines(), want.splitlines())) if a != b),
+                      (len(csv), len(want)))
 
 
 def test_save_load_round_trip(tmp_path):
