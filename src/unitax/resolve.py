@@ -18,7 +18,10 @@ only, and drops an entry whose classes are gone when it reaches the top
 of the heap.  Each pair of working classes is thus classified once per
 fixpoint.  An index from each uid to the mapping keys that hold it lets a
 rewrite touch only those keys; the engine and the declaration compiler
-rewrite their mappings with one ordered substitution.
+rewrite their mappings with one ordered substitution.  The engine holds
+each live class's atoms as an int bitmask, so relating two classes and
+making the fresh parts are a few int operations; atom sets are turned into
+masks when the engine is built from a state, and back only in ``state()``.
 """
 
 from __future__ import annotations
@@ -89,22 +92,42 @@ def _substitute(lists: dict, old, new, keys=None) -> None:
             lists[key] = kept + [x for x in new if x not in kept]
 
 
-# the rule that applies to a pair of working classes
-_RULE = {Relation.EQUAL: 1, Relation.SUPERSET: 2, Relation.SUBSET: 2, Relation.OVERLAP: 3}
+def _mask_rule(a: int, b: int) -> int:
+    """The rule that applies to two working classes given as atom bitmasks:
+    0 when they are disjoint, 1 when equal, 2 when one holds the other,
+    else 3."""
+    i = a & b
+    if not i:
+        return 0
+    if a == b:
+        return 1
+    if i == a or i == b:
+        return 2
+    return 3
+
+
+# An atom set as a bitmask and back: atom id i is bit i.
+def _mask(atoms) -> int:
+    return sum(1 << a for a in atoms)
+
+
+def _atoms(mask: int) -> frozenset:
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
 
 class _Engine:
     """The working multiset of a ResolutionState, rewritten in place.
 
     A class's rank is its position in the working list; fresh classes get
-    rising ranks, so the live classes stay in rank order.  ``heap`` holds
-    a (rule, rank, rank) entry for each pair to which a rule applies,
-    stale ones included, and ``holders`` maps each uid to the mapping keys
-    that hold it.  The state given is not modified.
+    rising ranks, so the live classes stay in rank order.  ``live`` holds
+    each live class as (uid, atom bitmask), ``heap`` a (rule, rank, rank)
+    entry for each pair to which a rule applies, stale ones included, and
+    ``holders`` maps each uid to the mapping keys that hold it.  The state
+    given is not modified, and its classes are handed back as they are.
     """
 
     def __init__(self, state: ResolutionState):
-        self.live = {}  # rank -> WorkingClass, in rank order
+        self.live = {}  # rank -> (uid, mask), in rank order
         self.next_rank = 0
         self.heap = []
         self.mappings = dict(state.mappings)
@@ -113,21 +136,24 @@ class _Engine:
         for key, uids in self.mappings.items():
             for uid in uids:
                 self.holders.setdefault(uid, {})[key] = None
+        self.given = {wc.uid: wc for wc in state.classes}
         for wc in state.classes:
-            self._admit(wc)
+            self._admit(wc.uid, _mask(wc.atoms))
 
-    def _admit(self, wc: WorkingClass) -> None:
+    def _admit(self, uid: int, mask: int) -> None:
         rank = self.next_rank
         self.next_rank += 1
-        atoms = wc.atoms
-        for other, oc in self.live.items():
-            rule = _RULE.get(classify_relation(oc.atoms, atoms))
-            if rule is not None:
+        for other, (_, known) in self.live.items():
+            rule = _mask_rule(known, mask)
+            if rule:
                 heapq.heappush(self.heap, (rule, other, rank))
-        self.live[rank] = wc
+        self.live[rank] = (uid, mask)
 
     def state(self) -> ResolutionState:
-        return ResolutionState(list(self.live.values()), self.mappings, self.next_uid)
+        given = self.given
+        classes = [given[uid] if uid in given else WorkingClass(uid, _atoms(mask))
+                   for uid, mask in self.live.values()]
+        return ResolutionState(classes, self.mappings, self.next_uid)
 
     def step(self):
         """Apply the lowest rule at its lowest live pair and return its
@@ -138,28 +164,28 @@ class _Engine:
         if not heap:
             return None
         rule, i, j = heapq.heappop(heap)
-        a, b = live[i], live[j]
-        if rule == 2 and len(a.atoms) < len(b.atoms):
-            a, b = b, a  # a is the superset
+        (ua, a), (ub, b) = live[i], live[j]
+        if rule == 2 and a.bit_count() < b.bit_count():
+            ua, a, ub, b = ub, b, ua, a  # a is the superset
         n = self.next_uid
         # The fresh parts get uids n, n + 1, ...; each removed uid maps to the
         # parts that lie inside it.
         if rule == 1:
-            fresh = [a.atoms]
-            parts = {a.uid: (n,), b.uid: (n,)}
+            fresh = [a]
+            parts = {ua: (n,), ub: (n,)}
         elif rule == 2:
-            fresh = [a.atoms - b.atoms]
-            parts = {a.uid: (b.uid, n)}
+            fresh = [a & ~b]
+            parts = {ua: (ub, n)}
         else:
-            fresh = [a.atoms & b.atoms, a.atoms - b.atoms, b.atoms - a.atoms]
-            parts = {a.uid: (n, n + 1), b.uid: (n, n + 2)}
+            fresh = [a & b, a & ~b, b & ~a]
+            parts = {ua: (n, n + 1), ub: (n, n + 2)}
         added = tuple(range(n, n + len(fresh)))
         self.next_uid = n + len(fresh)
         for rank in (i, j):
-            if live[rank].uid in parts:
+            if live[rank][0] in parts:
                 del live[rank]
-        for wc in map(WorkingClass, added, fresh):
-            self._admit(wc)
+        for uid, mask in zip(added, fresh):
+            self._admit(uid, mask)
         for old, new in parts.items():
             keys = self.holders.pop(old, {})
             _substitute(self.mappings, old, new, keys)

@@ -173,12 +173,13 @@ def validate_collection(col: Collection) -> None:
         )
 
 
-def build_universal_from_atoms(col: Collection):
-    """Group atoms by membership signature into disjoint universal classes.
+def _signature_groups(col: Collection):
+    """Group the atoms of ``col`` by membership signature.
 
-    Returns (UniversalTaxonomy, MappingSet).  Class order is deterministic:
-    sorted by signature, then atom ids.  Display names join atom names
-    with "+".
+    Returns (groups, by_dataset): the (signature, atom ids) pair of each
+    universal class in id order, sorted by signature, then atom ids, and
+    per dataset name, per class name, the tuple of the ids of the classes
+    inside it.
     """
     signature_of_atom = {i: set() for i in range(len(col.atoms))}
     for d, c, cls in col.all_classes():
@@ -191,19 +192,39 @@ def build_universal_from_atoms(col: Collection):
     ordered = sorted(
         groups.items(), key=lambda kv: (tuple(sorted(kv[0])), tuple(sorted(kv[1])))
     )
-    classes = []
-    for uid, (sig, atoms) in enumerate(ordered):
-        display = "+".join(col.atom_names(atoms))
-        classes.append(UniversalClass(uid, frozenset(atoms), sig, display))
     holders = {}  # (dataset index, class index) -> ids of the classes inside it
-    for u in classes:
-        for pair in u.signature:
-            holders.setdefault(pair, []).append(u.id)
+    for uid, (sig, _) in enumerate(ordered):
+        for pair in sig:
+            holders.setdefault(pair, []).append(uid)
     by_dataset = {
         ds.name: {cls.name: tuple(holders[d, c]) for c, cls in enumerate(ds.classes)}
         for d, ds in enumerate(col.datasets)
     }
-    return UniversalTaxonomy(tuple(classes)), MappingSet(by_dataset)
+    return [(sig, frozenset(atoms)) for sig, atoms in ordered], by_dataset
+
+
+def build_universal_from_atoms(col: Collection):
+    """Group atoms by membership signature into disjoint universal classes.
+
+    Returns (UniversalTaxonomy, MappingSet).  Class order is deterministic:
+    sorted by signature, then atom ids.  Display names join atom names
+    with "+".
+    """
+    groups, by_dataset = _signature_groups(col)
+    classes = tuple(UniversalClass(uid, atoms, sig, "+".join(col.atom_names(atoms)))
+                    for uid, (sig, atoms) in enumerate(groups))
+    return UniversalTaxonomy(classes), MappingSet(by_dataset)
+
+
+def _dominators(signatures) -> dict:
+    """Untrainable class id -> dominator id, for the universal classes whose
+    signatures ``signatures`` lists in id order (see filter_untrainable)."""
+    dominators = {}
+    for u, sig in enumerate(signatures):
+        candidates = [v for v, other in enumerate(signatures) if v != u and sig <= other]
+        if candidates:
+            dominators[u] = max(candidates, key=lambda v: (len(signatures[v]), -v))
+    return dominators
 
 
 def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
@@ -215,13 +236,7 @@ def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
     (ties broken by lowest id).  Returns (taxonomy, mappings, report) where
     the report is a list of (untrainable id, dominator id) pairs.
     """
-    dominators = {}
-    for u in tax.classes:
-        candidates = [
-            v for v in tax.classes if v.id != u.id and u.signature <= v.signature
-        ]
-        if candidates:
-            dominators[u.id] = max(candidates, key=lambda v: (len(v.signature), -v.id)).id
+    dominators = _dominators([u.signature for u in tax.classes])
     by_dataset = {
         ds: {cls: tuple(u for u in uids if u not in dominators) for cls, uids in per.items()}
         for ds, per in maps.by_dataset.items()
@@ -361,7 +376,8 @@ def taxonomy_from_dict(data: dict):
 def validate_universal(col: Collection, data: dict):
     """Read the ``universal`` and ``mappings`` sections of a taxonomy file
     over ``col``, checking each entry as it is read against what
-    build_universal_from_atoms and filter_untrainable derive from ``col``.
+    build_universal_from_atoms and filter_untrainable derive from ``col``:
+    the same signature grouping and dominators, without display names.
     Returns (UniversalTaxonomy, MappingSet) with the file's display names
     and mapping order.
 
@@ -373,8 +389,8 @@ def validate_universal(col: Collection, data: dict):
     universal entries are read before the mappings, each section in file
     order, and a ValidationError names the first field that is wrong.
     """
-    built, built_maps = build_universal_from_atoms(col)
-    derived = filter_untrainable(built, built_maps)[0].dominators
+    built, built_maps = _signature_groups(col)
+    derived = _dominators([sig for sig, _ in built])
     index = {a.name: i for i, a in enumerate(col.atoms)}
     ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
     cls_index = {
@@ -384,7 +400,7 @@ def validate_universal(col: Collection, data: dict):
     classes = []
     dominators = {}
     differs = None  # the first class whose dominator is not the derived one
-    for i, (entry, b) in enumerate(zip(entries, built.classes)):
+    for i, (entry, (built_signature, built_atoms)) in enumerate(zip(entries, built)):
         where = f"universal[{i}]"
         if require_field(entry, "id", int, where + ".") != i:
             raise ValidationError(f"field {where + '.id'!r} must be {i}")
@@ -407,9 +423,9 @@ def validate_universal(col: Collection, data: dict):
                     f"field {where + '.trainable'!r} is {json.dumps(trainable)} but "
                     f"{where + '.dominator'!r} is {json.dumps(dominator)}: a class is "
                     f"trainable exactly when it has no dominator")
-        if (atoms, signature) != (b.atoms, b.signature):
+        if (atoms, signature) != (built_atoms, built_signature):
             raise ValidationError(f"field {where!r} must hold the atoms "
-                                  f"{col.atom_names(b.atoms)} and the classes containing them")
+                                  f"{col.atom_names(built_atoms)} and the classes containing them")
         # The dominators are all null (an unfiltered file) or all derived:
         # a class that differs is wrong once some class has a dominator.
         if differs is None and dominator != derived.get(i):
@@ -419,16 +435,16 @@ def validate_universal(col: Collection, data: dict):
                                   f"{json.dumps(derived.get(differs))}, the class filter "
                                   f"derives")
         classes.append(UniversalClass(i, atoms, signature, display))
-    if len(entries) != len(built.classes):
-        raise ValidationError(f"field 'universal' must list the {len(built.classes)} "
+    if len(entries) != len(built):
+        raise ValidationError(f"field 'universal' must list the {len(built)} "
                               f"universal classes of the collection, not {len(entries)}")
     mappings = require_field(data, "mappings", dict)
     by_dataset = {}
     for ds in mappings:
-        if ds not in built_maps.by_dataset:
+        if ds not in built_maps:
             raise ValidationError(f"field 'mappings.{ds}' names nothing in the collection")
         per_class = require_field(mappings, ds, dict, "mappings.")
-        built_classes = built_maps.by_dataset[ds]
+        built_classes = built_maps[ds]
         by_dataset[ds] = {}
         for cls, uids in per_class.items():
             if cls not in built_classes:
@@ -443,7 +459,7 @@ def validate_universal(col: Collection, data: dict):
                     f"{list(contained)} it contains, or the trainable ones {kept}")
             by_dataset[ds][cls] = uids
         _missing(built_classes, per_class, f"mappings.{ds}")
-    _missing(built_maps.by_dataset, mappings, "mappings")
+    _missing(built_maps, mappings, "mappings")
     return UniversalTaxonomy(tuple(classes), dominators), MappingSet(by_dataset)
 
 

@@ -28,8 +28,8 @@ from unitax.taxonomy import (
 )
 
 
-def random_collection(rng, max_datasets=6, max_classes=12, max_atoms=40):
-    n_atoms = rng.randint(2, max_atoms)
+def random_collection(rng, max_datasets=6, max_classes=12, max_atoms=40, min_atoms=2):
+    n_atoms = rng.randint(min_atoms, max_atoms)
     atoms = [f"a{i}" for i in range(n_atoms)]
     datasets = []
     for d in range(rng.randint(1, max_datasets)):
@@ -197,23 +197,28 @@ def reference_step(state):
     return state, None
 
 
+def step_like_the_reference(col):
+    """Step resolve_step and reference_step side by side to the fixpoint,
+    checking each step, then check resolve_fixpoint; returns the trace."""
+    state = want = initial_state(col)
+    trace = []
+    while True:
+        state, applied = resolve_step(state)
+        want, expected = reference_step(want)
+        assert applied == expected
+        assert state == want  # classes, uids and mappings
+        if applied is None:
+            break
+        trace.append(applied)
+    assert resolve_fixpoint(col) == (state, trace)
+    return trace
+
+
 def test_resolution_matches_the_brute_force_reference():
     rng = random.Random(23)
     rules = set()
     for _ in range(200):
-        col = random_collection(rng)
-        state = want = initial_state(col)
-        trace = []
-        while True:
-            state, applied = resolve_step(state)
-            want, expected = reference_step(want)
-            assert applied == expected
-            assert state == want  # classes, uids and mappings
-            if applied is None:
-                break
-            trace.append(applied)
-            rules.add(applied.rule)
-        assert resolve_fixpoint(col) == (state, trace)
+        rules |= {applied.rule for applied in step_like_the_reference(random_collection(rng))}
     assert rules == {1, 2, 3}
 
 
@@ -234,19 +239,44 @@ def test_resolution_of_large_collections_steps_like_the_fixpoint():
 
 def test_fixpoint_classifies_each_pair_of_working_classes_at_most_once(monkeypatch):
     calls = 0
+    mask_rule = resolve._mask_rule
 
     def counting(a, b):
         nonlocal calls
         calls += 1
-        return classify_relation(a, b)
+        return mask_rule(a, b)
 
-    monkeypatch.setattr(resolve, "classify_relation", counting)
+    monkeypatch.setattr(resolve, "_mask_rule", counting)
     rng = random.Random(37)
     for _ in range(100):
         calls = 0
-        state, _ = resolve_fixpoint(
+        state, trace = resolve_fixpoint(
             random_collection(rng, max_datasets=8, max_classes=16, max_atoms=60))
         assert calls <= state.next_uid * (state.next_uid - 1) // 2
+        if trace:
+            assert calls > 0
+
+
+def test_masks_wider_than_a_machine_word():
+    # 70 to 200 atoms, so atom ids reach 64 and 128
+    rng = random.Random(41)
+    widest = 0
+    for _ in range(12):
+        col = random_collection(rng, max_datasets=4, max_classes=10, max_atoms=200,
+                                min_atoms=70)
+        widest = max(widest, len(col.atoms))
+        step_like_the_reference(col)
+        fixpoint, _ = resolve_fixpoint(col)
+        assert all(type(wc.atoms) is frozenset and all(type(a) is int for a in wc.atoms)
+                   for wc in fixpoint.classes)
+        tax, maps = build_universal_from_atoms(col)
+        parts, mappings = fixpoint_partition(col)
+        assert parts == {u.atoms for u in tax.classes}
+        for ds in col.datasets:
+            for cls in ds.classes:
+                assert mappings[(ds.name, cls.name)] == {
+                    tax.classes[u].atoms for u in maps.mapped(ds.name, cls.name)}
+    assert widest > 128
 
 
 def test_resolve_step_leaves_its_input_unmodified():
