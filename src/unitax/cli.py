@@ -46,7 +46,7 @@ def _build_artifacts(args):
     try:
         program = parse_declarations(text)
         return build_universal_from_declarations(program)
-    except (ValidationError, UnitaxError) as exc:
+    except UnitaxError as exc:
         raise type(exc)(f"{args.decls}: {exc}")
 
 
@@ -138,7 +138,7 @@ def _cmd_eval(args):
         raise ValidationError("--post-inference requires a concatenated-space model")
     spec, tax, maps = _load_problem(args)
     mode = result.space.mode
-    if result.space != training.build_space(mode, spec.collection, tax, maps):
+    if result.space != training.build_space(mode, spec.collection, tax):
         raise ValidationError(f"{args.model}: field 'space' is not the {mode} space "
                               f"of the problem in {args.spec}")
     data = toyproblem.generate_toy(spec, maps)

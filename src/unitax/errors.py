@@ -27,7 +27,7 @@ class AmbiguousDeclaration(UnitaxError):
 
 
 class InconsistentDeclaration(UnitaxError):
-    """Post-hoc verification of a declared relation failed."""
+    """A declared relation contradicts the relation the declarations derive."""
 
 
 class UnmappedLabel(UnitaxError):

@@ -244,9 +244,6 @@ class Statement:
     name: str = ""  # optional intersection name for overlap
     line: int = 0
 
-    def operands(self):
-        return (self.first, self.second)
-
 
 @dataclass
 class DeclarationProgram:
@@ -259,7 +256,7 @@ class DeclarationProgram:
                 raise ValidationError(
                     f"line {stmt.line}: a statement must not reference a class twice"
                 )
-            for ds, cls in stmt.operands():
+            for ds, cls in (stmt.first, stmt.second):
                 if ds not in self.datasets or cls not in self.datasets[ds]:
                     raise ValidationError(
                         f"line {stmt.line}: unknown class {ds}.{cls}"
@@ -277,9 +274,9 @@ def parse_declarations(text: str) -> DeclarationProgram:
     program = DeclarationProgram({}, [])
 
     def register(ref: str, line: int):
-        if "." not in ref:
+        ds, _, cls = ref.partition(".")
+        if not ds or not cls:
             raise ValidationError(f"line {line}: class reference {ref!r} must be Dataset.class")
-        ds, cls = ref.split(".", 1)
         program.datasets.setdefault(ds, [])
         if cls not in program.datasets[ds]:
             program.datasets[ds].append(cls)
@@ -292,11 +289,10 @@ def parse_declarations(text: str) -> DeclarationProgram:
         tokens = line.split()
         head = tokens[0]
         if head == "dataset":
-            rest = " ".join(tokens[1:])
-            if ":" not in rest:
-                raise ValidationError(f"line {lineno}: expected 'dataset NAME: class ...'")
-            name, classes = rest.split(":", 1)
+            name, colon, classes = " ".join(tokens[1:]).partition(":")
             name = name.strip()
+            if not colon or not name:
+                raise ValidationError(f"line {lineno}: expected 'dataset NAME: class ...'")
             program.datasets.setdefault(name, [])
             for cls in classes.split():
                 if cls not in program.datasets[name]:
@@ -317,6 +313,10 @@ def parse_declarations(text: str) -> DeclarationProgram:
         program.statements.append(Statement(head, first, second, name, lineno))
     program.validate()
     return program
+
+
+# The relation each statement kind declares of its first class to its second.
+_EXPECTED = {"equiv": Relation.EQUAL, "subset": Relation.SUBSET, "overlap": Relation.OVERLAP}
 
 
 class _Compiler:
@@ -345,31 +345,53 @@ class _Compiler:
         self.atom_names.append(name)
         return len(self.atom_names) - 1
 
-    def _atoms(self, ref) -> set:
-        return set(self.class_atoms[ref])
-
-    def _qual(self, ref) -> str:
-        return f"{ref[0]}.{ref[1]}"
-
     def apply(self, stmt: Statement) -> None:
-        handler = getattr(self, f"_apply_{stmt.kind}")
-        handler(stmt)
-
-    def _apply_equiv(self, stmt):
-        a, b = self._atoms(stmt.first), self._atoms(stmt.second)
-        if a == b:
+        """Refine atoms so that ``stmt`` holds; a statement that already
+        holds changes nothing.  Only disjoint operands are refined."""
+        first, second = stmt.first, stmt.second
+        a, b = self.class_atoms[first], self.class_atoms[second]
+        rel = classify_relation(frozenset(a), frozenset(b))
+        if rel is _EXPECTED[stmt.kind]:
             return
-        for this, other, other_atoms in ((stmt.first, stmt.second, b), (stmt.second, stmt.first, a)):
-            mine = self._atoms(this)
-            if len(mine) == 1 and not mine & other_atoms:
-                (alpha,) = mine
-                _substitute(self.class_atoms, alpha, self.class_atoms[other])
-                self._maybe_rename_merged(stmt, other)
-                return
-        raise AmbiguousDeclaration(
-            f"line {stmt.line}: equiv({self._qual(stmt.first)}, {self._qual(stmt.second)}) "
-            f"targets already-split classes"
-        )
+        if rel is Relation.EQUAL or (stmt.kind == "subset" and rel is Relation.SUPERSET):
+            # refining atoms keeps a superset a superset, so this never holds
+            raise InconsistentDeclaration(
+                f"line {stmt.line}: declared {stmt.kind} but derived relation is {rel.value}"
+            )
+        qa, qb = f"{first[0]}.{first[1]}", f"{second[0]}.{second[1]}"
+        call = f"line {stmt.line}: {stmt.kind}({qa}, {qb})"
+        disjoint = rel is Relation.DISJOINT
+        if stmt.kind == "equiv":
+            # merge an atomic side into the other
+            if not disjoint or (len(a) != 1 and len(b) != 1):
+                raise AmbiguousDeclaration(f"{call} targets already-split classes")
+            this, other = (first, second) if len(a) == 1 else (second, first)
+            _substitute(self.class_atoms, self.class_atoms[this][0], self.class_atoms[other])
+            self._maybe_rename_merged(stmt, other)
+        elif stmt.kind == "overlap":
+            # split two atomic classes into three parts
+            if not disjoint or len(a) != 1 or len(b) != 1:
+                raise AmbiguousDeclaration(f"{call} requires both operands to still be atomic")
+            inter = self._new_atom(stmt.name or f"{qa}∩{qb}")
+            left = self._new_atom(f"{qa}∖{qb}")
+            right = self._new_atom(f"{qb}∖{qa}")
+            _substitute(self.class_atoms, a[0], [left, inter])
+            _substitute(self.class_atoms, b[0], [right, inter])
+        else:
+            if not disjoint:
+                raise AmbiguousDeclaration(f"line {stmt.line}: {qa} partially intersects {qb}")
+            # An atom of the superset may host the subset only if every class
+            # containing it is the superset itself or one of its supersets;
+            # anything else would force an undeclared relation.
+            sup = set(b)
+            eligible = [alpha for alpha in b
+                        if all(key == second or alpha not in atoms or sup <= set(atoms)
+                               for key, atoms in self.class_atoms.items())]
+            if len(eligible) != 1:
+                raise AmbiguousDeclaration(f"{call} cannot pick a host part without "
+                                           f"guessing ({len(eligible)} candidates)")
+            remainder = self._new_atom(f"{qb}∖{qa}")
+            _substitute(self.class_atoms, eligible[0], a + [remainder])
 
     def _maybe_rename_merged(self, stmt, kept_ref):
         # Cosmetic: a merge of A.sky and B.sky yields an atom named "sky".
@@ -380,59 +402,6 @@ class _Compiler:
         candidate = x if x == y else f"{x}={y}"
         if candidate not in self.atom_names:
             self.atom_names[atoms[0]] = candidate
-
-    def _apply_subset(self, stmt):
-        sub, sup = stmt.first, stmt.second
-        sub_atoms, sup_atoms = self._atoms(sub), self._atoms(sup)
-        if sub_atoms <= sup_atoms:
-            if sub_atoms == sup_atoms:
-                raise InconsistentDeclaration(
-                    f"line {stmt.line}: {self._qual(sub)} already equals {self._qual(sup)}"
-                )
-            return
-        if sub_atoms & sup_atoms:
-            raise AmbiguousDeclaration(
-                f"line {stmt.line}: {self._qual(sub)} partially intersects {self._qual(sup)}"
-            )
-        # An atom of the superset may host the subset only if every class
-        # containing it is the superset itself or one of its supersets;
-        # anything else would force an undeclared relation.
-        eligible = []
-        for alpha in self.class_atoms[sup]:
-            ok = True
-            for key, atoms in self.class_atoms.items():
-                if key != sup and alpha in atoms and not sup_atoms <= set(atoms):
-                    ok = False
-                    break
-            if ok:
-                eligible.append(alpha)
-        if len(eligible) != 1:
-            raise AmbiguousDeclaration(
-                f"line {stmt.line}: subset({self._qual(sub)}, {self._qual(sup)}) cannot "
-                f"pick a host part without guessing ({len(eligible)} candidates)"
-            )
-        alpha = eligible[0]
-        remainder = self._new_atom(f"{self._qual(sup)}∖{self._qual(sub)}")
-        _substitute(self.class_atoms, alpha, self.class_atoms[sub] + [remainder])
-
-    def _apply_overlap(self, stmt):
-        a_ref, b_ref = stmt.first, stmt.second
-        a, b = self._atoms(a_ref), self._atoms(b_ref)
-        if a & b and not a <= b and not b <= a:
-            return
-        if len(a) != 1 or len(b) != 1 or a & b:
-            raise AmbiguousDeclaration(
-                f"line {stmt.line}: overlap({self._qual(a_ref)}, {self._qual(b_ref)}) "
-                f"requires both operands to still be atomic"
-            )
-        qa, qb = self._qual(a_ref), self._qual(b_ref)
-        inter = self._new_atom(stmt.name or f"{qa}∩{qb}")
-        left = self._new_atom(f"{qa}∖{qb}")
-        right = self._new_atom(f"{qb}∖{qa}")
-        (alpha,) = a
-        (beta,) = b
-        _substitute(self.class_atoms, alpha, [left, inter])
-        _substitute(self.class_atoms, beta, [right, inter])
 
     def collection(self) -> Collection:
         used = sorted({a for atoms in self.class_atoms.values() for a in atoms})
@@ -448,17 +417,14 @@ class _Compiler:
         return Collection(atoms, tuple(taxonomies))
 
 
-_EXPECTED = {"equiv": Relation.EQUAL, "subset": Relation.SUBSET, "overlap": Relation.OVERLAP}
-
-
 def build_universal_from_declarations(program: DeclarationProgram):
     """Compile a declaration program into a synthesized collection and build
     its universal taxonomy.
 
     Returns (Collection, UniversalTaxonomy, MappingSet).  Raises
     AmbiguousDeclaration when a statement cannot be applied without guessing
-    and InconsistentDeclaration when post-hoc verification of a declared
-    relation fails.
+    and InconsistentDeclaration when a declared relation cannot hold or no
+    longer holds after the last statement.
     """
     program.validate()
     compiler = _Compiler(program)

@@ -204,8 +204,7 @@ class ModelSpace:
         return cls(mode, tuple(universal), tuple(entries), tuple(datasets))
 
 
-def build_space(mode: str, col: Collection, tax: UniversalTaxonomy,
-                maps: MappingSet) -> ModelSpace:
+def build_space(mode: str, col: Collection, tax: UniversalTaxonomy) -> ModelSpace:
     universal = []
     for u in tax.classes:
         atoms = sorted(col.atom_names(u.atoms))
@@ -310,7 +309,7 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
     config.validate()
     if data is None:
         data = generate_toy(spec, maps)
-    space = build_space(config.mode, spec.collection, tax, maps)
+    space = build_space(config.mode, spec.collection, tax)
     objective = _Objective(space, spec.collection, maps, data)
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5A5A5A5A5)
     model = MlpModel([2, *HIDDEN, space.k], rng)

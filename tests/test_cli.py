@@ -389,8 +389,8 @@ def test_surface_rejects_unbounded_grids(tmp_path, collapse_spec, capsys):
 
 def _heads_model(tmp_path, edit):
     """A per-dataset-heads model.json whose space ``edit`` changes."""
-    spec, tax, maps = problem_from_dict(problems.cross_eval_problem(0))
-    space = build_space("per-dataset-heads", spec.collection, tax, maps)
+    spec, tax, _ = problem_from_dict(problems.cross_eval_problem(0))
+    space = build_space("per-dataset-heads", spec.collection, tax)
     path = tmp_path / "model.json"
     save_model(path, TrainResult(MlpModel([2, *HIDDEN, space.k], SplitMix64(0)), space, []))
     data = json.loads(path.read_text())
@@ -633,8 +633,8 @@ FUZZ_TOKENS = ["", "dataset", "equiv", "subset", "overlap", "name=", "A.", ".x",
 def _fuzz_model(tmp_path, problem, mode):
     """A model.json document for ``problem`` with one hidden layer of 3
     units, so that most of its nodes are structure, not weights."""
-    spec, tax, maps = problem_from_dict(problem)
-    space = build_space(mode, spec.collection, tax, maps)
+    spec, tax, _ = problem_from_dict(problem)
+    space = build_space(mode, spec.collection, tax)
     path = tmp_path / f"{mode}.json"
     save_model(path, TrainResult(MlpModel([2, 3, space.k], SplitMix64(0)), space, []))
     return json.loads(path.read_text())

@@ -19,7 +19,7 @@ def vehicle_setup():
 def scores_for(post, mode, col, tax, maps, dataset, post_inference=False):
     """dataset_scores of a one-layer model whose posterior is ``post``
     everywhere: zero weights and the log posterior as bias."""
-    space = build_space(mode, col, tax, maps)
+    space = build_space(mode, col, tax)
     model = MlpModel([2, len(post)], SplitMix64(0))
     model.weights[0][:] = 0.0
     model.biases[0][:] = np.log(post)

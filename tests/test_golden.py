@@ -135,8 +135,8 @@ def _write_model(tmp_path, name, mode):
     model of ``mode`` on problem ``name``."""
     problem = PROBLEMS[name]()
     spec_path = _write(tmp_path / "problem.json", problem)
-    spec, tax, maps = problem_from_dict(problem)
-    space = build_space(mode, spec.collection, tax, maps)
+    spec, tax, _ = problem_from_dict(problem)
+    space = build_space(mode, spec.collection, tax)
     model = MlpModel([2, *HIDDEN, space.k], SplitMix64(7))
     model_path = tmp_path / "model.json"
     save_model(model_path, TrainResult(model, space, []))

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import random
 
 import pytest
@@ -20,11 +22,13 @@ from unitax.resolve import (
     resolve_fixpoint,
     resolve_step,
 )
+from unitax.rng import SplitMix64
 from unitax.taxonomy import (
     Relation,
     build_universal_from_atoms,
     classify_relation,
     collection_from_dict,
+    taxonomy_to_dict,
 )
 
 
@@ -332,6 +336,17 @@ def test_parse_declarations_rejects_malformed(bad):
         parse_declarations(bad)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("dataset A: x\nequiv A. B.x", "line 2: class reference 'A.' must be Dataset.class"),
+    ("subset .x B.y", "line 1: class reference '.x' must be Dataset.class"),
+    ("dataset : x", "line 1: expected 'dataset NAME: class ...'"),
+])
+def test_parse_declarations_rejects_empty_names(bad, message):
+    with pytest.raises(ValidationError) as info:
+        parse_declarations(bad)
+    assert str(info.value) == message
+
+
 def test_equiv_program_compiles_to_single_class():
     program = parse_declarations("equiv WD.sky City.sky")
     col, tax, maps = build_universal_from_declarations(program)
@@ -381,12 +396,40 @@ def test_subset_chain_resolves_nested_classes():
     assert set(maps.mapped("B", "car")) <= set(maps.mapped("A", "vehicle"))
 
 
-def test_equiv_after_subset_is_inconsistent():
+# One minimal program per way a declaration program fails, with its message;
+# test_equiv_after_subset_is_ambiguous pins equiv of nested classes.
+DECLARATION_FAILURES = [
+    ("equiv A.y B.x\noverlap A.y B.x", InconsistentDeclaration,
+     "line 2: declared overlap but derived relation is equal"),
+    ("subset B.y C.x\nsubset C.x B.y", InconsistentDeclaration,
+     "line 2: declared subset but derived relation is superset"),
+    ("equiv B.y C.x\nsubset B.y C.x", InconsistentDeclaration,
+     "line 2: declared subset but derived relation is equal"),
+    ("subset B.y A.x\noverlap B.y A.x", AmbiguousDeclaration,
+     "line 2: overlap(B.y, A.x) requires both operands to still be atomic"),
+    ("overlap A.x B.x\nsubset A.x B.x", AmbiguousDeclaration,
+     "line 2: A.x partially intersects B.x"),
+    ("overlap B.y A.x\nsubset C.y A.x\nequiv C.y B.y\nsubset C.x B.y", AmbiguousDeclaration,
+     "line 4: subset(C.x, B.y) cannot pick a host part without guessing (2 candidates)"),
+    ("overlap A.y C.y\nsubset B.x A.y\nequiv B.x C.y", InconsistentDeclaration,
+     "line 1: declared overlap but derived relation is superset"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", DECLARATION_FAILURES)
+def test_declaration_failures_name_the_statement(text, error, message):
+    with pytest.raises(error) as info:
+        build_universal_from_declarations(parse_declarations(text))
+    assert str(info.value) == message
+
+
+def test_equiv_after_subset_is_ambiguous():
     program = parse_declarations(
         "subset B.car A.vehicle\n"
         "equiv B.car A.vehicle\n"
     )
-    with pytest.raises((InconsistentDeclaration, AmbiguousDeclaration, ValidationError)):
+    with pytest.raises(AmbiguousDeclaration,
+                       match=r"^line 2: equiv\(B.car, A.vehicle\) targets already-split classes$"):
         build_universal_from_declarations(program)
 
 
@@ -396,3 +439,39 @@ def test_declarations_compiling_to_an_invalid_collection_are_inconsistent():
     with pytest.raises(InconsistentDeclaration,
                        match="^declarations produce an invalid collection: "):
         build_universal_from_declarations(program)
+
+
+def random_program(rng) -> str:
+    """A declaration program over 2-3 datasets of classes x and y, with 1-6
+    statements on two distinct classes of any datasets."""
+    def draw(n):
+        return rng.next_u64() % n
+
+    datasets = "ABC"[:2 + draw(2)]
+    lines = []
+    for _ in range(1 + draw(6)):
+        first = second = None
+        while first == second:
+            first, second = (f"{datasets[draw(len(datasets))]}.{'xy'[draw(2)]}"
+                             for _ in range(2))
+        lines.append(f"{('equiv', 'subset', 'overlap')[draw(3)]} {first} {second}")
+    return "\n".join(lines)
+
+
+def declaration_outcome(text: str) -> str:
+    """The error type and message a program raises, or its taxonomy file."""
+    try:
+        col, tax, maps = build_universal_from_declarations(parse_declarations(text))
+    except (AmbiguousDeclaration, InconsistentDeclaration) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(taxonomy_to_dict(col, tax, maps), sort_keys=True)
+
+
+def test_random_declaration_programs_are_pinned():
+    rng = SplitMix64(15)
+    outcomes = [declaration_outcome(random_program(rng)) for _ in range(2000)]
+    kinds = [o.split(":", 1)[0] for o in outcomes]
+    assert {k: kinds.count(k) for k in ("AmbiguousDeclaration", "InconsistentDeclaration")} == {
+        "AmbiguousDeclaration": 849, "InconsistentDeclaration": 786}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "9adc05132fd04477591eef41abf5dff36e340c5a1e3cc2a2162214c45bbd5645"

@@ -54,7 +54,7 @@ def test_config_validation():
 
 
 def test_output_width_per_mode():
-    spec, tax, maps = cross_problem()
+    spec, tax, _ = cross_problem()
     expected = {
         "universal-nll-plus": 5,
         "universal-nll-max": 5,
@@ -64,13 +64,13 @@ def test_output_width_per_mode():
         "per-dataset-heads": 9,  # 7 class logits + 2 dataset logits
     }
     for mode in MODES:
-        space = build_space(mode, spec.collection, tax, maps)
+        space = build_space(mode, spec.collection, tax)
         assert space.k == expected[mode], mode
 
 
 def test_partial_merge_merges_exactly_equal_classes():
-    spec, tax, maps = cross_problem()
-    space = build_space("partial-merge", spec.collection, tax, maps)
+    spec, tax, _ = cross_problem()
+    space = build_space("partial-merge", spec.collection, tax)
     merged = [e for e in space.entries if len(e.natives) > 1]
     assert len(merged) == 1
     assert set(merged[0].natives) == {("D1", "a1"), ("D2", "b1")}
@@ -90,7 +90,7 @@ def test_partial_merge_scores_datasets_with_dotted_names():
         ],
     })
     tax, maps = build_universal_from_atoms(col)
-    space = build_space("partial-merge", col, tax, maps)
+    space = build_space("partial-merge", col, tax)
     assert space.class_names() == ["V.1.car=W.car", "V.1.truck=W.truck"]
     model = MlpModel([2, *HIDDEN, space.k], SplitMix64(0))
     for w in model.weights:
@@ -117,7 +117,7 @@ def test_concat_objective_targets_the_rows_own_class_despite_equal_names(mode):
         "seed": 0,
     })
     data = _one_point_per_row(generate_toy(spec, maps))
-    space = build_space(mode, spec.collection, tax, maps)
+    space = build_space(mode, spec.collection, tax)
     assert space.class_names() == ["A.B.c", "A.e", "A.B.c", "A.B.e"]
     objective = _Objective(space, spec.collection, maps, data)
     labels = _row_labels(spec.collection, data)
@@ -214,8 +214,8 @@ def _reference_surface_csv(space, model, xmin, xmax, ymin, ymax, nx, ny):
 ], ids=["1x1", "173x91", "1000x3", "zero-width", "reversed"])
 @pytest.mark.parametrize("mode", MODES)
 def test_surface_csv_matches_the_per_point_reference(mode, grid):
-    spec, tax, maps = cross_problem()
-    space = build_space(mode, spec.collection, tax, maps)
+    spec, tax, _ = cross_problem()
+    space = build_space(mode, spec.collection, tax)
     model = MlpModel([2, *HIDDEN, space.k], SplitMix64(7))
     csv = surface_csv(*decision_surface(space, model, *grid))
     want = _reference_surface_csv(space, model, *grid)
@@ -361,7 +361,7 @@ def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
     # posteriors underflow to 0, yet the renormalised in-set term is defined.
     spec, tax, maps = problem_from_dict(problems.intersection_problem(0))
     data = _one_point_per_row(generate_toy(spec, maps))
-    space = build_space(mode, spec.collection, tax, maps)
+    space = build_space(mode, spec.collection, tax)
     objective = _Objective(space, spec.collection, maps, data)
     labels = _row_labels(spec.collection, data)
     mapped = ([int(data.universal[0])] if mode == "oracle"
@@ -394,7 +394,7 @@ def test_nll_plus_gradient_is_finite_when_the_mapped_set_is_far_below(mode):
 def _objective_and_logits(mode):
     spec, tax, maps = cross_problem()
     data = _one_point_per_row(generate_toy(spec, maps))
-    space = build_space(mode, spec.collection, tax, maps)
+    space = build_space(mode, spec.collection, tax)
     objective = _Objective(space, spec.collection, maps, data)
     logits = np.random.default_rng(0).normal(0.0, 3.0, (len(data.points), space.k))
     return objective, space, maps, _row_labels(spec.collection, data), logits
