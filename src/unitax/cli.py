@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import evaluation, pseudolabel, training, toyproblem
-from .errors import UnitaxError, ValidationError, load_json, read_text, write_json
+from .errors import InvalidLogit, UnitaxError, ValidationError, load_json, read_text, write_json
 from .resolve import build_universal_from_declarations, parse_declarations
 from .taxonomy import (
     build_universal_from_atoms,
@@ -132,6 +132,18 @@ def _cmd_toy_train(args):
     return 0
 
 
+def _inference(args, fn, *fn_args, **kwargs):
+    """``fn(*fn_args, **kwargs)`` on the model read from ``args.model``,
+    with non-finite logits a ValidationError naming that file in place of
+    numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return fn(*fn_args, **kwargs)
+        except InvalidLogit:
+            raise ValidationError(f"{args.model}: field 'model' gives non-finite logits "
+                                  f"on these inputs") from None
+
+
 def _cmd_eval(args):
     result = training.load_model(args.model)
     if args.post_inference and not result.space.entries:
@@ -143,21 +155,19 @@ def _cmd_eval(args):
                               f"of the problem in {args.spec}")
     data = toyproblem.generate_toy(spec, maps)
     ds = spec.collection.dataset(args.dataset)
-    class_names = [c.name for c in ds.classes]
-    acc = evaluation.ConfusionAccumulator(class_names)
-    label_of = {}
-    for cls in ds.classes:
-        for u in maps.mapped(args.dataset, cls.name):
-            label_of[u] = cls.name
-    keep = [i for i, u in enumerate(data.test_universal) if int(u) in label_of]
-    points = data.test_points[keep]
-    truths = [label_of[int(data.test_universal[i])] for i in keep]
-    names, scores = training.dataset_scores(
-        result.space, result.model, points, args.dataset, maps,
-        spec.collection, post_inference=bool(args.post_inference),
-    )
-    for i, gt in enumerate(truths):
-        acc.update(gt, names[int(np.argmax(scores[i]))])
+    # each universal id's class in the dataset, or -1 for a foreign one
+    class_of = np.full(len(tax.classes), -1)
+    for c, cls in enumerate(ds.classes):
+        class_of[sorted(maps.mapped(args.dataset, cls.name))] = c
+    truths = class_of[data.test_universal]
+    keep = truths >= 0
+    truths = truths[keep]
+    # the score columns are the dataset's classes, then void
+    _, scores = _inference(args, training.dataset_scores,
+                           result.space, result.model, data.test_points[keep], args.dataset,
+                           maps, spec.collection, post_inference=bool(args.post_inference))
+    acc = evaluation.ConfusionAccumulator([c.name for c in ds.classes])
+    acc.add(truths, np.argmax(scores, axis=1))
     report = acc.report()
     report["dataset"] = args.dataset
     report["post_inference"] = bool(args.post_inference)
@@ -201,7 +211,7 @@ def _parse_grid(text):
 def _cmd_surface(args):
     grid = _parse_grid(args.grid)
     result = training.load_model(args.model)
-    surface = training.decision_surface(result.space, result.model, *grid)
+    surface = _inference(args, training.decision_surface, result.space, result.model, *grid)
     _write_text(args.out, training.surface_csv(*surface))
     return 0
 

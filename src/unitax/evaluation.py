@@ -29,9 +29,23 @@ class ConfusionAccumulator:
 
     def update(self, gt: str, predicted: str) -> None:
         """Record one sample; ``predicted`` may be a class name or VOID."""
-        row = self.index[gt]
         col = len(self.classes) if predicted == VOID else self.index[predicted]
-        self.counts[row, col] += 1
+        self.add([self.index[gt]], [col])
+
+    def add(self, truth, predicted) -> None:
+        """Record a batch of samples given as index arrays of one length:
+        ``truth`` into the classes, ``predicted`` into the classes followed
+        by void.  An index out of range raises ValueError."""
+        n = len(self.classes)
+        truth = np.asarray(truth, dtype=np.int64)
+        predicted = np.asarray(predicted, dtype=np.int64)
+        if truth.shape != predicted.shape or truth.ndim != 1:
+            raise ValueError("truth and predicted must be index arrays of one length")
+        if len(truth) and not (0 <= truth.min() and truth.max() < n
+                               and 0 <= predicted.min() and predicted.max() <= n):
+            raise ValueError(f"indices must lie in 0..{n - 1} (truth) and 0..{n} (predicted)")
+        flat = np.bincount(truth * (n + 1) + predicted, minlength=n * (n + 1))
+        self.counts += flat.reshape(n, n + 1)
 
     def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
         if other.classes != self.classes:

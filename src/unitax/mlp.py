@@ -16,7 +16,7 @@ class MlpModel:
         self.biases = []
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
             scale = np.sqrt(2.0 / fan_in)
-            w = np.array(rng.normals(fan_in * fan_out), dtype=np.float64)
+            w = rng.normals(fan_in * fan_out)
             self.weights.append(scale * w.reshape(fan_in, fan_out))
             self.biases.append(np.zeros(fan_out, dtype=np.float64))
 

@@ -318,6 +318,12 @@ def parse_declarations(text: str) -> DeclarationProgram:
 # The relation each statement kind declares of its first class to its second.
 _EXPECTED = {"equiv": Relation.EQUAL, "subset": Relation.SUBSET, "overlap": Relation.OVERLAP}
 
+# The relations from which no refinement reaches the declared one: refining
+# atoms keeps a superset a superset, so nested classes stay nested.
+_NEVER = {"equiv": (),
+          "subset": (Relation.EQUAL, Relation.SUPERSET),
+          "overlap": (Relation.EQUAL, Relation.SUBSET, Relation.SUPERSET)}
+
 
 class _Compiler:
     """Synthesizes atoms for a declaration program.
@@ -353,8 +359,7 @@ class _Compiler:
         rel = classify_relation(frozenset(a), frozenset(b))
         if rel is _EXPECTED[stmt.kind]:
             return
-        if rel is Relation.EQUAL or (stmt.kind == "subset" and rel is Relation.SUPERSET):
-            # refining atoms keeps a superset a superset, so this never holds
+        if rel in _NEVER[stmt.kind]:
             raise InconsistentDeclaration(
                 f"line {stmt.line}: declared {stmt.kind} but derived relation is {rel.value}"
             )

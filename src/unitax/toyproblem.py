@@ -125,29 +125,33 @@ def generate_toy(spec: ToyProblemSpec, maps: MappingSet) -> ToyData:
                 label_of[-1].setdefault(u, c)
     points, universal, test_points, test_universal = [], [], [], []
     parts = [[] for _ in datasets]
+    first = 0
     for tag, concept in enumerate(spec.concepts):
         stream = rng.fork(tag + 1)
-        cx, cy = concept.center
         uid = concept.universal_id
-        labelled = any(uid in labels for labels in label_of)
-        first = len(points)
-        for i in range(concept.count):
-            x = (cx + concept.std * stream.normal(), cy + concept.std * stream.normal())
-            if i % 5 == 4:
-                test_points.append(x)
-                test_universal.append(uid)
-            elif labelled:
-                points.append(x)
-                universal.append(uid)
+        # the scalar cx + std * z, with z drawn x first, then y
+        xy = np.asarray(concept.center) + concept.std * stream.normals(
+            2 * concept.count).reshape(-1, 2)
+        held_out = np.arange(concept.count) % 5 == 4
+        test_points.append(xy[held_out])
+        test_universal.append(np.full(int(held_out.sum()), uid, dtype=np.int64))
+        if not any(uid in labels for labels in label_of):
+            continue
+        trained = xy[~held_out]
+        points.append(trained)
+        universal.append(np.full(len(trained), uid, dtype=np.int64))
+        index = np.arange(first, first + len(trained))
+        first += len(trained)
         for rows, labels in zip(parts, label_of):
             if uid in labels:
-                index = np.arange(first, len(points))
                 rows.append(np.stack([index, np.full_like(index, labels[uid])], axis=1))
-    empty = np.empty((0, 2), dtype=np.int64)
+    empty_points = np.empty((0, 2))
+    empty_ids = np.empty(0, dtype=np.int64)
+    empty_rows = np.empty((0, 2), dtype=np.int64)
     return ToyData(
-        np.asarray(points, dtype=np.float64).reshape(-1, 2),
-        np.asarray(universal, dtype=np.int64),
-        {ds.name: np.concatenate([empty, *rows]) for ds, rows in zip(datasets, parts)},
-        np.asarray(test_points, dtype=np.float64).reshape(-1, 2),
-        np.asarray(test_universal, dtype=np.int64),
+        np.concatenate([empty_points, *points]),
+        np.concatenate([empty_ids, *universal]),
+        {ds.name: np.concatenate([empty_rows, *rows]) for ds, rows in zip(datasets, parts)},
+        np.concatenate([empty_points, *test_points]),
+        np.concatenate([empty_ids, *test_universal]),
     )

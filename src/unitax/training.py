@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (TrainingDiverged, ValidationError, load_json, require_field,
-                     require_list, write_json)
+from .errors import (InvalidLogit, TrainingDiverged, ValidationError, load_json,
+                     require_field, require_list, write_json)
 from .losses import nll_plus_targets, universal_posteriors
 from .mlp import Adam, MlpModel
 from .rng import SplitMix64
@@ -44,6 +44,9 @@ _UNIVERSAL = ("universal-nll-plus", "universal-nll-max", "oracle")
 
 HIDDEN = (64, 64)
 
+# training epochs that a run may ask for at most
+EPOCHS_MAX = 100_000
+
 # dead_logit_report flags a class predicted for fewer than this share of points
 DEAD_FREQUENCY = 0.01
 
@@ -58,8 +61,8 @@ class TrainConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}; choose one of {MODES}")
-        if self.epochs <= 0:
-            raise ValidationError("epochs must be positive")
+        if not 1 <= self.epochs <= EPOCHS_MAX:
+            raise ValidationError(f"--epochs must lie in 1..{EPOCHS_MAX}, not {self.epochs}")
         if not 0 < self.lr < float("inf"):
             raise ValidationError(f"learning rate (--lr) must be positive and finite, "
                                   f"not {self.lr}")
@@ -305,7 +308,11 @@ class _Objective:
 
 def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
           maps: MappingSet, data: ToyData = None) -> TrainResult:
-    """Train one mode on a toy problem; deterministic given the seed."""
+    """Train one mode on a toy problem; deterministic given the seed.
+
+    Raises TrainingDiverged when an epoch's loss, or after the last step a
+    parameter or a training point's logit, is not finite.
+    """
     config.validate()
     if data is None:
         data = generate_toy(spec, maps)
@@ -317,14 +324,22 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
     # One cache serves every epoch and goes when train returns.
     cache = []
     trace = []
-    for _ in range(config.epochs):
-        logits = model.forward(data.points, cache)
-        loss, grad_logits = objective(logits)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"loss became non-finite ({loss})")
-        grads_w, grads_b = model.backward(cache, grad_logits)
-        optimizer.step(grads_w + grads_b)
-        trace.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            logits = model.forward(data.points, cache)
+            loss, grad_logits = objective(logits)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"loss became non-finite ({loss}) "
+                                       f"at learning rate (--lr) {config.lr}")
+            grads_w, grads_b = model.backward(cache, grad_logits)
+            optimizer.step(grads_w + grads_b)
+            trace.append(loss)
+        if not all(np.isfinite(p).all() for p in model.parameters()):
+            raise TrainingDiverged(f"the last step left a non-finite parameter "
+                                   f"at learning rate (--lr) {config.lr}")
+        if not np.all(np.isfinite(model.forward(data.points, cache))):
+            raise TrainingDiverged(f"the last step left non-finite logits "
+                                   f"at learning rate (--lr) {config.lr}")
     return TrainResult(model, space, trace)
 
 
@@ -447,12 +462,15 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
     coordinates, and the (ny, nx) array of class indices, y outer, so that
     ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The grid goes
     through the model in one forward pass; argmax ties go to the lowest
-    index.
+    index.  Raises InvalidLogit when a logit is not finite.
     """
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     grid = np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
-    classes = _own_argmax(space, forward_logits(model, grid)).reshape(ny, nx)
+    logits = forward_logits(model, grid)
+    if not np.isfinite(logits).all():
+        raise InvalidLogit("logits must be finite")
+    classes = _own_argmax(space, logits).reshape(ny, nx)
     return xs, ys, classes, space.class_names()
 
 

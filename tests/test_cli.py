@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,32 @@ def _eval_on_another_problem(tmp_path, mode):
             "--dataset", "CamVid", "--out", str(tmp_path / "eval.json")]
 
 
+def _collapse_run(tmp_path, *options):
+    """toy-train on the collapse problem in universal-nll-plus mode."""
+    spec = write_json(tmp_path / "collapse.json", problems.collapse_problem(0))
+    return ["toy-train", "--spec", spec, "--mode", "universal-nll-plus", *options,
+            "--out", str(tmp_path / "run")]
+
+
+def _overflowing_model(tmp_path, command):
+    """``command`` (surface or eval) on a universal-nll-plus model of the
+    collapse problem whose weights, finite but near 1e300, overflow every
+    logit."""
+    problem = problems.collapse_problem(0)
+    spec, tax, _ = problem_from_dict(problem)
+    space = build_space("universal-nll-plus", spec.collection, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(0))
+    for w in model.weights:
+        w *= 1e300
+    path = tmp_path / "model.json"
+    save_model(path, TrainResult(model, space, []))
+    if command == "surface":
+        return ["surface", "--model", str(path), "--grid=-3,3,-3,3,4,4",
+                "--out", str(tmp_path / "s.csv")]
+    return ["eval", "--model", str(path), "--spec", write_json(tmp_path / "p.json", problem),
+            "--dataset", "CamVid", "--out", str(tmp_path / "e.json")]
+
+
 LATIN1_COLLECTION = '{"atoms": ["caf\xe9"], "datasets": []}\n'
 
 BAD_INPUTS = {
@@ -541,6 +568,14 @@ BAD_INPUTS = {
     "export-matrix-in-and-atoms": lambda tmp, vehicles: (
         _inputs(tmp, vehicles, "export-matrix", "--in", "--atoms"), 2,
         ["usage: unitax export-matrix", "argument --atoms: not allowed with argument --in"]),
+    "toy-train-diverging-last-step": lambda tmp, vehicles: (
+        _collapse_run(tmp, "--epochs", "1", "--lr", "1e308"), 1, ["--lr", "1e+308"]),
+    "toy-train-epochs-above-max": lambda tmp, vehicles: (
+        _collapse_run(tmp, "--epochs", "100001"), 1, ["--epochs must lie in 1..100000"]),
+    "surface-model-overflowing": lambda tmp, vehicles: (
+        _overflowing_model(tmp, "surface"), 1, ["model.json", "'model'", "non-finite"]),
+    "eval-model-overflowing": lambda tmp, vehicles: (
+        _overflowing_model(tmp, "eval"), 1, ["model.json", "'model'", "non-finite"]),
     "heads-entries-swapped": lambda tmp, vehicles: (
         ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
          "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,
@@ -568,6 +603,17 @@ def test_bad_inputs_exit_with_a_message_naming_them(case, tmp_path, vehicle_file
     err = capsys.readouterr().err
     assert all(name in err for name in named), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["toy-train-diverging-last-step", "surface-model-overflowing",
+                                  "eval-model-overflowing"])
+def test_non_finite_outputs_warn_nothing_and_write_nothing(case, tmp_path, vehicle_file):
+    argv, expected, _ = BAD_INPUTS[case](tmp_path, vehicle_file)
+    before = set(tmp_path.iterdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == expected
+    assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("fixture", ["vehicles", "rider", "city", "two-split", "decls"])

@@ -135,3 +135,29 @@ def test_merge_equals_single_pass():
 def test_merge_requires_same_classes():
     with pytest.raises(ValueError):
         ConfusionAccumulator(["a"]).merge(ConfusionAccumulator(["b"]))
+
+
+def test_add_equals_a_loop_of_update():
+    classes = ["a", "b", "c"]
+    rng = np.random.default_rng(1)
+    truth = rng.integers(0, 3, size=500)
+    predicted = rng.integers(0, 4, size=500)  # 3 is void
+    looped = ConfusionAccumulator(classes)
+    for t, p in zip(truth.tolist(), predicted.tolist()):
+        looped.update(classes[t], classes[p] if p < 3 else VOID)
+    batched = ConfusionAccumulator(classes)
+    batched.add(truth[:200], predicted[:200])
+    batched.add(truth[200:], predicted[200:])
+    batched.add(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert batched.counts.dtype == looped.counts.dtype == np.int64
+    assert np.array_equal(batched.counts, looped.counts)
+    assert batched.report() == looped.report()
+
+
+@pytest.mark.parametrize("truth,predicted", [([2], [0]), ([0], [3]), ([-1], [0]),
+                                             ([0], [-1]), ([0, 1], [0])])
+def test_add_rejects_indices_out_of_range(truth, predicted):
+    acc = ConfusionAccumulator(["a", "b"])
+    with pytest.raises(ValueError):
+        acc.add(np.array(truth), np.array(predicted))
+    assert not acc.counts.any()

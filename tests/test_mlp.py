@@ -124,3 +124,16 @@ def test_reused_cache_matches_fresh_caches_bit_for_bit():
             assert np.array_equal(a, b)
         for w in model.weights:
             w *= 0.9
+
+
+def test_init_weights_equal_scalar_draws():
+    # the training sizes of a two-split universal model
+    sizes = [2, 64, 64, 7]
+    model = MlpModel(sizes, SplitMix64(5 ^ 0xA5A5A5A5A5A5A5A5))
+    rng = SplitMix64(5 ^ 0xA5A5A5A5A5A5A5A5)
+    for w, b, fan_in, fan_out in zip(model.weights, model.biases, sizes, sizes[1:]):
+        scale = np.sqrt(2.0 / fan_in)
+        draws = [rng.normal() for _ in range(fan_in * fan_out)]
+        assert w.tolist() == [[scale * z for z in draws[i * fan_out:(i + 1) * fan_out]]
+                              for i in range(fan_in)]
+        assert b.tolist() == [0.0] * fan_out

@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+import pytest
+
 from unitax.rng import SplitMix64
 
 
@@ -39,3 +42,21 @@ def test_fork_independence_and_determinism():
     s1 = [f1.next_u64() for _ in range(10)]
     assert s1 == [again.next_u64() for _ in range(10)]
     assert s1 != [f2.next_u64() for _ in range(10)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 3901])
+@pytest.mark.parametrize("before", [0, 1, 2])
+def test_normals_equal_scalar_normals_bit_for_bit(seed, n, before):
+    # ``before`` scalar draws leave a spare pending on entry when odd
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(before):
+        assert batch.normal() == scalar.normal()
+    drawn = batch.normals(n)
+    assert drawn.dtype == np.float64 and drawn.shape == (n,)
+    assert drawn.tolist() == [scalar.normal() for _ in range(n)]
+    assert batch.state == scalar.state
+    assert batch._spare_normal == scalar._spare_normal
+    # the streams go on together, spare first
+    assert batch.normals(3).tolist() == [scalar.normal() for _ in range(3)]
+    assert batch.uniform() == scalar.uniform()

@@ -7,6 +7,7 @@ import pytest
 
 from unitax import problems
 from unitax.errors import ValidationError
+from unitax.rng import SplitMix64
 from unitax.toyproblem import COUNT_MAX, generate_toy, problem_from_dict, problem_to_dict
 
 
@@ -133,3 +134,47 @@ FACTORY_DIGESTS = {
 def test_problem_factories_are_golden(name):
     data = json.dumps(getattr(problems, name)()).encode()
     assert hashlib.sha256(data).hexdigest() == FACTORY_DIGESTS[name]
+
+
+def scalar_toy(spec, maps):
+    """generate_toy's data drawn one scalar normal and one point at a time:
+    x, then y, of every sample; every fifth sample of a concept held out."""
+    rng = SplitMix64(spec.seed)
+    label_of = [{u: c for c, cls in reversed(list(enumerate(ds.classes)))
+                 for u in maps.mapped(ds.name, cls.name)} for ds in spec.collection.datasets]
+    points, universal, test_points, test_universal = [], [], [], []
+    rows = [[] for _ in label_of]
+    for tag, concept in enumerate(spec.concepts):
+        stream = rng.fork(tag + 1)
+        (cx, cy), uid = concept.center, concept.universal_id
+        for i in range(concept.count):
+            x = (cx + concept.std * stream.normal(), cy + concept.std * stream.normal())
+            if i % 5 == 4:
+                test_points.append(x)
+                test_universal.append(uid)
+            elif any(uid in labels for labels in label_of):
+                for labelled, labels in zip(rows, label_of):
+                    if uid in labels:
+                        labelled.append((len(points), labels[uid]))
+                points.append(x)
+                universal.append(uid)
+    return points, universal, rows, test_points, test_universal
+
+
+@pytest.mark.parametrize("factory", ["intersection_problem", "collapse_problem",
+                                     "two_split_problem", "cross_eval_problem"])
+def test_generate_toy_equals_the_scalar_reference(factory):
+    for seed in range(10):
+        spec, _, maps = problem_from_dict(getattr(problems, factory)(seed))
+        data = generate_toy(spec, maps)
+        points, universal, rows, test_points, test_universal = scalar_toy(spec, maps)
+        assert data.points.dtype == data.test_points.dtype == np.float64
+        assert data.universal.dtype == data.test_universal.dtype == np.int64
+        assert data.points.tolist() == [list(p) for p in points]
+        assert data.universal.tolist() == universal
+        assert data.test_points.tolist() == [list(p) for p in test_points]
+        assert data.test_universal.tolist() == test_universal
+        assert list(data.train) == [ds.name for ds in spec.collection.datasets]
+        for ds, expected in zip(data.train, rows):
+            assert data.train[ds].dtype == np.int64
+            assert data.train[ds].tolist() == [list(r) for r in expected]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from unitax import problems
-from unitax.errors import ValidationError
+from unitax.errors import TrainingDiverged, ValidationError
 from unitax.losses import (logsumexp, nll_plus, nll_plus_grad, nll_plus_targets,
                            universal_posteriors)
 from unitax.mlp import MlpModel
@@ -14,6 +14,7 @@ from unitax.rng import SplitMix64
 from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
 from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
+    EPOCHS_MAX,
     HIDDEN,
     MODES,
     TrainConfig,
@@ -51,6 +52,21 @@ def test_config_validation():
         TrainConfig(mode="oracle", epochs=0).validate()
     with pytest.raises(ValidationError):
         TrainConfig(mode="oracle", lr=-1.0).validate()
+
+
+def test_epochs_are_bounded():
+    # validate alone: no run starts
+    TrainConfig(mode="oracle", epochs=EPOCHS_MAX).validate()
+    for epochs in (0, EPOCHS_MAX + 1, 10**12):
+        with pytest.raises(ValidationError, match=r"^--epochs must lie in 1\.\.100000, not "):
+            TrainConfig(mode="oracle", epochs=epochs).validate()
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_a_diverging_run_raises_before_returning(epochs):
+    spec, tax, maps = cross_problem()
+    with pytest.raises(TrainingDiverged, match=r"at learning rate \(--lr\) 1e\+308$"):
+        train(TrainConfig("universal-nll-plus", epochs=epochs, lr=1e308), spec, tax, maps)
 
 
 def test_output_width_per_mode():
