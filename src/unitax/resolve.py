@@ -211,6 +211,8 @@ def resolve_fixpoint(col: Collection):
     """Step one resolution engine from a collection until no rule applies.
 
     Returns (state, trace) where trace is the list of RuleApplications.
+    Raises ValidationError, naming MAX_STEPS, when no fixpoint is reached
+    within MAX_STEPS rule applications.
     """
     engine = _Engine(initial_state(col))
     trace = []
@@ -219,7 +221,8 @@ def resolve_fixpoint(col: Collection):
         if applied is None:
             return engine.state(), trace
         trace.append(applied)
-    raise RuntimeError("resolution did not reach a fixpoint")
+    raise ValidationError(f"resolution did not reach a fixpoint within MAX_STEPS = {MAX_STEPS} "
+                          "rule applications")
 
 
 def fixpoint_partition(col: Collection):

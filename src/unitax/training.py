@@ -461,8 +461,10 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
     Returns (xs, ys, classes, class_names): the nx x and the ny y
     coordinates, and the (ny, nx) array of class indices, y outer, so that
     ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The grid goes
-    through the model in one forward pass; argmax ties go to the lowest
-    index.  Raises InvalidLogit when a logit is not finite.
+    through the model in row blocks of at most ``mlp.ROWS`` points, with
+    the bits of a whole-batch pass, so a 1000 x 1000 grid peaks at 240-400
+    MB by mode (about 1 GB whole-batch); argmax ties go to the lowest index.
+    Raises InvalidLogit when a logit is not finite.
     """
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)

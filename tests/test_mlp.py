@@ -1,6 +1,10 @@
-import numpy as np
+import tracemalloc
 
-from unitax.mlp import Adam, MlpModel
+import numpy as np
+import pytest
+
+from unitax import mlp
+from unitax.mlp import ROWS, Adam, MlpModel
 from unitax.rng import SplitMix64
 
 
@@ -137,3 +141,53 @@ def test_init_weights_equal_scalar_draws():
         assert w.tolist() == [[scale * z for z in draws[i * fan_out:(i + 1) * fan_out]]
                               for i in range(fan_in)]
         assert b.tolist() == [0.0] * fan_out
+
+
+def whole_batch_forward(model, x):
+    """The logits of one product, bias and ReLU per layer over all rows."""
+    h = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        out = np.matmul(h, w)
+        out += b
+        if i < last:
+            out = np.maximum(out, 0.0)
+        h = out
+    return h
+
+
+# output widths of the two-split universal, concat and heads spaces
+@pytest.mark.parametrize("width", [13, 22, 24])
+@pytest.mark.parametrize("rows", [0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 24])
+def test_blocked_forward_and_backward_equal_whole_batch_bit_for_bit(monkeypatch, rows, width):
+    model = MlpModel([2, 64, 64, width], SplitMix64(width))
+    rng = np.random.default_rng(rows)
+    x = rng.normal(scale=3.0, size=(rows, 2))
+    grad_logits = rng.normal(size=(rows, width))
+    expected = whole_batch_forward(model, x)
+    blocked = []
+    for got in (model.forward(x), model.forward(x, blocked)):
+        assert got.shape == (rows, width) and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+    got = model.backward(blocked, grad_logits)
+
+    # with one block for any batch, forward fills the cache whole-batch
+    monkeypatch.setattr(mlp, "ROWS", 10**9)
+    whole = []
+    assert model.forward(x, whole).tobytes() == expected.tobytes()
+    want = model.backward(whole, grad_logits)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_uncached_forward_holds_one_block_beside_its_result():
+    model = MlpModel([2, 64, 64, 13], SplitMix64(3))
+    x = np.random.default_rng(7).normal(size=(100_000, 2))
+    tracemalloc.start()
+    try:
+        logits = model.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (100_000, 13)
+    assert peak < logits.nbytes + 2**20

@@ -305,6 +305,14 @@ def test_fixpoint_terminates_and_is_disjoint():
     assert resolve_step(state)[1] is None
 
 
+def test_fixpoint_gives_up_after_max_steps_with_a_validation_error(monkeypatch):
+    # the vehicles collection needs two rule applications
+    monkeypatch.setattr(resolve, "MAX_STEPS", 1)
+    col = collection_from_dict(problems.vehicle_mini_collection())
+    with pytest.raises(ValidationError, match="MAX_STEPS = 1 "):
+        resolve_fixpoint(col)
+
+
 # ---------------------------------------------------------------------------
 # declaration programs
 
