@@ -1,13 +1,13 @@
 """Universal posteriors, NLL+ loss with analytic gradient, mask-level
 max aggregation and the two-head joint posterior.
 
-All functions are stateless and operate on plain numpy arrays.  The NLL+
-loss is always computed in the numerically stable log-sum-exp form
-logsumexp(all logits) - logsumexp(mapped logits); probabilities are never
-exponentiated before taking the log.  One kernel, nll_plus_targets,
-computes it for a batch of target groups: the trainer runs it on every
-mode in every epoch, and nll_plus and nll_plus_grad run it on a batch of
-one.  universal_posteriors is the softmax of inference.
+All functions are stateless and operate on plain numpy arrays.  NLL+ is
+computed as logsumexp(all logits) - logsumexp(mapped logits), never from
+exponentiated probabilities, by one kernel, nll_plus_targets: the trainer
+runs it, and nll_plus and nll_plus_grad run it on a batch of one.  The
+other helpers run shipped code too: aggregate_mask_max picks with _top, as
+the trainer's top rule does; dataset_posterior weighs with projection, as
+training.dataset_scores does; training.own_posterior calls two_head_joint.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidLogit, InvalidProbability, UnmappedLabel
-from .taxonomy import MappingSet
+from .taxonomy import MappingSet, projection
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -36,6 +36,21 @@ def universal_posteriors(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _probabilities(values) -> np.ndarray:
+    """``values`` as a float array of real numbers in [0, 1], else InvalidProbability."""
+    array = np.asarray(values)
+    # NaN fails every comparison; an empty array passes on the initial values
+    if array.dtype.kind not in "fiu" or not 0 <= array.min(initial=.5) <= array.max(initial=.5) <= 1:
+        raise InvalidProbability(f"probabilities must be real numbers in [0, 1], not {values!r}")
+    return array.astype(np.float64, copy=False)
+
+
+def _top(ids, scores) -> np.ndarray:
+    """Per position, the id of ``ids`` (candidates first) with the largest
+    score; ties go to the first candidate, the lowest id when ids ascend."""
+    return np.take_along_axis(ids, np.argmax(scores, axis=0)[None], axis=0)[0]
+
+
 def _mapped_ids(label, maps: MappingSet):
     dataset, cls = label
     mapped = maps.mapped(dataset, cls)
@@ -45,10 +60,11 @@ def _mapped_ids(label, maps: MappingSet):
 
 
 def dataset_posterior(post: np.ndarray, label, maps: MappingSet) -> float:
-    """Posterior of a dataset-specific label: sum of mapped universal
-    posteriors."""
-    post = np.asarray(post, dtype=np.float64)
-    return float(np.sum(post[_mapped_ids(label, maps)]))
+    """Posterior of a dataset-specific label: the universal posteriors
+    summed over its mapped set, with the weights of taxonomy.projection."""
+    post = _probabilities(post)
+    weights = projection([{u} for u in range(len(post))], [_mapped_ids(label, maps)])
+    return float(post @ weights[:, 0])
 
 
 def nll_plus_targets(logits, blocks, point, block, targets):
@@ -130,17 +146,12 @@ def aggregate_mask_max(stack: np.ndarray, label, maps: MappingSet):
     universal class id receiving the subgradient at each position (ties go
     to the lowest class id).
     """
-    stack = np.asarray(stack, dtype=np.float64)
-    mapped = sorted(_mapped_ids(label, maps))
-    sub = stack[mapped]
-    agg = np.max(sub, axis=0)
-    routing = np.asarray(mapped)[np.argmax(sub, axis=0)]
-    return agg, routing
+    mapped = np.asarray(sorted(_mapped_ids(label, maps)))
+    sub = _probabilities(stack)[mapped]
+    return np.max(sub, axis=0), _top(mapped.reshape((-1,) + (1,) * (sub.ndim - 1)), sub)
 
 
-def two_head_joint(class_given_dataset: float, dataset_prob: float) -> float:
-    """Joint posterior of (class, dataset): P(c | D, x) * P(D | x)."""
-    for value in (class_given_dataset, dataset_prob):
-        if not 0.0 <= value <= 1.0:
-            raise InvalidProbability(f"probability {value} outside [0, 1]")
-    return class_given_dataset * dataset_prob
+def two_head_joint(class_given_dataset, dataset_prob):
+    """Joint posterior of (class, dataset): P(c | D, x) * P(D | x), of two
+    numbers or of two arrays that broadcast."""
+    return _probabilities(class_given_dataset) * _probabilities(dataset_prob)

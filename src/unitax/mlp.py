@@ -31,7 +31,7 @@ class MlpModel:
         The rows go through all layers in near-equal blocks of at most
         ``ROWS``, with the bits of a whole-batch pass.  A block's activations
         stay in L2, and an uncached call holds one block's beside its (N, K)
-        result: a 1000 x 1000 surface peaks at 240-400 MB by mode, not 1 GB.
+        result: a 1000 x 1000 surface peaks at 240-280 MB by mode, not 1 GB.
 
         When ``cache`` is given, forward() keeps in it what backward() needs:
         the input, each hidden layer's post-ReLU activation and ReLU mask,

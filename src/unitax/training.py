@@ -1,18 +1,11 @@
 """Training modes for the 2D toy problems.
 
-Six modes share one MLP backbone and differ only in their output space and
-loss:
-
-- universal-nll-plus: softmax over universal classes, partial-label NLL+.
-- universal-nll-max:  softmax over universal classes, but the label's
-  posterior is the maximum (not the sum) over its mapped set.
-- naive-concat:       softmax over the concatenation of all dataset classes.
-- partial-merge:      like naive-concat but classes with identical atom sets
-  are merged into one logit.
-- per-dataset-heads:  per-dataset softmax heads plus a dataset-recognition
-  head, composed via the product of posteriors.
-- oracle:             softmax over universal classes with true universal
-  labels (upper bound, extra supervision).
+Six modes share one MLP backbone.  The table _MODES gives each its output
+space, which ModelSpace describes, and its target rule, which _Objective
+applies: the paper's NLL+ over universal classes (universal space, mapped
+set), its max-aggregation variant (top of the mapped set), naive
+concatenation, partial merge and per-dataset heads (own class), and an
+oracle trained on true universal labels (true class).
 """
 
 from __future__ import annotations
@@ -24,23 +17,23 @@ import numpy as np
 
 from .errors import (InvalidLogit, TrainingDiverged, ValidationError, load_json,
                      require_field, require_list, write_json)
-from .losses import nll_plus_targets, universal_posteriors
+from .losses import _top, nll_plus_targets, two_head_joint, universal_posteriors
 from .mlp import Adam, MlpModel
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
 from .toyproblem import ToyData, ToyProblemSpec, generate_toy
 
-MODES = (
-    "universal-nll-plus",
-    "universal-nll-max",
-    "naive-concat",
-    "partial-merge",
-    "per-dataset-heads",
-    "oracle",
-)
+# mode -> (output space, target rule), the one place that names a mode
+_MODES = {
+    "universal-nll-plus": ("universal", "mapped"),
+    "universal-nll-max": ("universal", "top"),
+    "naive-concat": ("concat", "own"),
+    "partial-merge": ("merged", "own"),
+    "per-dataset-heads": ("heads", "own"),
+    "oracle": ("universal", "true"),
+}
 
-# modes whose output space is the universal taxonomy
-_UNIVERSAL = ("universal-nll-plus", "universal-nll-max", "oracle")
+MODES = tuple(_MODES)
 
 HIDDEN = (64, 64)
 
@@ -79,14 +72,15 @@ class OutputClass:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Interpretation of the model's output vector.
+    """Interpretation of the model's output vector, in the output space
+    that _MODES gives ``mode``.
 
-    ``universal`` holds one OutputClass per universal class.  ``entries``
-    holds the concatenated (or merged) dataset classes of the naive-concat,
-    partial-merge and per-dataset-heads modes and is empty otherwise;
-    ``datasets`` names the dataset-recognition head of per-dataset-heads.
-    The model's own output classes are the entries when there are any,
-    else the universal classes, followed by one logit per dataset head.
+    ``universal`` holds one OutputClass per universal class: all there is
+    in the universal space.  ``entries`` holds one per dataset class in the
+    concat and heads spaces, and one per set of classes with equal atoms in
+    the merged space; ``datasets`` names the dataset head of the heads
+    space.  The model's own output classes are the entries when there are
+    any, else the universal classes, followed by one logit per dataset head.
     """
 
     mode: str
@@ -114,7 +108,7 @@ class ModelSpace:
     def blocks(self) -> tuple:
         """The softmax blocks of the output vector as (dataset, classes)
         pairs.  The first block, with dataset None, serves every row: all
-        output classes, or the dataset head of per-dataset-heads.  Each
+        output classes, or the dataset head of the heads space.  Each
         further block is one dataset's class head among the entries, which
         are stacked dataset by dataset."""
         if not self.datasets:
@@ -142,11 +136,10 @@ class ModelSpace:
         return np.where(w.sum(axis=1) == 1, np.argmax(w, axis=1), -1)
 
     def to_dict(self) -> dict:
-        merged = self.mode == "partial-merge"
         entries = []
         for o in self.entries:
             entry = {"name": o.name, "atoms": sorted(o.atoms)}
-            if merged:
+            if _MODES[self.mode][0] == "merged":
                 entry["members"] = [list(n) for n in o.natives]
             else:
                 entry["dataset"], entry["class"] = o.natives[0]
@@ -166,6 +159,7 @@ class ModelSpace:
         mode = require_field(data, "mode", str, "space.")
         if mode not in MODES:
             raise ValidationError(f"field 'space.mode' must be one of {MODES}")
+        output_space, _ = _MODES[mode]
         universal = []
         for i, atoms in enumerate(require_field(data, "universal_atoms", list, "space.")):
             atoms = require_list(atoms, str, f"space.universal_atoms[{i}]")
@@ -176,7 +170,7 @@ class ModelSpace:
         entries = []
         for i, entry in enumerate(require_field(data, "entries", list, "space.")):
             where = f"space.entries[{i}]."
-            if mode == "partial-merge":
+            if output_space == "merged":
                 natives = [tuple(require_list(m, str, f"{where}members[{j}]", 2)) for j, m in
                            enumerate(require_field(entry, "members", list, where))]
             else:
@@ -187,8 +181,8 @@ class ModelSpace:
                                        frozenset(atoms), tuple(natives)))
         datasets = require_list(require_field(data, "datasets", list, "space."), str,
                                 "space.datasets")
-        if ((mode in _UNIVERSAL) == bool(entries)
-                or (mode == "per-dataset-heads") != bool(datasets)):
+        if ((output_space == "universal") == bool(entries)
+                or (output_space == "heads") != bool(datasets)):
             raise ValidationError(f"fields 'space.entries' and 'space.datasets' do not "
                                   f"fit a {mode} space")
         if datasets:
@@ -208,21 +202,19 @@ class ModelSpace:
 
 
 def build_space(mode: str, col: Collection, tax: UniversalTaxonomy) -> ModelSpace:
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}")
+    output_space, _ = _MODES[mode]
     universal = []
     for u in tax.classes:
         atoms = sorted(col.atom_names(u.atoms))
         universal.append(OutputClass("+".join(atoms), frozenset(atoms)))
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode in _UNIVERSAL:
+    if output_space == "universal":
         return ModelSpace(mode, tuple(universal))
     entries = [OutputClass(f"{ds.name}.{c.name}", frozenset(col.atom_names(c.atoms)),
                            ((ds.name, c.name),))
                for ds in col.datasets for c in ds.classes]
-    datasets = ()
-    if mode == "per-dataset-heads":
-        datasets = tuple(ds.name for ds in col.datasets)
-    elif mode == "partial-merge":
+    if output_space == "merged":
         # classes with equal atom sets share one output class
         groups = {}
         for e in entries:
@@ -230,6 +222,7 @@ def build_space(mode: str, col: Collection, tax: UniversalTaxonomy) -> ModelSpac
         entries = [OutputClass("=".join(e.name for e in group), atoms,
                                tuple(e.natives[0] for e in group))
                    for atoms, group in groups.items()]
+    datasets = tuple(ds.name for ds in col.datasets) if output_space == "heads" else ()
     return ModelSpace(mode, tuple(universal), tuple(entries), datasets)
 
 
@@ -249,30 +242,29 @@ class _Objective:
 
     Every labelled row of ``data.train``, a (point, dataset label) pair,
     makes one target group, a list of output classes within one softmax
-    block of ``space.blocks``: its mapped set (universal-nll-plus), its
-    true universal class (oracle), the output class of its own label
-    (naive-concat, partial-merge), or the most likely class of its mapped
-    set, picked on every call (universal-nll-max).  A per-dataset-heads row
-    makes two: its dataset in the dataset head and its own class in its
-    dataset's class head, whose joint posterior is the product of the two.
-    The loss is the groups' NLL+ summed and divided by the number of rows.
+    block of ``space.blocks``, by the mode's target rule: its mapped set,
+    the most likely class of that set, picked on every call (top), its true
+    universal class, or the output class of its own label.  A row of the
+    heads space makes two: its dataset in the dataset head and its own class
+    in its dataset's class head, whose joint posterior is the product of the
+    two.  The loss is the groups' NLL+ summed and divided by the number of rows.
     """
 
     def __init__(self, space: ModelSpace, col: Collection, maps: MappingSet, data: ToyData):
-        self.pick_top = space.mode == "universal-nll-max"
+        _, rule = _MODES[space.mode]
+        self.pick_top = rule == "top"
         self.blocks = [classes for _, classes in space.blocks]
         own = {native: i for i, o in enumerate(space.entries) for native in o.natives}
+        width = max(len(maps.mapped(ds.name, c.name)) for ds in col.datasets for c in ds.classes)
         point, block, targets = [], [], []
         for d, ds in enumerate(col.datasets):
             rows = data.train[ds.name]
-            if space.mode == "oracle":
+            if rule == "true":
                 lists = data.universal[rows[:, 0], None]
+            elif rule == "own":
+                lists = np.asarray([own[ds.name, c.name] for c in ds.classes])[rows[:, 1], None]
             else:
-                if space.entries:
-                    table = [[own[ds.name, c.name]] for c in ds.classes]
-                else:
-                    table = [sorted(maps.mapped(ds.name, c.name)) for c in ds.classes]
-                width = max(map(len, table))
+                table = [sorted(maps.mapped(ds.name, c.name)) for c in ds.classes]
                 lists = np.asarray([t + [-1] * (width - len(t)) for t in table])[rows[:, 1]]
             point.append(rows[:, 0])
             block.append(np.zeros(len(rows), dtype=np.int64))
@@ -283,11 +275,9 @@ class _Objective:
                 point.append(rows[:, 0])
                 block.append(np.full(len(rows), 1 + d))
             targets.append(lists)
-        width = max(t.shape[1] for t in targets)
         self.point, self.block = np.concatenate(point), np.concatenate(block)
         # (list slot, group): the kernel's class-major layout
-        self.targets = np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1])),
-                                              constant_values=-1) for t in targets]).T.copy()
+        self.targets = np.concatenate(targets).T.copy()
         self.rows = sum(len(data.train[ds.name]) for ds in col.datasets)
 
     def __call__(self, logits: np.ndarray):
@@ -298,12 +288,12 @@ class _Objective:
         return float(np.sum(losses)) / self.rows, grad
 
     def _targets(self, logits):
-        """The groups' target lists; for universal-nll-max, each list's most
+        """The groups' target lists; for the top rule, each list's most
         likely class (ties go to the lowest id)."""
         if not self.pick_top:
             return self.targets
         z = np.where(self.targets >= 0, logits[self.point, self.targets], -np.inf)
-        return np.take_along_axis(self.targets, np.argmax(z, axis=0)[None], axis=0)
+        return _top(self.targets, z)[None]
 
 
 def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
@@ -353,19 +343,17 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def own_posterior(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Posterior over the model's own output classes (universal classes for
-    the universal modes, concat/merged entries otherwise): the softmax of
-    the first block, or for per-dataset-heads each class head's softmax
-    times its dataset's posterior in the first block, the dataset head."""
+    """Posterior over the model's own output classes: the softmax of the
+    first block, or in the heads space each class head's softmax joined by
+    two_head_joint with its dataset's posterior in the dataset head."""
     logits = forward_logits(model, x)
     (_, first), *heads = space.blocks
     post = universal_posteriors(logits[:, first])
     if not heads:
         return post
-    joint = np.zeros((logits.shape[0], len(space.entries)))
-    for d, (_, classes) in enumerate(heads):
-        joint[:, classes] = universal_posteriors(logits[:, classes]) * post[:, d:d + 1]
-    return joint
+    # the class heads are stacked in the order of the dataset head
+    return np.hstack([two_head_joint(universal_posteriors(logits[:, classes]), post[:, d:d + 1])
+                      for d, (_, classes) in enumerate(heads)])
 
 
 def universal_scores(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -421,9 +409,10 @@ def predict_universal(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.n
 
 
 def _own_argmax(space: ModelSpace, logits: np.ndarray) -> np.ndarray:
-    """Argmax over the model's own output classes, leaving out the dataset
-    head (ties go to the lowest index)."""
-    return np.argmax(logits[:, :len(space.outputs)], axis=1)
+    """Argmax over the model's own output classes (ties go to the lowest
+    index); sets the dataset head to -inf in place, to copy no columns."""
+    logits[:, len(space.outputs):] = -np.inf
+    return np.argmax(logits, axis=1)
 
 
 def universal_accuracy(space, model, x, y_true) -> float:
@@ -446,8 +435,7 @@ def dead_logit_report(space: ModelSpace, model: MlpModel, x: np.ndarray) -> dict
     (frequency below DEAD_FREQUENCY).  Baseline predictions are resolved with
     post-inference summation so every sample lands on a universal class."""
     pred = np.argmax(universal_scores(space, model, x), axis=1)
-    n = len(pred)
-    freqs = [float(np.sum(pred == u)) / n for u in range(space.n_universal)]
+    freqs = (np.bincount(pred, minlength=space.n_universal) / len(pred)).tolist()
     return {
         "frequencies": freqs,
         "dead": [f < DEAD_FREQUENCY for f in freqs],
@@ -462,7 +450,7 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
     coordinates, and the (ny, nx) array of class indices, y outer, so that
     ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The grid goes
     through the model in row blocks of at most ``mlp.ROWS`` points, with
-    the bits of a whole-batch pass, so a 1000 x 1000 grid peaks at 240-400
+    the bits of a whole-batch pass, so a 1000 x 1000 grid peaks at 240-280
     MB by mode (about 1 GB whole-batch); argmax ties go to the lowest index.
     Raises InvalidLogit when a logit is not finite.
     """

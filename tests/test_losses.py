@@ -141,3 +141,38 @@ def test_two_head_joint():
         two_head_joint(1.2, 0.5)
     with pytest.raises(InvalidProbability):
         two_head_joint(0.5, -0.1)
+
+
+@pytest.mark.parametrize("post", [
+    [np.nan, 0.5, 0.5],
+    [-0.5, 0.7, 0.8],  # sums to 0.2 over the mapped set
+    [0.0, 1.5, 0.0],
+    [True, False, False],
+    ["0.5", "0.5", "0"],
+], ids=["nan", "negative", "above-one", "bool", "text"])
+def test_dataset_posterior_rejects_what_is_not_a_probability(post):
+    with pytest.raises(InvalidProbability):
+        dataset_posterior(np.asarray(post), LABEL, make_maps([0, 1]))
+
+
+@pytest.mark.parametrize("args", [
+    (True, 0.5), (0.5, False), ("0.5", 0.5), (np.nan, 0.5), (0.5, None),
+], ids=["bool", "bool-second", "text", "nan", "none"])
+def test_two_head_joint_rejects_what_is_not_a_probability(args):
+    with pytest.raises(InvalidProbability):
+        two_head_joint(*args)
+
+
+def test_two_head_joint_of_arrays_is_the_broadcast_product():
+    rng = np.random.default_rng(7)
+    cls, ds = rng.uniform(size=(5, 3)), rng.uniform(size=(5, 1))
+    assert np.array_equal(two_head_joint(cls, ds), cls * ds)
+    with pytest.raises(InvalidProbability):
+        two_head_joint(cls, -ds)
+
+
+def test_aggregate_mask_max_rejects_a_nan_map():
+    stack = np.full((3, 2, 2), 0.5)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(InvalidProbability):
+        aggregate_mask_max(stack, LABEL, make_maps([0, 1]))

@@ -1,14 +1,16 @@
+import ast
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unitax import problems
+from unitax import problems, training
 from unitax.errors import TrainingDiverged, ValidationError
-from unitax.losses import (logsumexp, nll_plus, nll_plus_grad, nll_plus_targets,
-                           universal_posteriors)
+from unitax.losses import (dataset_posterior, logsumexp, nll_plus, nll_plus_grad,
+                           nll_plus_targets, universal_posteriors)
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
 from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
@@ -17,8 +19,10 @@ from unitax.training import (
     EPOCHS_MAX,
     HIDDEN,
     MODES,
+    ModelSpace,
     TrainConfig,
     _Objective,
+    _own_argmax,
     build_space,
     dataset_scores,
     dead_logit_report,
@@ -241,16 +245,85 @@ def test_surface_csv_matches_the_per_point_reference(mode, grid):
                       (len(csv), len(want)))
 
 
-def test_save_load_round_trip(tmp_path):
-    result, spec, tax, maps, data = quick_train("partial-merge", epochs=5)
+@pytest.mark.parametrize("mode", MODES)
+def test_save_load_round_trip(mode, tmp_path):
+    result, spec, tax, maps, data = quick_train(mode, epochs=5)
+    assert ModelSpace.from_dict(result.space.to_dict()) == result.space
     path = tmp_path / "model.json"
     save_model(path, result)
     loaded = load_model(path)
-    assert loaded.space.mode == "partial-merge"
+    assert loaded.space.mode == mode
+    assert loaded.space == result.space
     assert loaded.loss_trace == result.loss_trace
     a = universal_scores(result.space, result.model, data.test_points)
     b = universal_scores(loaded.space, loaded.model, data.test_points)
     assert np.array_equal(a, b)
+
+
+UNIVERSAL_MODES = ("universal-nll-plus", "universal-nll-max", "oracle")
+
+
+@pytest.mark.parametrize("written", MODES)
+@pytest.mark.parametrize("named", MODES)
+def test_a_space_reads_back_only_under_a_mode_of_its_output_space(written, named):
+    spec, tax, _ = cross_problem()
+    data = json.loads(json.dumps(build_space(written, spec.collection, tax).to_dict()))
+    data["mode"] = named
+    if written == named or {written, named} <= set(UNIVERSAL_MODES):
+        assert ModelSpace.from_dict(data) == build_space(named, spec.collection, tax)
+    else:
+        with pytest.raises(ValidationError):
+            ModelSpace.from_dict(data)
+
+
+def test_own_argmax_of_a_heads_space_copies_no_columns():
+    spec, tax, _ = problem_from_dict(problems.two_split_problem(0))
+    space = build_space("per-dataset-heads", spec.collection, tax)
+    assert len(space.outputs) < space.k
+    # small integers, so that most rows hold ties
+    logits = np.random.default_rng(0).integers(-2, 3, (50_000, space.k)).astype(np.float64)
+    want = np.argmax(logits[:, :len(space.outputs)].copy(), axis=1)
+    tracemalloc.start()
+    try:
+        got = _own_argmax(space, logits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # the argmax itself holds 8 bytes a row; the own columns 8 bytes each
+    assert peak < logits.nbytes / 8, peak
+
+
+def _docstring_nodes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def test_mode_names_appear_only_in_the_mode_table():
+    """No string constant of the package, docstrings aside, holds a mode
+    name outside the table of training.py, so that no branch on a mode
+    string comes back."""
+    in_table, stray = set(), []
+    for path in sorted(Path(training.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node) for node in _docstring_nodes(tree)}
+        table = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and path.name == "training.py"
+                    and [getattr(t, "id", None) for t in node.targets] == ["_MODES"]):
+                table |= {id(n) for n in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and any(m in node.value for m in MODES) and id(node) not in docstrings):
+                if id(node) in table:
+                    in_table.add(node.value)
+                else:
+                    stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert stray == []
+    assert in_table == set(MODES)
 
 
 def test_accuracy_bounded():
@@ -273,6 +346,18 @@ def test_dataset_scores_default_vs_post_inference():
     # default sends every foreign entry to void, evalmap reassigns the
     # intersecting ones, so the void score can only shrink
     assert np.all(mapped[:, -1] <= default[:, -1] + 1e-12)
+
+
+def test_dataset_posterior_is_the_dataset_score_of_a_universal_model():
+    result, spec, tax, maps, data = quick_train("universal-nll-plus", epochs=5)
+    x = data.test_points[:9]
+    post = universal_posteriors(forward_logits(result.model, x))
+    for ds in spec.collection.datasets:
+        _, scores = dataset_scores(result.space, result.model, x, ds.name, maps,
+                                   spec.collection)
+        for c, cls in enumerate(ds.classes):
+            helper = [dataset_posterior(p, (ds.name, cls.name), maps) for p in post]
+            assert np.allclose(helper, scores[:, c], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
