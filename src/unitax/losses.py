@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidLogit, InvalidProbability, UnmappedLabel
+from .errors import InvalidLogit, InvalidProbability, UnmappedLabel, ValidationError
 from .taxonomy import MappingSet, projection
 
 
@@ -27,13 +27,47 @@ def logsumexp(values: np.ndarray) -> float:
 
 def universal_posteriors(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of finite logits, computed with max
-    subtraction."""
+    subtraction.
+
+    The work is class-major: on the transpose of the logits, made
+    contiguous, every reduction over classes runs over whole rows of
+    points rather than one short row at a time.  A caller that holds
+    class-major logits passes their transpose, and no copy is made.  The
+    result is a view of a class-major array.  Its bits are those of the
+    row-major softmax of the same values, whatever the layout of the input,
+    because _row_sum adds the classes in numpy's order for
+    ``np.sum(e, axis=-1)`` over a contiguous row, and every eval report
+    depends on those bits.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise InvalidLogit("logits must be finite")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    z = np.ascontiguousarray(logits.T)
+    e = np.exp(z - np.max(z, axis=0))
+    e /= _row_sum(e)
+    return e.T
+
+
+def _row_sum(e):
+    """Sum of the rows of ``e``, in numpy's pairwise order for a contiguous
+    run of len(e) numbers: below 8 in order; up to 128 in eight
+    accumulators (rows j, j+8, ...) combined as a tree, then the rest in
+    order; above 128 the sum of two halves split at a multiple of 8."""
+    k = len(e)
+    if k > 128:
+        n2 = k // 2 - (k // 2) % 8
+        return _row_sum(e[:n2]) + _row_sum(e[n2:])
+    if k < 8:
+        total, rest = e[0].copy(), e[1:]
+    else:
+        r = e[:8].copy()
+        for j in range(8, k - k % 8, 8):
+            r += e[j:j + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = e[k - k % 8:]
+    for row in rest:
+        total += row
+    return total
 
 
 def _probabilities(values) -> np.ndarray:
@@ -63,7 +97,12 @@ def dataset_posterior(post: np.ndarray, label, maps: MappingSet) -> float:
     """Posterior of a dataset-specific label: the universal posteriors
     summed over its mapped set, with the weights of taxonomy.projection."""
     post = _probabilities(post)
-    weights = projection([{u} for u in range(len(post))], [_mapped_ids(label, maps)])
+    mapped = _mapped_ids(label, maps)
+    for u in mapped:
+        if u not in range(len(post)):
+            raise ValidationError(f"label {label[0]}.{label[1]} maps to universal id {u!r}, "
+                                  f"outside the ids 0..{len(post) - 1} of the posteriors")
+    weights = projection([{u} for u in range(len(post))], [mapped])
     return float(post @ weights[:, 0])
 
 

@@ -345,15 +345,23 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def own_posterior(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Posterior over the model's own output classes: the softmax of the
     first block, or in the heads space each class head's softmax joined by
-    two_head_joint with its dataset's posterior in the dataset head."""
-    logits = forward_logits(model, x)
+    two_head_joint with its dataset's posterior in the dataset head.
+
+    The logits are transposed once, so that each block is a contiguous run
+    of class rows that universal_posteriors takes without a copy; every
+    block still checks its own logits.  The posterior is worked class-major
+    and copied to a row-major (len(x), outputs) array at the end: BLAS
+    multiplies a transposed matrix by the score weights in another
+    summation order, which would move the last bits of every score.
+    """
+    z = np.ascontiguousarray(forward_logits(model, x).T)
     (_, first), *heads = space.blocks
-    post = universal_posteriors(logits[:, first])
-    if not heads:
-        return post
-    # the class heads are stacked in the order of the dataset head
-    return np.hstack([two_head_joint(universal_posteriors(logits[:, classes]), post[:, d:d + 1])
-                      for d, (_, classes) in enumerate(heads)])
+    post = universal_posteriors(z[first].T).T
+    if heads:
+        # the class heads are stacked in the order of the dataset head
+        post = np.vstack([two_head_joint(universal_posteriors(z[classes].T).T, post[d])
+                          for d, (_, classes) in enumerate(heads)])
+    return np.ascontiguousarray(post.T)
 
 
 def universal_scores(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,13 @@ methods by name.  A rename must fail here, not only in ``--trace 1`` runs."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from unitax import problems, training
+from unitax.mlp import MlpModel
+from unitax.rng import SplitMix64
+from unitax.toyproblem import problem_from_dict
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -25,3 +32,22 @@ def test_tracer_wraps_names_that_resolve_and_restores_them():
     finally:
         tracer.restore()
     assert all(vars(owner)[attribute] is original for owner, attribute, original in saved)
+
+
+def test_traced_scores_of_a_heads_model_record_one_softmax_per_block():
+    tracing = load_tracing()
+    spec, tax, _ = problem_from_dict(problems.two_split_problem(0))
+    space = training.build_space("per-dataset-heads", spec.collection, tax)
+    model = MlpModel([2, *training.HIDDEN, space.k], SplitMix64(0))
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, (512, 2))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.call("bench.score", training.universal_scores, space, model, x)
+    finally:
+        tracer.restore()
+    summary = tracing.summarize(tracer.spans)
+    # the dataset head and two class heads; one join per class head
+    assert summary["losses.universal_posteriors"][0] == 3
+    assert summary["losses.two_head_joint"][0] == 2
+    assert summary["training.universal_scores"][0] == 1

@@ -481,6 +481,23 @@ def _overflowing_model(tmp_path, command):
             "--dataset", "CamVid", "--out", str(tmp_path / "e.json")]
 
 
+def _heads_model_overflowing_in_a_class_head(tmp_path):
+    """eval of a per-dataset-heads model of the cross-eval problem whose
+    finite last-layer weights overflow the logits of its last class head
+    alone: the hidden units are non-negative, so every logit there is
+    1e308 times their sum."""
+    problem = problems.cross_eval_problem(0)
+    spec, tax, _ = problem_from_dict(problem)
+    space = build_space("per-dataset-heads", spec.collection, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(0))
+    dataset, classes = space.blocks[-1]
+    model.weights[-1][:, classes] = 1e308
+    path = tmp_path / "model.json"
+    save_model(path, TrainResult(model, space, []))
+    return ["eval", "--model", str(path), "--spec", write_json(tmp_path / "p.json", problem),
+            "--dataset", dataset, "--out", str(tmp_path / "e.json")]
+
+
 LATIN1_COLLECTION = '{"atoms": ["caf\xe9"], "datasets": []}\n'
 
 BAD_INPUTS = {
@@ -576,6 +593,8 @@ BAD_INPUTS = {
         _overflowing_model(tmp, "surface"), 1, ["model.json", "'model'", "non-finite"]),
     "eval-model-overflowing": lambda tmp, vehicles: (
         _overflowing_model(tmp, "eval"), 1, ["model.json", "'model'", "non-finite"]),
+    "eval-heads-model-overflowing-in-a-class-head": lambda tmp, vehicles: (
+        _heads_model_overflowing_in_a_class_head(tmp), 1, ["model.json", "'model'", "non-finite"]),
     "heads-entries-swapped": lambda tmp, vehicles: (
         ["surface", "--model", _heads_model(tmp, _swap_first_and_last),
          "--grid=-1,1,-1,1,2,2", "--out", str(tmp / "s.csv")], 1,

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from unitax.errors import InvalidLogit, InvalidProbability, UnmappedLabel
+from unitax.errors import InvalidLogit, InvalidProbability, UnmappedLabel, ValidationError
 from unitax.losses import (
     aggregate_mask_max,
     dataset_posterior,
@@ -176,3 +176,64 @@ def test_aggregate_mask_max_rejects_a_nan_map():
     stack[1, 0, 1] = np.nan
     with pytest.raises(InvalidProbability):
         aggregate_mask_max(stack, LABEL, make_maps([0, 1]))
+
+
+@pytest.mark.parametrize("mapped, bad", [((1, 2), "2"), ((-1,), "-1")], ids=["beyond", "negative"])
+def test_dataset_posterior_rejects_a_mapped_id_outside_the_posteriors(mapped, bad):
+    with pytest.raises(ValidationError) as err:
+        dataset_posterior(np.array([0.5, 0.5]), LABEL, make_maps(mapped))
+    assert "D.c" in str(err.value) and f"id {bad}," in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the class-major softmax keeps the bits of the row-major one
+
+
+def row_major_softmax(logits):
+    """The softmax as a row-major three-liner: numpy sums each contiguous
+    row of ``e`` in its own pairwise order."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+WIDTHS = [*range(1, 141), 255, 256, 257, 1000, 10000]
+
+
+def logit_kinds(rng, n, k):
+    """Generic logits, logits of +-700 (ties, and exp underflows to 0),
+    equal logits, and one dominant class per row."""
+    normal = rng.normal(size=(n, k))
+    dominant = normal.copy()
+    dominant[np.arange(n), rng.integers(k, size=n)] = 800.0
+    return {"normal": normal * 5, "700": np.where(normal > 0, 700.0, -700.0),
+            "equal": np.full((n, k), 3.25), "dominant": dominant}
+
+
+@pytest.mark.parametrize("n", [1, 7, 512, 513])
+def test_universal_posteriors_equal_the_row_major_softmax_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for k in WIDTHS:
+        for kind, x in logit_kinds(rng, n, k).items():
+            want = row_major_softmax(x)
+            # a class-major caller passes a transposed view; the reference
+            # sums the same values laid out in rows
+            for layout, got in (("2-D", universal_posteriors(x)),
+                                ("transposed", universal_posteriors(np.ascontiguousarray(x.T).T)),
+                                ("1-D", universal_posteriors(x[0]))):
+                expected = want[0] if layout == "1-D" else want
+                assert got.shape == expected.shape, (k, kind, layout)
+                assert np.array_equal(got, expected), (k, kind, layout)
+            # 3-D: the rows split in two, the second half shifted
+            x3 = np.stack([x[: n // 2], x[n // 2: 2 * (n // 2)] - 1.0]) if n > 1 else x[None]
+            assert np.array_equal(universal_posteriors(x3), row_major_softmax(x3)), (k, kind)
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (9, 3), (2, 3, 9)])
+def test_universal_posteriors_reject_a_nonfinite_logit_in_any_layout(shape):
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(shape)
+        x[(1,) * len(shape)] = bad
+        for view in (x, np.ascontiguousarray(x.T).T):
+            with pytest.raises(InvalidLogit):
+                universal_posteriors(view)

@@ -326,6 +326,18 @@ def test_mode_names_appear_only_in_the_mode_table():
     assert in_table == set(MODES)
 
 
+def test_exp_and_log_appear_only_in_losses():
+    """np.exp and np.log are called in losses.py alone, so that no second
+    softmax grows beside universal_posteriors."""
+    found = {}
+    for path in sorted(Path(training.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("exp", "log")
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert list(found) == ["losses.py"], found
+
+
 def test_accuracy_bounded():
     result, spec, tax, maps, data = quick_train("oracle", epochs=60)
     acc = universal_accuracy(result.space, result.model,
@@ -358,6 +370,60 @@ def test_dataset_posterior_is_the_dataset_score_of_a_universal_model():
         for c, cls in enumerate(ds.classes):
             helper = [dataset_posterior(p, (ds.name, cls.name), maps) for p in post]
             assert np.allclose(helper, scores[:, c], rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# every output space scores with the bits of a row-major softmax
+
+
+def _row_major_softmax(logits):
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _row_major_own_posterior(space, model, x):
+    """own_posterior worked row by row on C-order arrays: each block's
+    softmax over its columns, the class heads joined by a plain product
+    with their dataset's column and stacked side by side."""
+    logits = forward_logits(model, x)
+    (_, first), *heads = space.blocks
+    post = _row_major_softmax(logits[:, first])
+    if not heads:
+        return post
+    return np.hstack([_row_major_softmax(logits[:, classes]) * post[:, d:d + 1]
+                      for d, (_, classes) in enumerate(heads)])
+
+
+def _dataset_weights(space, dataset, maps, col, post_inference):
+    """The weights dataset_scores multiplies the own posterior by, read off
+    with an identity posterior."""
+    identity = np.eye(len(space.outputs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "own_posterior", lambda *args: identity)
+        return dataset_scores(space, None, None, dataset, maps, col, post_inference)[1]
+
+
+@pytest.mark.parametrize("mode", ["universal-nll-plus", "naive-concat", "partial-merge",
+                                  "per-dataset-heads"])
+def test_scores_equal_a_row_major_reference_bit_for_bit(mode):
+    spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
+    result = train(TrainConfig(mode=mode, epochs=5, seed=2), spec, tax, maps)
+    space, model, col = result.space, result.model, spec.collection
+    rng = np.random.default_rng(9)
+    for n in (1, 7, 512, 513, 2000):
+        x = rng.uniform(-4.0, 4.0, (n, 2))
+        ref = _row_major_own_posterior(space, model, x)
+        assert np.array_equal(training.own_posterior(space, model, x), ref), n
+        assert np.array_equal(universal_scores(space, model, x),
+                              ref @ space.universal_weights), n
+        for ds in col.datasets:
+            for post_inference in (False, True) if space.entries else (False,):
+                weights = _dataset_weights(space, ds.name, maps, col, post_inference)
+                names, scores = dataset_scores(space, model, x, ds.name, maps, col,
+                                               post_inference)
+                assert len(names) == weights.shape[1], (n, ds.name)
+                assert np.array_equal(scores, ref @ weights), (n, ds.name, post_inference)
 
 
 # ---------------------------------------------------------------------------
