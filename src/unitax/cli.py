@@ -9,6 +9,7 @@ errors and on paths that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,7 +217,12 @@ def _cmd_surface(args):
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later call: parse_args returns a fresh Namespace each time, so no
+    call sees another's arguments.  Each subcommand ``name`` runs
+    ``_cmd_<name>`` with dashes as underscores."""
     parser = argparse.ArgumentParser(
         prog="unitax",
         description="Universal taxonomies over multi-dataset label spaces",
@@ -234,23 +240,19 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct taxonomy and mappings")
     add_inputs(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", help="validate invariants of a taxonomy file")
     p.add_argument("--in", dest="input", required=True)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("filter", help="trainability report")
     add_inputs(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("export-matrix", help="mapping matrix CSV")
     add_inputs(p).add_argument("--in", dest="input", help="built taxonomy JSON")
     p.add_argument("--dataset", required=True)
     p.add_argument("--include-void", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_matrix)
 
     p = sub.add_parser("toy-train", help="train a toy model")
     p.add_argument("--spec", required=True, help="toy problem JSON")
@@ -259,7 +261,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_toy_train)
 
     p = sub.add_parser("eval", help="dataset-space evaluation of a trained model")
     p.add_argument("--model", required=True, help="model.json from toy-train")
@@ -269,19 +270,16 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--post-inference", action="store_true",
                    help="score with post-inference mapping instead of void projection")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("pseudo-label", help="universal pseudo-labels from JSONL")
     add_inputs(p)
     p.add_argument("--in", dest="input", required=True, help="JSON-lines input")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pseudo_label)
 
     p = sub.add_parser("surface", help="decision surface CSV over a grid")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", required=True, help="xmin,xmax,ymin,ymax,nx,ny")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_surface)
     return parser
 
 
@@ -291,8 +289,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up on each call rather than bound into the shared parser, so a
+    # wrapper put in place of a command function (by a profiler) is the one run
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

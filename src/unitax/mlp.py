@@ -32,6 +32,9 @@ class MlpModel:
         ``ROWS``, with the bits of a whole-batch pass.  A block's activations
         stay in L2, and an uncached call holds one block's beside its (N, K)
         result: a 1000 x 1000 surface peaks at 240-280 MB by mode, not 1 GB.
+        An uncached call allocates each hidden layer's block buffer once and
+        writes every block into a view of it, so a 200 x 200 surface maps
+        two 256 KB buffers, not 158.
 
         When ``cache`` is given, forward() keeps in it what backward() needs:
         the input, each hidden layer's post-ReLU activation and ReLU mask,
@@ -49,6 +52,9 @@ class MlpModel:
         # equal blocks, as numpy sends a one-row product to gemv, which rounds
         # unlike gemm; zero rows still make one empty block
         blocks = max(1, -(-len(x) // ROWS))
+        if work is None:
+            block = -(-len(x) // blocks)
+            hidden = [np.empty((block, w.shape[1])) for w in self.weights[:last]]
         for j in range(blocks):
             rows = slice(j * len(x) // blocks, (j + 1) * len(x) // blocks)
             h = x[rows]
@@ -56,7 +62,7 @@ class MlpModel:
                 if work is not None:
                     out = work.acts[i][rows]
                 elif i < last:
-                    out = np.empty((len(h), w.shape[1]))
+                    out = hidden[i][:len(h)]
                 else:
                     result = np.empty((len(x), w.shape[1])) if result is None else result
                     out = result[rows]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from unitax import problems
+from unitax import cli, problems
 from unitax.cli import _parser, run
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
@@ -664,6 +664,58 @@ def test_module_runs_the_command_line(tmp_path, vehicle_file):
     assert (checked.returncode, checked.stdout) == (0, f"{vehicle_file}: OK\n"), checked.stderr
     bare = subprocess.run([sys.executable, "-m", "unitax.cli"], capture_output=True, env=env)
     assert bare.returncode == 2
+
+
+def test_run_keeps_no_state_between_calls(tmp_path, vehicle_file, collapse_spec, capsys,
+                                          monkeypatch):
+    """One process runs a usage error, eval with and without post-inference,
+    surface and build, in that order and then in reverse; each call's exit
+    code, output file and messages equal those of the command run alone in
+    a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    spec, tax, _ = problem_from_dict(problems.collapse_problem(0))
+    space = build_space("naive-concat", spec.collection, tax)
+    model = tmp_path / "model.json"
+    save_model(model, TrainResult(MlpModel([2, *HIDDEN, space.k], SplitMix64(4)), space, []))
+    evaluate = ["eval", "--model", str(model), "--spec", collapse_spec, "--dataset", "CamVid"]
+    commands = [
+        ["eval", "--model", str(model)],
+        [*evaluate, "--post-inference"],
+        evaluate,
+        ["surface", "--model", str(model), "--grid=-3,3,-3,3,31,17"],
+        ["build", "--atoms", vehicle_file],
+    ]
+
+    def outcome(argv, out, alone):
+        argv = [*argv, "--out", str(out)]
+        if alone:
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            done = subprocess.run([sys.executable, "-m", "unitax.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            code, stdout, stderr = done.returncode, done.stdout, done.stderr
+        else:
+            code = run(argv)
+            stdout, stderr = capsys.readouterr()
+        return code, stdout, stderr, out.read_bytes() if out.exists() else None
+
+    alone = [outcome(argv, tmp_path / f"alone-{i}", True) for i, argv in enumerate(commands)]
+    assert [got[0] for got in alone] == [2, 0, 0, 0, 0]
+    reports = [json.loads(got[3]) for got in alone[1:3]]
+    assert [r["post_inference"] for r in reports] == [True, False]
+    order = [*range(len(commands)), *reversed(range(len(commands)))]
+    for k, i in enumerate(order):
+        assert outcome(commands[i], tmp_path / f"shared-{k}", False) == alone[i], (k, commands[i])
+
+
+def test_run_calls_the_command_function_of_the_module_at_each_call(
+        tmp_path, vehicle_file, monkeypatch):
+    """The shared parser binds no command function, so one replaced after
+    the parser was built (as a profiler's wrapper is) is the one run."""
+    _parser()
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: calls.append(args.input) or 7)
+    assert run(["check", "--in", vehicle_file]) == 7
+    assert calls == [vehicle_file]
 
 
 def test_readme_command_lines_parse():

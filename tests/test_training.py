@@ -245,6 +245,43 @@ def test_surface_csv_matches_the_per_point_reference(mode, grid):
                       (len(csv), len(want)))
 
 
+def _per_point_csv(xs, ys, classes, class_names):
+    """The surface CSV with one formatted line per grid cell."""
+    lines = ["x,y,class"]
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            lines.append(f"{float(x)!r},{float(y)!r},{class_names[int(classes[j, i])]}")
+    return "\n".join(lines) + "\n"
+
+
+def _rows_continuing_a_class(nx, ny):
+    """Each row ends in the class with which the next row starts."""
+    classes = np.zeros((ny, nx), dtype=np.intp)
+    classes[::2, nx // 2:] = 1
+    classes[1::2, :nx // 2] = 1
+    return classes
+
+
+SURFACE_CLASSES = {
+    "checkerboard": lambda nx, ny: np.indices((ny, nx)).sum(axis=0) % 2,
+    "random": lambda nx, ny: np.random.default_rng(nx * ny).integers(0, 5, (ny, nx)),
+    "one-class": lambda nx, ny: np.full((ny, nx), 3),
+    "runs-across-rows": _rows_continuing_a_class,
+}
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 6), (11, 1), (1, 1), (64, 9)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("kind", SURFACE_CLASSES)
+def test_surface_csv_matches_the_per_point_reference_on_given_classes(kind, shape):
+    nx, ny = shape
+    xs = np.linspace(-3, 1e-3, nx)
+    ys = np.linspace(2.5, -2.5, ny)
+    classes = SURFACE_CLASSES[kind](nx, ny)
+    names = ["road", "car", "pickup", "truck", "van"]
+    assert surface_csv(xs, ys, classes, names) == _per_point_csv(xs, ys, classes, names)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_save_load_round_trip(mode, tmp_path):
     result, spec, tax, maps, data = quick_train(mode, epochs=5)
