@@ -158,8 +158,8 @@ def _cmd_eval(args):
     ds = spec.collection.dataset(args.dataset)
     # each universal id's class in the dataset, or -1 for a foreign one
     class_of = np.full(len(tax.classes), -1)
-    for c, cls in enumerate(ds.classes):
-        class_of[sorted(maps.mapped(args.dataset, cls.name))] = c
+    owner = maps.class_of(args.dataset, ds.classes)
+    class_of[list(owner)] = list(owner.values())
     truths = class_of[data.test_universal]
     keep = truths >= 0
     truths = truths[keep]

@@ -28,7 +28,8 @@ class ConfusionAccumulator:
         self.counts = np.zeros((n, n + 1), dtype=np.int64)
 
     def update(self, gt: str, predicted: str) -> None:
-        """Record one sample; ``predicted`` may be a class name or VOID."""
+        """Record one sample; ``predicted`` may be a class name or VOID.
+        Kept without a shipped caller: bench/tracing.py wraps it."""
         col = len(self.classes) if predicted == VOID else self.index[predicted]
         self.add([self.index[gt]], [col])
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidLogit, InvalidProbability, UnmappedLabel, ValidationError
+from .errors import InvalidLogit, InvalidProbability, ValidationError
 from .taxonomy import MappingSet, projection
 
 
 def logsumexp(values: np.ndarray) -> float:
-    """Stable log(sum(exp(values))) over all entries, via max subtraction."""
+    """Stable log(sum(exp(values))) over all entries, via max subtraction.
+    Kept without a shipped caller: bench/tracing.py wraps it, tests compare to it."""
     values = np.asarray(values, dtype=np.float64)
     m = float(np.max(values))
     return m + float(np.log(np.sum(np.exp(values - m))))
@@ -85,19 +86,11 @@ def _top(ids, scores) -> np.ndarray:
     return np.take_along_axis(ids, np.argmax(scores, axis=0)[None], axis=0)[0]
 
 
-def _mapped_ids(label, maps: MappingSet):
-    dataset, cls = label
-    mapped = maps.mapped(dataset, cls)
-    if not mapped:
-        raise UnmappedLabel(f"label {dataset}.{cls} maps to no universal class")
-    return list(mapped)
-
-
 def dataset_posterior(post: np.ndarray, label, maps: MappingSet) -> float:
     """Posterior of a dataset-specific label: the universal posteriors
     summed over its mapped set, with the weights of taxonomy.projection."""
     post = _probabilities(post)
-    mapped = _mapped_ids(label, maps)
+    mapped = maps.mapped(*label)
     for u in mapped:
         if u not in range(len(post)):
             raise ValidationError(f"label {label[0]}.{label[1]} maps to universal id {u!r}, "
@@ -152,7 +145,7 @@ def _nll_plus_row(logits, label, maps: MappingSet):
         raise InvalidLogit("logits must be finite")
     zero = np.zeros(1, dtype=np.int64)
     loss, grad = nll_plus_targets(logits.reshape(1, -1), (slice(None),), zero, zero,
-                                  np.asarray(_mapped_ids(label, maps)).reshape(-1, 1))
+                                  np.asarray(maps.mapped(*label)).reshape(-1, 1))
     return float(loss[0]), grad[0]
 
 
@@ -185,7 +178,7 @@ def aggregate_mask_max(stack: np.ndarray, label, maps: MappingSet):
     universal class id receiving the subgradient at each position (ties go
     to the lowest class id).
     """
-    mapped = np.asarray(sorted(_mapped_ids(label, maps)))
+    mapped = np.asarray(sorted(maps.mapped(*label)))
     sub = _probabilities(stack)[mapped]
     return np.max(sub, axis=0), _top(mapped.reshape((-1,) + (1,) * (sub.ndim - 1)), sub)
 

@@ -14,8 +14,7 @@ import json
 import numbers
 from dataclasses import dataclass
 
-from .errors import (NotFound, OrthogonalDataset, UnmappedLabel, ValidationError,
-                     require_field)
+from .errors import NotFound, OrthogonalDataset, ValidationError, require_field
 from .taxonomy import Collection, MappingSet, UniversalTaxonomy
 
 
@@ -56,24 +55,21 @@ class ForeignPrediction:
         )
 
 
-def _plan(gt_label, dataset: str, col: Collection, tax: UniversalTaxonomy,
-          maps: MappingSet) -> tuple:
+def _plan(gt_label, dataset: str, col: Collection, maps: MappingSet) -> tuple:
     """What scoring a ground-truth label against one foreign dataset reads
     of the posterior: (the names of the foreign classes that meet the
     ground truth, in class order; for each sorted candidate of the label,
-    the name of the foreign class that contains it, or None).  The classes
-    of a dataset are disjoint, so at most one contains a candidate."""
-    gt_dataset, gt_class = gt_label
-    gt_atoms = next(
-        c.atoms for c in col.dataset(gt_dataset).classes if c.name == gt_class
-    )
+    the name of the foreign class whose mapped set holds it, or None).
+
+    A universal class lies inside or outside each dataset class, so two
+    classes meet exactly when their mapped sets share an id.  That holds
+    for filtered mappings too: every class holding an untrainable class
+    also holds its dominator, which is trainable."""
     classes = col.dataset(dataset).classes
-    meeting = tuple(c.name for c in classes if c.atoms & gt_atoms)
-    owners = tuple(
-        next((c.name for c in classes if tax.classes[u].atoms <= c.atoms), None)
-        for u in sorted(maps.mapped(gt_dataset, gt_class))
-    )
-    return meeting, owners
+    class_of = maps.class_of(dataset, classes)
+    owners = tuple(classes[class_of[u]].name if u in class_of else None
+                   for u in sorted(maps.mapped(*gt_label)))
+    return tuple(c.name for c in classes if c.name in owners), owners
 
 
 def _mass(posterior: dict, names) -> float:
@@ -99,7 +95,7 @@ def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
     candidates = sorted(maps.mapped(gt_dataset, gt_class))
     if u not in candidates:
         return 0.0
-    meeting, owners = _plan(gt_label, foreign.dataset, col, tax, maps)
+    meeting, owners = _plan(gt_label, foreign.dataset, col, maps)
     owner = owners[candidates.index(u)]
     if owner is None:
         return 0.0
@@ -128,8 +124,6 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     """
     gt_dataset, gt_class = gt_label
     candidates = sorted(maps.mapped(gt_dataset, gt_class))
-    if not candidates:
-        raise UnmappedLabel(f"label {gt_dataset}.{gt_class} maps to no universal class")
     if plans is None:
         plans = {}
     scores = dict.fromkeys(candidates, 0.0)
@@ -141,9 +135,9 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
         key = (gt_dataset, gt_class, foreign.dataset)
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _plan(gt_label, foreign.dataset, col, tax, maps)
+            plan = plans[key] = _plan(gt_label, foreign.dataset, col, maps)
         meeting, owners = plan
-        if owners.count(None) == len(owners):
+        if not meeting:
             continue
         denominator = _mass(foreign.posterior, meeting)
         if denominator == 0.0:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidClass, NotFound, ValidationError, load_json, require_field,
-                     require_list)
+from .errors import (InvalidClass, NotFound, UnmappedLabel, ValidationError, load_json,
+                     require_field, require_list)
 
 VOID = "__void__"
 
@@ -114,9 +114,6 @@ class UniversalTaxonomy:
         """Per class, whether it is trainable: whether it has no dominator."""
         return tuple(u.id not in self.dominators for u in self.classes)
 
-    def trainable_ids(self) -> list:
-        return [u.id for u in self.classes if u.id not in self.dominators]
-
 
 @dataclass(frozen=True)
 class MappingSet:
@@ -125,14 +122,25 @@ class MappingSet:
     by_dataset: dict  # dataset name -> {class name -> tuple of universal ids}
 
     def mapped(self, dataset: str, cls: str) -> tuple:
+        """The universal ids of class ``cls`` of ``dataset``; UnmappedLabel
+        when there are none."""
         try:
             per_class = self.by_dataset[dataset]
         except KeyError:
             raise NotFound(f"unknown dataset {dataset!r}")
         try:
-            return per_class[cls]
+            uids = per_class[cls]
         except KeyError:
             raise NotFound(f"unknown class {dataset!r}.{cls!r}")
+        if not uids:
+            raise UnmappedLabel(f"label {dataset}.{cls} maps to no universal class")
+        return uids
+
+    def class_of(self, dataset: str, classes) -> dict:
+        """Universal id -> index in ``classes``, the DatasetClass tuple of
+        ``dataset``, of the class whose mapped set holds it.  The classes of
+        a dataset are disjoint, so at most one does."""
+        return {u: c for c, cls in enumerate(classes) for u in self.mapped(dataset, cls.name)}
 
 
 def validate_collection(col: Collection) -> None:
@@ -168,9 +176,9 @@ def validate_collection(col: Collection) -> None:
                     )
     orphans = set(range(len(col.atoms))) - referenced
     if orphans:
-        raise ValidationError(
-            f"every atom must be referenced by at least one class, orphans: {sorted(orphans)}"
-        )
+        i = min(orphans)
+        raise ValidationError(f"field 'atoms[{i}]' ({names[i]!r}) is in no class: every atom "
+                              f"must be referenced by at least one class")
 
 
 def _signature_groups(col: Collection):
@@ -281,7 +289,7 @@ def mapping_matrix(dataset: str, col: Collection, tax: UniversalTaxonomy,
     absent from every class of the dataset.
     """
     ds = col.dataset(dataset)
-    columns = [tax.classes[u] for u in tax.trainable_ids()]
+    columns = [u for u, trainable in zip(tax.classes, tax.trainable) if trainable]
     w = projection([{u.id} for u in columns],
                    [maps.mapped(dataset, c.name) for c in ds.classes], include_void)
     row_names = [c.name for c in ds.classes] + ([VOID] if include_void else [])
@@ -409,10 +417,13 @@ def validate_universal(col: Collection, data: dict):
         display = require_field(entry, "display_name", str, where + ".")
         try:
             atoms = frozenset(index[a] for a in atoms)
+        except (KeyError, TypeError):
+            raise ValidationError(f"field {where + '.atoms'!r} names an unknown atom") from None
+        try:
             signature = frozenset((ds_index[d], cls_index[(d, c)]) for d, c in signature)
         except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"field {where!r} names an unknown atom or a malformed "
-                                  f"or unknown signature pair") from None
+            raise ValidationError(f"field {where + '.signature'!r} holds a malformed or "
+                                  f"unknown [dataset, class] pair") from None
         dominator = entry.get("dominator")
         if dominator is not None:
             dominators[i] = require_field(entry, "dominator", int, where + ".")

@@ -117,12 +117,7 @@ def generate_toy(spec: ToyProblemSpec, maps: MappingSet) -> ToyData:
     """
     rng = SplitMix64(spec.seed)
     datasets = spec.collection.datasets
-    label_of = []  # per dataset: universal id -> class index
-    for ds in datasets:
-        label_of.append({})
-        for c, cls in enumerate(ds.classes):
-            for u in maps.mapped(ds.name, cls.name):
-                label_of[-1].setdefault(u, c)
+    label_of = [maps.class_of(ds.name, ds.classes) for ds in datasets]
     points, universal, test_points, test_universal = [], [], [], []
     parts = [[] for _ in datasets]
     first = 0

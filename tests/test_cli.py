@@ -349,7 +349,7 @@ def test_check_rejects_malformed_universal_entries(tmp_path, vehicle_file, capsy
     bad_id["universal"][1]["id"] = 7
     bad_mapping = json.loads(built.read_text())
     bad_mapping["mappings"]["VIPER"]["truck"] = ["0"]
-    cases = [(bad_signature, "universal[0]"), (bad_id, "universal[1].id"),
+    cases = [(bad_signature, "universal[0].signature"), (bad_id, "universal[1].id"),
              (bad_mapping, "mappings.VIPER.truck"),
              ({**good, "mappings": []}, "mappings")]
     for i, (data, field) in enumerate(cases):
@@ -499,6 +499,8 @@ def _heads_model_overflowing_in_a_class_head(tmp_path):
 
 
 LATIN1_COLLECTION = '{"atoms": ["caf\xe9"], "datasets": []}\n'
+ORPHAN_COLLECTION = {"atoms": ["a", "b"],
+                     "datasets": [{"name": "D", "classes": [{"name": "x", "atoms": ["a"]}]}]}
 
 BAD_INPUTS = {
     "foreign-list": lambda tmp, vehicles: (
@@ -547,6 +549,16 @@ BAD_INPUTS = {
             tmp, vehicles, lambda u: u[0].update(trainable=True)),
          "--dataset", "VIPER", "--out", str(tmp / "m.csv")], 1,
         ["tax.json", "'universal[0].trainable'"]),
+    "universal-unknown-atom": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(tmp, vehicles, lambda u: u[0]["atoms"].append("nope"))],
+        1, ["tax.json", "'universal[0].atoms'"]),
+    "universal-unknown-class-pair": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(
+            tmp, vehicles, lambda u: u[0]["signature"].append(["VIPER", "ghost"]))], 1,
+        ["tax.json", "'universal[0].signature'"]),
+    "build-orphan-atom": lambda tmp, vehicles: (
+        ["build", "--atoms", write_json(tmp / "o.json", ORPHAN_COLLECTION),
+         "--out", str(tmp / "out.json")], 1, ["o.json", "'atoms[1]'", "'b'"]),
     "mappings-unknown-dataset": lambda tmp, vehicles: (
         ["check", "--in", _built_taxonomy(
             tmp, vehicles, lambda m: m.update(Nope={"x": [0]}), "mappings")], 1,

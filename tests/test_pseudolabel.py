@@ -12,7 +12,7 @@ from unitax.pseudolabel import (
     relabel_stream,
 )
 from unitax.rng import SplitMix64
-from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
+from unitax.taxonomy import build_universal_from_atoms, collection_from_dict, filter_untrainable
 
 
 def vehicle_setup():
@@ -345,11 +345,15 @@ def _random_posterior(rng, ds, gt_atoms):
 def test_plans_score_bit_for_bit_like_the_reference_scan():
     rng = random.Random(41)
     seen = dict.fromkeys(["several foreign", "unowned candidate", "orthogonal", "all-zero",
-                          "no class meets", "own dataset", "integer 1", "-0.0"], 0)
+                          "no class meets", "own dataset", "integer 1", "-0.0",
+                          "untrainable"], 0)
     for _ in range(300):
         col = _random_collection(rng)
-        tax, maps = build_universal_from_atoms(col)
-        plans = {}
+        built = build_universal_from_atoms(col)
+        filtered = filter_untrainable(*built)
+        seen["untrainable"] += bool(filtered[2])
+        # the built mappings, and the filtered ones, which hold the trainable ids alone
+        inputs = [(*built, {}), (*filtered[:2], {})]
         for _ in range(20):
             gt_ds = rng.choice(col.datasets)
             gt_cls = rng.choice(gt_ds.classes)
@@ -357,35 +361,44 @@ def test_plans_score_bit_for_bit_like_the_reference_scan():
             chosen = [ds for ds in col.datasets if rng.random() < 0.7] or [gt_ds]
             foreign = [ForeignPrediction(ds.name, _random_posterior(rng, ds, gt_cls.atoms))
                        for ds in chosen]
-            expected = _reference_ensemble(foreign, gt, col, tax, maps)
-            for got in (ensemble_pseudo_label(foreign, gt, col, tax, maps, plans),
-                        ensemble_pseudo_label(foreign, gt, col, tax, maps)):
-                assert got[0] == expected[0] and got[2] == expected[2]
-                assert {u: s.hex() for u, s in got[1].items()} == {
-                    u: s.hex() for u, s in expected[1].items()}
-            for f in foreign:
-                for u in range(len(tax.classes)):
-                    try:
-                        want = _reference_conditional_score(f, gt, u, col, tax, maps).hex()
-                    except OrthogonalDataset as exc:
-                        want = str(exc)
-                    try:
-                        have = conditional_score(f, gt, u, col, tax, maps).hex()
-                    except OrthogonalDataset as exc:
-                        have = str(exc)
-                    assert have == want
-            others = [f for f in foreign if f.dataset != gt_ds.name]
-            seen["several foreign"] += len(others) > 1
-            seen["own dataset"] += len(others) < len(foreign)
-            seen["orthogonal"] += any(flag.startswith("orthogonal") for flag in expected[2])
-            seen["all-zero"] += "all-zero-fallback" in expected[2]
-            for f in others:
-                classes = col.dataset(f.dataset).classes
-                seen["unowned candidate"] += any(
-                    all(not tax.classes[u].atoms <= c.atoms for c in classes)
-                    for u in maps.mapped(*gt))
-                seen["no class meets"] += all(not c.atoms & gt_cls.atoms for c in classes)
-                seen["integer 1"] += any(type(p) is int and p == 1
-                                         for p in f.posterior.values())
-                seen["-0.0"] += any(p == 0 and str(p) == "-0.0" for p in f.posterior.values())
+            for tax, maps, plans in inputs:
+                _check_against_the_reference_scan(foreign, gt, col, tax, maps, plans, seen)
     assert all(seen.values()), seen
+
+
+def _check_against_the_reference_scan(foreign, gt, col, tax, maps, plans, seen):
+    """ensemble_pseudo_label, with and without ``plans``, and every
+    conditional_score, bit for bit against the reference scan; ``seen``
+    counts the cases met."""
+    expected = _reference_ensemble(foreign, gt, col, tax, maps)
+    for got in (ensemble_pseudo_label(foreign, gt, col, tax, maps, plans),
+                ensemble_pseudo_label(foreign, gt, col, tax, maps)):
+        assert got[0] == expected[0] and got[2] == expected[2]
+        assert {u: s.hex() for u, s in got[1].items()} == {
+            u: s.hex() for u, s in expected[1].items()}
+    for f in foreign:
+        for u in range(len(tax.classes)):
+            try:
+                want = _reference_conditional_score(f, gt, u, col, tax, maps).hex()
+            except OrthogonalDataset as exc:
+                want = str(exc)
+            try:
+                have = conditional_score(f, gt, u, col, tax, maps).hex()
+            except OrthogonalDataset as exc:
+                have = str(exc)
+            assert have == want
+    gt_atoms = next(c.atoms for c in col.dataset(gt[0]).classes if c.name == gt[1])
+    others = [f for f in foreign if f.dataset != gt[0]]
+    seen["several foreign"] += len(others) > 1
+    seen["own dataset"] += len(others) < len(foreign)
+    seen["orthogonal"] += any(flag.startswith("orthogonal") for flag in expected[2])
+    seen["all-zero"] += "all-zero-fallback" in expected[2]
+    for f in others:
+        classes = col.dataset(f.dataset).classes
+        seen["unowned candidate"] += any(
+            all(not tax.classes[u].atoms <= c.atoms for c in classes)
+            for u in maps.mapped(*gt))
+        seen["no class meets"] += all(not c.atoms & gt_atoms for c in classes)
+        seen["integer 1"] += any(type(p) is int and p == 1
+                                 for p in f.posterior.values())
+        seen["-0.0"] += any(p == 0 and str(p) == "-0.0" for p in f.posterior.values())

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from unitax import problems, training
-from unitax.errors import TrainingDiverged, ValidationError
+from unitax.errors import TrainingDiverged, UnmappedLabel, ValidationError
 from unitax.losses import (dataset_posterior, logsumexp, nll_plus, nll_plus_grad,
                            nll_plus_targets, universal_posteriors)
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
-from unitax.taxonomy import build_universal_from_atoms, collection_from_dict
+from unitax.pseudolabel import ensemble_pseudo_label
+from unitax.taxonomy import MappingSet, build_universal_from_atoms, collection_from_dict
 from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
     EPOCHS_MAX,
@@ -71,6 +72,37 @@ def test_a_diverging_run_raises_before_returning(epochs):
     spec, tax, maps = cross_problem()
     with pytest.raises(TrainingDiverged, match=r"at learning rate \(--lr\) 1e\+308$"):
         train(TrainConfig("universal-nll-plus", epochs=epochs, lr=1e308), spec, tax, maps)
+
+
+def _readers_of_an_empty_mapped_set():
+    """Per reader of the mappings, a call on the cross-eval problem whose
+    mappings give the first class of D1 no universal class."""
+    spec, tax, maps = cross_problem()
+    col = spec.collection
+    label = (col.datasets[0].name, col.datasets[0].classes[0].name)
+    by_dataset = {ds: dict(per) for ds, per in maps.by_dataset.items()}
+    by_dataset[label[0]][label[1]] = ()
+    broken = MappingSet(by_dataset)
+    data = generate_toy(spec, maps)
+    space = build_space("universal-nll-plus", col, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(0))
+    return label, {
+        "generate_toy": lambda: generate_toy(spec, broken),
+        "train": lambda: train(TrainConfig("universal-nll-plus", epochs=1),
+                               spec, tax, broken, data),
+        "dataset_scores": lambda: dataset_scores(space, model, data.test_points[:4],
+                                                 label[0], broken, col),
+        "ensemble_pseudo_label": lambda: ensemble_pseudo_label([], label, col, tax, broken),
+        "nll_plus": lambda: nll_plus(np.zeros(space.k), label, broken),
+    }
+
+
+@pytest.mark.parametrize("reader", ["generate_toy", "train", "dataset_scores",
+                                    "ensemble_pseudo_label", "nll_plus"])
+def test_an_empty_mapped_set_fails_in_every_reader(reader):
+    label, readers = _readers_of_an_empty_mapped_set()
+    with pytest.raises(UnmappedLabel, match=rf"^label {label[0]}\.{label[1]} maps to no "):
+        readers[reader]()
 
 
 def test_output_width_per_mode():
