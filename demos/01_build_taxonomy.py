@@ -15,13 +15,13 @@ col = collection_from_dict(problems.vehicle_mini_collection())
 print("dataset classes:")
 for ds in col.datasets:
     for cls in ds.classes:
-        names = sorted(col.atoms[a].name for a in cls.atoms)
+        names = sorted(col.atoms[a] for a in cls.atoms)
         print(f"  {ds.name}.{cls.name} = {{{', '.join(names)}}}")
 
 tax, maps = build_universal_from_atoms(col)
 print("\nuniversal classes (signature grouping):")
 for u in tax.classes:
-    names = sorted(col.atoms[a].name for a in u.atoms)
+    names = sorted(col.atoms[a] for a in u.atoms)
     print(f"  u{u.id} {u.display_name} = {{{', '.join(names)}}}")
 
 print("\nmappings (dataset class -> universal classes):")

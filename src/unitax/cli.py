@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand is a pure function of its input files, flags, and seed;
-identical invocations produce byte-identical outputs.  Exit codes: 0 on
-success; 1 when an input fails validation or is not UTF-8 text; 2 on usage
-errors and on paths that cannot be read or written.
+identical invocations produce byte-identical outputs, at any BLAS thread
+count.  Exit codes: 0 on success; 1 when an input fails validation or is
+not UTF-8 text; 2 on usage errors and on paths that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -145,15 +146,29 @@ def _inference(args, fn, *fn_args, **kwargs):
                                   f"on these inputs") from None
 
 
+def _first_difference(space, built) -> str:
+    """The first field of a model file's ``space`` that differs from the
+    space ``built``, of the same mode."""
+    for field, mine, theirs in (("universal_atoms", space.universal, built.universal),
+                                ("entries", space.entries, built.entries)):
+        i = next((i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b),
+                 min(len(mine), len(theirs)))
+        if i < max(len(mine), len(theirs)):
+            return f"space.{field}[{i}]"
+    return "space.datasets"
+
+
 def _cmd_eval(args):
     result = training.load_model(args.model)
     if args.post_inference and not result.space.entries:
         raise ValidationError("--post-inference requires a concatenated-space model")
     spec, tax, maps = _load_problem(args)
     mode = result.space.mode
-    if result.space != training.build_space(mode, spec.collection, tax):
+    built = training.build_space(mode, spec.collection, tax)
+    if result.space != built:
         raise ValidationError(f"{args.model}: field 'space' is not the {mode} space "
-                              f"of the problem in {args.spec}")
+                              f"of the problem in {args.spec}: "
+                              f"{_first_difference(result.space, built)!r} differs")
     data = toyproblem.generate_toy(spec, maps)
     ds = spec.collection.dataset(args.dataset)
     # each universal id's class in the dataset, or -1 for a foreign one

@@ -2,11 +2,46 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+
 import numpy as np
 
 from .rng import SplitMix64
 
 ROWS = 512  # forward()'s block: a 64-wide activation of 512 rows is 256 KB
+
+
+@functools.cache
+def blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None on
+    a numpy build that exports no such calls."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread and restore the count after it.
+
+    backward()'s weight gradient ``a.T @ delta`` reduces over the rows, and
+    OpenBLAS splits that sum across its threads, so its bits would depend on
+    the thread count.  On a numpy build without blas_threads() this does
+    nothing.
+    """
+    calls = blas_threads()
+    before = calls[0]() if calls else 1
+    if before != 1:
+        calls[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            calls[1](before)
 
 
 class MlpModel:
@@ -25,7 +60,7 @@ class MlpModel:
     def parameters(self):
         return self.weights + self.biases
 
-    def forward(self, x: np.ndarray, cache: list = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, work: Workspace = None) -> np.ndarray:
         """Logits for inputs of shape (N, in_dim).
 
         The rows go through all layers in near-equal blocks of at most
@@ -36,17 +71,13 @@ class MlpModel:
         writes every block into a view of it, so a 200 x 200 surface maps
         two 256 KB buffers, not 158.
 
-        When ``cache`` is given, forward() keeps in it what backward() needs:
-        the input, each hidden layer's post-ReLU activation and ReLU mask,
-        and room for the deltas and parameter gradients.  A cache that
-        already holds these buffers for as many rows is refilled in place,
-        so a training loop that hands one cache to every epoch allocates no
-        batch-sized array after the first; the returned logits then live in
-        the cache until the next call.  A fresh cache gets fresh arrays, and
-        without a cache no mask is kept.
+        Given a Workspace for ``len(x)`` rows, forward() fills it in place
+        with what backward() needs, and the returned logits live in it until
+        the next call.  Without one no mask is kept.
         """
         x = np.asarray(x, dtype=np.float64)
-        work = None if cache is None else _Buffers.of(cache, self.sizes, x)
+        if work is not None:
+            work.x = x
         last = len(self.weights) - 1
         result = None if work is None else work.acts[last]
         # equal blocks, as numpy sends a one-row product to gemv, which rounds
@@ -75,23 +106,24 @@ class MlpModel:
                 h = out
         return result
 
-    def backward(self, cache: list, grad_logits: np.ndarray):
+    def backward(self, work: Workspace, grad_logits: np.ndarray):
         """Parameter gradients given upstream dL/dlogits.
 
-        ``cache`` is the list forward() filled.  Returns (weight grads, bias
-        grads); they are buffers of the cache, overwritten by the next
-        backward() on it.
+        ``work`` is the Workspace forward() filled; the deltas overwrite its
+        hidden activations, so only the logits stay.  Returns (weight grads,
+        bias grads); they are its buffers, overwritten by the next backward()
+        on it.
         """
-        work = cache[0]
         delta = np.asarray(grad_logits, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
             a = work.x if i == 0 else work.acts[i - 1]
             np.matmul(a.T, delta, out=work.grads_w[i])
             np.matmul(work.ones, delta, out=work.grads_b[i])
             if i > 0:
-                np.matmul(delta, self.weights[i].T, out=work.deltas[i - 1])
-                delta = work.deltas[i - 1]
-                np.multiply(delta, work.masks[i - 1], out=delta)
+                # a is spent, so its buffer takes the next delta
+                np.matmul(delta, self.weights[i].T, out=a)
+                np.multiply(a, work.masks[i - 1], out=a)
+                delta = a
         return list(work.grads_w), list(work.grads_b)
 
     def to_dict(self) -> dict:
@@ -163,26 +195,15 @@ class Adam:
             p -= update
 
 
-class _Buffers:
+class Workspace:
     """The arrays one forward() and backward() pair writes, for ``rows``
     inputs to a network of layer widths ``sizes``."""
 
     def __init__(self, sizes, rows):
         layers = list(zip(sizes, sizes[1:]))
-        self.rows = rows
         self.x = None
         self.acts = [np.empty((rows, out)) for _, out in layers]
         self.masks = [np.empty((rows, out), dtype=bool) for _, out in layers[:-1]]
-        self.deltas = [np.empty((rows, out)) for _, out in layers[:-1]]
         self.grads_w = [np.empty((fan_in, out)) for fan_in, out in layers]
         self.grads_b = [np.empty(out) for _, out in layers]
         self.ones = np.ones(rows)
-
-    @classmethod
-    def of(cls, cache: list, sizes, x: np.ndarray) -> "_Buffers":
-        """The buffers held by ``cache`` for input ``x``; a cache that is
-        empty or sized for another batch gets new ones."""
-        if not cache or cache[0].rows != len(x):
-            cache[:] = [cls(sizes, len(x))]
-        cache[0].x = x
-        return cache[0]

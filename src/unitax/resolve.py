@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .errors import AmbiguousDeclaration, InconsistentDeclaration, ValidationError
 from .taxonomy import (
     Collection,
-    ConceptAtom,
     DatasetClass,
     DatasetTaxonomy,
     Relation,
@@ -414,7 +413,7 @@ class _Compiler:
     def collection(self) -> Collection:
         used = sorted({a for atoms in self.class_atoms.values() for a in atoms})
         dense = {a: i for i, a in enumerate(used)}
-        atoms = tuple(ConceptAtom(self.atom_names[a]) for a in used)
+        atoms = tuple(self.atom_names[a] for a in used)
         taxonomies = []
         for ds, classes in self.program.datasets.items():
             ds_classes = tuple(

@@ -49,11 +49,6 @@ def classify_relation(a: frozenset, b: frozenset) -> Relation:
 
 
 @dataclass(frozen=True)
-class ConceptAtom:
-    name: str
-
-
-@dataclass(frozen=True)
 class DatasetClass:
     name: str
     atoms: frozenset  # of atom ids
@@ -74,14 +69,14 @@ class Collection:
     """Atoms and dataset taxonomies over them.  Making one runs
     validate_collection, so every Collection holds its invariants."""
 
-    atoms: tuple  # of ConceptAtom; an atom's id is its position
+    atoms: tuple  # of atom names (str); an atom's id is its position
     datasets: tuple  # of DatasetTaxonomy
 
     def __post_init__(self):
         validate_collection(self)
 
     def atom_names(self, ids) -> list:
-        return [self.atoms[i].name for i in sorted(ids)]
+        return [self.atoms[i] for i in sorted(ids)]
 
     def dataset(self, name: str) -> DatasetTaxonomy:
         for ds in self.datasets:
@@ -146,7 +141,7 @@ class MappingSet:
 def validate_collection(col: Collection) -> None:
     """Check all structural invariants, raising ValidationError on the first
     violation with a message naming the invariant."""
-    names = [a.name for a in col.atoms]
+    names = col.atoms
     if not all(names):
         raise ValidationError("atom names must be non-empty")
     if len(set(names)) != len(names):
@@ -327,12 +322,12 @@ def collection_from_dict(data: dict) -> Collection:
                                       f"references unknown atoms {unknown}")
             classes.append(DatasetClass(cls_name, frozenset(index[a] for a in members)))
         taxonomies.append(DatasetTaxonomy(name, tuple(classes)))
-    return Collection(tuple(ConceptAtom(n) for n in atom_names), tuple(taxonomies))
+    return Collection(tuple(atom_names), tuple(taxonomies))
 
 
 def collection_to_dict(col: Collection) -> dict:
     return {
-        "atoms": [a.name for a in col.atoms],
+        "atoms": list(col.atoms),
         "datasets": [
             {
                 "name": ds.name,
@@ -399,7 +394,7 @@ def validate_universal(col: Collection, data: dict):
     """
     built, built_maps = _signature_groups(col)
     derived = _dominators([sig for sig, _ in built])
-    index = {a.name: i for i, a in enumerate(col.atoms)}
+    index = {name: i for i, name in enumerate(col.atoms)}
     ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
     cls_index = {
         (ds.name, c.name): ci for ds in col.datasets for ci, c in enumerate(ds.classes)

@@ -63,7 +63,7 @@ def problem_from_dict(data: dict):
     """
     col = collection_from_dict(data)
     tax, maps = build_universal_from_atoms(col)
-    owner = {col.atoms[a].name: u.id for u in tax.classes for a in u.atoms}
+    owner = {col.atoms[a]: u.id for u in tax.classes for a in u.atoms}
     concepts = []
     for i, entry in enumerate(require_field(data, "concepts", list)):
         where = f"concepts[{i}]."
@@ -91,7 +91,7 @@ def problem_to_dict(spec: ToyProblemSpec, tax: UniversalTaxonomy) -> dict:
     by_id = {u.id: u for u in tax.classes}
     data["concepts"] = [
         {
-            "atom": spec.collection.atoms[min(by_id[c.universal_id].atoms)].name,
+            "atom": spec.collection.atoms[min(by_id[c.universal_id].atoms)],
             "center": list(c.center),
             "std": c.std,
             "count": c.count,

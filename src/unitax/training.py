@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InvalidLogit, TrainingDiverged, ValidationError, load_json,
                      require_field, require_list, write_json)
 from .losses import _top, nll_plus_targets, two_head_joint, universal_posteriors
-from .mlp import Adam, MlpModel
+from .mlp import Adam, MlpModel, Workspace, one_blas_thread
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
 from .toyproblem import ToyData, ToyProblemSpec, generate_toy
@@ -311,23 +311,22 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5A5A5A5A5)
     model = MlpModel([2, *HIDDEN, space.k], rng)
     optimizer = Adam(model.parameters(), lr=config.lr)
-    # One cache serves every epoch and goes when train returns.
-    cache = []
+    work = Workspace(model.sizes, len(data.points))
     trace = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
         for _ in range(config.epochs):
-            logits = model.forward(data.points, cache)
+            logits = model.forward(data.points, work)
             loss, grad_logits = objective(logits)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became non-finite ({loss}) "
                                        f"at learning rate (--lr) {config.lr}")
-            grads_w, grads_b = model.backward(cache, grad_logits)
+            grads_w, grads_b = model.backward(work, grad_logits)
             optimizer.step(grads_w + grads_b)
             trace.append(loss)
         if not all(np.isfinite(p).all() for p in model.parameters()):
             raise TrainingDiverged(f"the last step left a non-finite parameter "
                                    f"at learning rate (--lr) {config.lr}")
-        if not np.all(np.isfinite(model.forward(data.points, cache))):
+        if not np.all(np.isfinite(model.forward(data.points, work))):
             raise TrainingDiverged(f"the last step left non-finite logits "
                                    f"at learning rate (--lr) {config.lr}")
     return TrainResult(model, space, trace)
@@ -544,8 +543,9 @@ def _result_from_dict(data) -> TrainResult:
             params[key].append(array.astype(np.float64))
     space = ModelSpace.from_dict(require_field(data, "space", dict))
     if space.k != sizes[-1]:
-        raise ValidationError(f"field 'model.sizes' ends in {sizes[-1]} outputs, "
-                              f"but the {space.mode} space has {space.k}")
+        field = "space.entries" if space.entries else "space.universal_atoms"
+        raise ValidationError(f"field 'model.sizes' ends in {sizes[-1]} outputs, but the "
+                              f"{space.mode} space of field {field!r} has {space.k}")
     trace = data.get("loss_trace", [])
     if not isinstance(trace, list):
         raise ValidationError("field 'loss_trace' is not list")

@@ -96,7 +96,7 @@ def test_criterion_1_construction_oracle_equivalence():
 def test_criterion_2_reference_mappings():
     col = collection_from_dict(problems.vehicle_mini_collection())
     tax, maps = build_universal_from_atoms(col)
-    atom_names = {u.id: frozenset(col.atoms[a].name for a in u.atoms)
+    atom_names = {u.id: frozenset(col.atoms[a] for a in u.atoms)
                   for u in tax.classes}
     expected = {
         ("VIPER", "truck"): {frozenset({"truck"}), frozenset({"pickup"})},

@@ -388,15 +388,21 @@ def test_surface_rejects_unbounded_grids(tmp_path, collapse_spec, capsys):
 # every malformed input ends in exit 1 or 2 with a message naming it
 
 
-def _heads_model(tmp_path, edit):
-    """A per-dataset-heads model.json whose space ``edit`` changes."""
+def _cross_eval_model(tmp_path, mode, edit=lambda space: None):
+    """An untrained ``mode`` model.json of the cross-eval problem whose
+    space ``edit`` changes."""
     spec, tax, _ = problem_from_dict(problems.cross_eval_problem(0))
-    space = build_space("per-dataset-heads", spec.collection, tax)
+    space = build_space(mode, spec.collection, tax)
     path = tmp_path / "model.json"
     save_model(path, TrainResult(MlpModel([2, *HIDDEN, space.k], SplitMix64(0)), space, []))
     data = json.loads(path.read_text())
     edit(data["space"])
     return write_json(path, data)
+
+
+def _heads_model(tmp_path, edit):
+    """A per-dataset-heads model.json whose space ``edit`` changes."""
+    return _cross_eval_model(tmp_path, "per-dataset-heads", edit)
 
 
 def _swap_first_and_last(space):
@@ -453,6 +459,27 @@ def _eval_on_another_problem(tmp_path, mode):
     return ["eval", "--model", str(tmp_path / "run" / "model.json"),
             "--spec", write_json(tmp_path / "collapse.json", problems.collapse_problem(0)),
             "--dataset", "CamVid", "--out", str(tmp_path / "eval.json")]
+
+
+def _eval_with_a_renamed_class(tmp_path, mode):
+    """eval of a ``mode`` model of the cross-eval problem on that problem
+    with D2.b23, the space's entries[5], renamed."""
+    problem = problems.cross_eval_problem(0)
+    problem["datasets"][1]["classes"][1]["name"] = "b2+3"
+    return ["eval", "--model", _cross_eval_model(tmp_path, mode),
+            "--spec", write_json(tmp_path / "renamed.json", problem),
+            "--dataset", "D2", "--out", str(tmp_path / "eval.json")]
+
+
+def _surface_of_a_model_missing_an_output(tmp_path, mode, field):
+    """surface of a ``mode`` model of the cross-eval problem whose space
+    lost the last item of ``field``, so it has one output too few."""
+    def drop_last(space):
+        space[field].pop()
+        space["n_universal"] = len(space["universal_atoms"])
+
+    return ["surface", "--model", _cross_eval_model(tmp_path, mode, drop_last),
+            "--grid=-1,1,-1,1,2,2", "--out", str(tmp_path / "s.csv")]
 
 
 def _collapse_run(tmp_path, *options):
@@ -576,6 +603,20 @@ BAD_INPUTS = {
         _eval_on_another_problem(tmp, "universal-nll-plus"), 1, ["model.json", "'space'"]),
     "eval-concat-model-of-another-problem": lambda tmp, vehicles: (
         _eval_on_another_problem(tmp, "naive-concat"), 1, ["model.json", "'space'"]),
+    "eval-universal-model-names-the-first-differing-class": lambda tmp, vehicles: (
+        _eval_on_another_problem(tmp, "universal-nll-plus"), 1,
+        ["model.json", "'space.universal_atoms[0]'"]),
+    "eval-concat-model-names-the-renamed-entry": lambda tmp, vehicles: (
+        _eval_with_a_renamed_class(tmp, "naive-concat"), 1, ["model.json", "'space.entries[5]'"]),
+    "eval-heads-model-names-the-renamed-entry": lambda tmp, vehicles: (
+        _eval_with_a_renamed_class(tmp, "per-dataset-heads"), 1,
+        ["model.json", "'space.entries[5]'"]),
+    "surface-concat-model-missing-an-entry": lambda tmp, vehicles: (
+        _surface_of_a_model_missing_an_output(tmp, "naive-concat", "entries"), 1,
+        ["model.json", "'model.sizes'", "'space.entries'"]),
+    "surface-universal-model-missing-a-class": lambda tmp, vehicles: (
+        _surface_of_a_model_missing_an_output(tmp, "universal-nll-plus", "universal_atoms"), 1,
+        ["model.json", "'model.sizes'", "'space.universal_atoms'"]),
     "build-no-input": lambda tmp, vehicles: (
         _inputs(tmp, vehicles, "build"), 2,
         ["usage: unitax build", "one of the arguments --atoms --decls is required"]),
@@ -676,6 +717,25 @@ def test_module_runs_the_command_line(tmp_path, vehicle_file):
     assert (checked.returncode, checked.stdout) == (0, f"{vehicle_file}: OK\n"), checked.stderr
     bare = subprocess.run([sys.executable, "-m", "unitax.cli"], capture_output=True, env=env)
     assert bare.returncode == 2
+
+
+@pytest.mark.parametrize("mode", ["universal-nll-plus", "per-dataset-heads"])
+def test_toy_train_bytes_do_not_depend_on_blas_threads(tmp_path, mode):
+    # two-split has 1560 training points: enough rows for a multi-threaded
+    # BLAS to split the reduction of backward()'s weight gradients
+    spec = write_json(tmp_path / "two-split.json", problems.two_split_problem(0))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "unitax.cli", "toy-train", "--spec", spec,
+                               "--mode", mode, "--epochs", "3", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("model.json", "trace.csv", "report.json")})
+    assert outputs[0] == outputs[1]
 
 
 def test_run_keeps_no_state_between_calls(tmp_path, vehicle_file, collapse_spec, capsys,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unitax import mlp
-from unitax.mlp import ROWS, Adam, MlpModel
+from unitax.mlp import ROWS, Adam, MlpModel, Workspace
 from unitax.rng import SplitMix64
 
 
@@ -44,9 +44,9 @@ def test_parameter_gradients_match_finite_differences():
         out = model.forward(x)
         return 0.5 * float(np.sum((out - target) ** 2))
 
-    cache = []
-    out = model.forward(x, cache)
-    grads_w, grads_b = model.backward(cache, out - target)
+    work = Workspace(model.sizes, len(x))
+    out = model.forward(x, work)
+    grads_w, grads_b = model.backward(work, out - target)
 
     step = 1e-6
     params = model.weights + model.biases
@@ -80,12 +80,12 @@ def test_adam_reduces_quadratic_loss():
     opt = Adam(model.parameters(), lr=1e-2)
     first = None
     for _ in range(200):
-        cache = []
-        out = model.forward(x, cache)
+        work = Workspace(model.sizes, len(x))
+        out = model.forward(x, work)
         loss = 0.5 * float(np.mean((out - target) ** 2))
         if first is None:
             first = loss
-        gw, gb = model.backward(cache, (out - target) / len(x))
+        gw, gb = model.backward(work, (out - target) / len(x))
         opt.step(gw + gb)
     assert loss < first * 0.5
 
@@ -94,12 +94,12 @@ def test_backward_of_separate_caches_do_not_alias():
     model = tiny_model(10)
     rng = np.random.default_rng(5)
     x1, x2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-    first_cache, second_cache = [], []
-    out1 = model.forward(x1, first_cache)
-    first = model.backward(first_cache, out1)
+    first_work, second_work = Workspace(model.sizes, 6), Workspace(model.sizes, 6)
+    out1 = model.forward(x1, first_work)
+    first = model.backward(first_work, out1)
     kept = [g.copy() for g in first[0] + first[1]]
-    out2 = model.forward(x2, second_cache)
-    second = model.backward(second_cache, out2 * 3.0)
+    out2 = model.forward(x2, second_work)
+    second = model.backward(second_work, out2 * 3.0)
     assert not np.shares_memory(out1, out2)
     for a in first[0] + first[1]:
         for b in second[0] + second[1]:
@@ -109,17 +109,17 @@ def test_backward_of_separate_caches_do_not_alias():
 
 
 def test_reused_cache_matches_fresh_caches_bit_for_bit():
-    # training hands one cache to every epoch; the results must equal those
-    # of a fresh cache per call, and of forward() without a cache
+    # training hands one workspace to every epoch; the results must equal those
+    # of a fresh workspace per call, and of forward() without one
     model = tiny_model(11, sizes=(2, 8, 8, 3))
     rng = np.random.default_rng(6)
     x = rng.normal(size=(9, 2))
-    reused = []
+    reused = Workspace(model.sizes, len(x))
     for _ in range(3):
         grad_logits = rng.normal(size=(9, 3))
         out = model.forward(x, reused)
         got = model.backward(reused, grad_logits)
-        fresh = []
+        fresh = Workspace(model.sizes, len(x))
         expected_out = model.forward(x, fresh)
         expected = model.backward(fresh, grad_logits)
         assert np.array_equal(out, expected_out)
@@ -165,15 +165,15 @@ def test_blocked_forward_and_backward_equal_whole_batch_bit_for_bit(monkeypatch,
     x = rng.normal(scale=3.0, size=(rows, 2))
     grad_logits = rng.normal(size=(rows, width))
     expected = whole_batch_forward(model, x)
-    blocked = []
+    blocked = Workspace(model.sizes, rows)
     for got in (model.forward(x), model.forward(x, blocked)):
         assert got.shape == (rows, width) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
     got = model.backward(blocked, grad_logits)
 
-    # with one block for any batch, forward fills the cache whole-batch
+    # with one block for any batch, forward fills the workspace whole-batch
     monkeypatch.setattr(mlp, "ROWS", 10**9)
-    whole = []
+    whole = Workspace(model.sizes, rows)
     assert model.forward(x, whole).tobytes() == expected.tobytes()
     want = model.backward(whole, grad_logits)
     for a, b in zip(got[0] + got[1], want[0] + want[1]):

@@ -10,7 +10,6 @@ from unitax.errors import InvalidClass, NotFound, ValidationError
 from unitax.toyproblem import problem_from_dict
 from unitax.taxonomy import (
     Collection,
-    ConceptAtom,
     DatasetClass,
     DatasetTaxonomy,
     Relation,
@@ -115,7 +114,7 @@ def made(atoms, datasets):
     """A Collection made directly from atom names and (dataset name,
     [(class name, atom ids)]) pairs."""
     return Collection(
-        tuple(ConceptAtom(name) for name in atoms),
+        tuple(atoms),
         tuple(DatasetTaxonomy(name, tuple(DatasetClass(c, frozenset(ids)) for c, ids in classes))
               for name, classes in datasets))
 

@@ -11,7 +11,7 @@ from unitax import problems, training
 from unitax.errors import TrainingDiverged, UnmappedLabel, ValidationError
 from unitax.losses import (dataset_posterior, logsumexp, nll_plus, nll_plus_grad,
                            nll_plus_targets, universal_posteriors)
-from unitax.mlp import MlpModel
+from unitax.mlp import MlpModel, blas_threads
 from unitax.rng import SplitMix64
 from unitax.pseudolabel import ensemble_pseudo_label
 from unitax.taxonomy import MappingSet, build_universal_from_atoms, collection_from_dict
@@ -72,6 +72,25 @@ def test_a_diverging_run_raises_before_returning(epochs):
     spec, tax, maps = cross_problem()
     with pytest.raises(TrainingDiverged, match=r"at learning rate \(--lr\) 1e\+308$"):
         train(TrainConfig("universal-nll-plus", epochs=epochs, lr=1e308), spec, tax, maps)
+
+
+def test_train_leaves_the_blas_thread_count_as_it_found_it():
+    calls = blas_threads()
+    if calls is None:
+        pytest.skip("this numpy build exports no OpenBLAS thread calls")
+    get, set_threads = calls
+    before = get()
+    spec, tax, maps = cross_problem()
+    try:
+        for threads in (2, 1):
+            set_threads(threads)
+            train(TrainConfig("oracle", epochs=1), spec, tax, maps)
+            assert get() == threads
+            with pytest.raises(TrainingDiverged):
+                train(TrainConfig("oracle", epochs=1, lr=1e308), spec, tax, maps)
+            assert get() == threads
+    finally:
+        set_threads(before)
 
 
 def _readers_of_an_empty_mapped_set():
