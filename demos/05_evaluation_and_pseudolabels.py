@@ -22,13 +22,11 @@ data = generate_toy(spec, maps)
 result = train(TrainConfig(mode="naive-concat", epochs=400, seed=0),
                spec, tax, maps, data)
 
-label_of = {}
-for cls in spec.collection.dataset("D2").classes:
-    for u in maps.mapped("D2", cls.name):
-        label_of[u] = cls.name
-keep = [i for i, u in enumerate(data.test_universal) if int(u) in label_of]
+d2 = spec.collection.dataset("D2").classes
+class_of = maps.class_of("D2", d2)
+keep = [i for i, u in enumerate(data.test_universal) if int(u) in class_of]
 points = data.test_points[keep]
-truths = [label_of[int(data.test_universal[i])] for i in keep]
+truths = [d2[class_of[int(data.test_universal[i])]].name for i in keep]
 
 for post_inference in (False, True):
     names, scores = dataset_scores(result.space, result.model, points, "D2",
@@ -59,8 +57,7 @@ tax, maps = build_universal_from_atoms(col)
 # the Vistas ground truth only says "car, van, or pickup"; a model trained
 # on VIPER votes among its own classes and refines the label
 foreign = ForeignPrediction("VIPER", {"truck": 0.5, "van": 0.3, "car": 0.2})
-label, scores, flags = ensemble_pseudo_label([foreign], ("Vistas", "car"),
-                                             col, tax, maps)
+label, scores, flags = ensemble_pseudo_label([foreign], ("Vistas", "car"), col, maps)
 print("  candidate scores:")
 for u, s in sorted(scores.items()):
     print(f"    {tax.classes[u].display_name:7s} {s:.2f}")

@@ -195,10 +195,13 @@ def _cmd_eval(args):
 def _cmd_pseudo_label(args):
     col, tax, maps = _build_artifacts(args)
     lines = read_text(args.input).split("\n")
-    out_lines = [
-        json.dumps(record, sort_keys=True)
-        for record in pseudolabel.relabel_stream(lines, col, tax, maps)
-    ]
+    try:
+        out_lines = [
+            json.dumps(record, sort_keys=True)
+            for record in pseudolabel.relabel_stream(lines, col, tax, maps)
+        ]
+    except UnitaxError as exc:
+        raise type(exc)(f"{args.input}: {exc}")
     _write_text(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     return 0
 

@@ -71,48 +71,41 @@ class MlpModel:
         writes every block into a view of it, so a 200 x 200 surface maps
         two 256 KB buffers, not 158.
 
-        Given a Workspace for ``len(x)`` rows, forward() fills it in place
-        with what backward() needs, and the returned logits live in it until
-        the next call.  Without one no mask is kept.
+        Given a Workspace for ``len(x)`` rows, forward() fills its
+        activations in place, and the returned logits live in it until the
+        next call.
         """
         x = np.asarray(x, dtype=np.float64)
-        if work is not None:
-            work.x = x
         last = len(self.weights) - 1
-        result = None if work is None else work.acts[last]
         # equal blocks, as numpy sends a one-row product to gemv, which rounds
         # unlike gemm; zero rows still make one empty block
         blocks = max(1, -(-len(x) // ROWS))
         if work is None:
             block = -(-len(x) // blocks)
-            hidden = [np.empty((block, w.shape[1])) for w in self.weights[:last]]
+            acts = [np.empty((block, w.shape[1])) for w in self.weights[:last]]
+            acts.append(np.empty((len(x), self.sizes[-1])))
+        else:
+            work.x = x
+            acts = work.acts
         for j in range(blocks):
             rows = slice(j * len(x) // blocks, (j + 1) * len(x) // blocks)
             h = x[rows]
             for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                if work is not None:
-                    out = work.acts[i][rows]
-                elif i < last:
-                    out = hidden[i][:len(h)]
-                else:
-                    result = np.empty((len(x), w.shape[1])) if result is None else result
-                    out = result[rows]
+                out = acts[i][:len(h)] if work is None and i < last else acts[i][rows]
                 np.matmul(h, w, out=out)
                 out += b
                 if i < last:
-                    if work is not None:
-                        np.greater(out, 0.0, out=work.masks[i][rows])
                     np.maximum(out, 0.0, out=out)
                 h = out
-        return result
+        return acts[-1]
 
     def backward(self, work: Workspace, grad_logits: np.ndarray):
         """Parameter gradients given upstream dL/dlogits.
 
-        ``work`` is the Workspace forward() filled; the deltas overwrite its
-        hidden activations, so only the logits stay.  Returns (weight grads,
-        bias grads); they are its buffers, overwritten by the next backward()
-        on it.
+        ``work`` is the Workspace forward() filled; backward() writes the ReLU
+        gates into its masks and the deltas over its hidden activations, so
+        only the logits stay.  Returns (weight grads, bias grads); they are
+        its buffers, overwritten by the next backward() on it.
         """
         delta = np.asarray(grad_logits, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -120,7 +113,8 @@ class MlpModel:
             np.matmul(a.T, delta, out=work.grads_w[i])
             np.matmul(work.ones, delta, out=work.grads_b[i])
             if i > 0:
-                # a is spent, so its buffer takes the next delta
+                # the gate: a > 0 after the ReLU iff before; then a takes the delta
+                np.greater(a, 0.0, out=work.masks[i - 1])
                 np.matmul(delta, self.weights[i].T, out=a)
                 np.multiply(a, work.masks[i - 1], out=a)
                 delta = a
@@ -196,8 +190,8 @@ class Adam:
 
 
 class Workspace:
-    """The arrays one forward() and backward() pair writes, for ``rows``
-    inputs to a network of layer widths ``sizes``."""
+    """What forward() writes (x, acts) and backward() writes (masks, deltas
+    over acts, grads), for ``rows`` inputs to a network of widths ``sizes``."""
 
     def __init__(self, sizes, rows):
         layers = list(zip(sizes, sizes[1:]))

@@ -82,15 +82,16 @@ def _mass(posterior: dict, names) -> float:
 
 
 def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
-                      col: Collection, tax: UniversalTaxonomy,
-                      maps: MappingSet) -> float:
+                      col: Collection, maps: MappingSet) -> float:
     """Score of universal class u from one foreign dataset, in [0, 1].
 
     Zero when the ground truth does not map to u or the foreign dataset has
     no class mapping to u, as when no foreign class meets the ground truth.
-    Raises OrthogonalDataset when a foreign class maps to u but the foreign
-    classes that meet the ground truth carry no probability mass.
+    Raises ValidationError for a posterior ForeignPrediction.validate
+    rejects, and OrthogonalDataset when a foreign class maps to u but the
+    foreign classes that meet the ground truth carry no probability mass.
     """
+    foreign.validate(col)
     gt_dataset, gt_class = gt_label
     candidates = sorted(maps.mapped(gt_dataset, gt_class))
     if u not in candidates:
@@ -109,7 +110,7 @@ def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
 
 
 def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
-                          tax: UniversalTaxonomy, maps: MappingSet, plans=None):
+                          maps: MappingSet, plans=None):
     """Universal pseudo-label for one sample.
 
     Returns (universal id, per-candidate score dict, flags).  Flags record
@@ -120,7 +121,7 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
 
     ``plans`` memoises the scan of the foreign classes per (ground-truth
     label, foreign dataset); one dict serves every call on the same
-    collection, taxonomy and mappings.
+    collection and mappings.
     """
     gt_dataset, gt_class = gt_label
     candidates = sorted(maps.mapped(gt_dataset, gt_class))
@@ -189,7 +190,7 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
             gt = (require_field(record, "gt_dataset", str),
                   require_field(record, "gt_class", str))
             foreign = _foreign_predictions(record.get("foreign", {}))
-            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, tax, maps, plans)
+            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, maps, plans)
         except (ValidationError, NotFound) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
         yield {

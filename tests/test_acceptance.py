@@ -370,7 +370,7 @@ def test_criterion_11_pseudo_labeler():
     tax, maps = build_universal_from_atoms(col)
     foreign = ForeignPrediction("VIPER", {"truck": 0.5, "van": 0.3, "car": 0.2})
     score = conditional_score(foreign, ("Vistas", "car"), uid_of(tax, "pickup"),
-                              col, tax, maps)
+                              col, maps)
     assert score == 0.5
 
     spec = problems.two_split_problem(seed=0)
@@ -387,7 +387,7 @@ def test_criterion_11_pseudo_labeler():
         foreign = ForeignPrediction(
             foreign_ds, {c: w / total for c, w in zip(classes, weights)}
         )
-        label, scores, _ = ensemble_pseudo_label([foreign], gt, col, tax, maps)
+        label, scores, _ = ensemble_pseudo_label([foreign], gt, col, maps)
         assert label in maps.mapped(*gt)
     print("criterion 11 (pseudo-labeler worked example and mapped-set property): PASS")
 

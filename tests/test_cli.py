@@ -531,11 +531,12 @@ ORPHAN_COLLECTION = {"atoms": ["a", "b"],
 
 BAD_INPUTS = {
     "foreign-list": lambda tmp, vehicles: (
-        _pseudo_label(tmp, vehicles, [1]), 1, ["line 1", "'foreign'"]),
+        _pseudo_label(tmp, vehicles, [1]), 1, ["in.jsonl", "line 1", "'foreign'"]),
     "foreign-text": lambda tmp, vehicles: (
-        _pseudo_label(tmp, vehicles, {"VIPER": "x"}), 1, ["line 1", "'foreign.VIPER'"]),
+        _pseudo_label(tmp, vehicles, {"VIPER": "x"}), 1,
+        ["in.jsonl", "line 1", "'foreign.VIPER'"]),
     "foreign-null": lambda tmp, vehicles: (
-        _pseudo_label(tmp, vehicles, None), 1, ["line 1", "'foreign'"]),
+        _pseudo_label(tmp, vehicles, None), 1, ["in.jsonl", "line 1", "'foreign'"]),
     "build-out-directory": lambda tmp, vehicles: (
         ["build", "--atoms", vehicles, "--out", str(tmp)], 2, [str(tmp)]),
     "check-not-utf8": lambda tmp, vehicles: (

@@ -191,3 +191,21 @@ def test_uncached_forward_holds_one_block_beside_its_result():
         tracemalloc.stop()
     assert logits.shape == (100_000, 13)
     assert peak < logits.nbytes + 2**20
+
+
+def test_backward_takes_its_own_relu_gates():
+    # backward() must not read masks left in the workspace by anything before it
+    model = MlpModel([2, 16, 16, 5], SplitMix64(4))
+    rng = np.random.default_rng(8)
+    x = rng.normal(scale=3.0, size=(700, 2))
+    grad_logits = rng.normal(size=(700, 5))
+    clean = Workspace(model.sizes, len(x))
+    model.forward(x, clean)
+    want = model.backward(clean, grad_logits)
+    stale = Workspace(model.sizes, len(x))
+    model.forward(x, stale)
+    for mask in stale.masks:
+        mask[:] = True
+    got = model.backward(stale, grad_logits)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert a.tobytes() == b.tobytes()

@@ -49,10 +49,10 @@ def test_pickup_worked_example():
     col, tax, maps, uid = rich_vehicle_setup()
     foreign = ForeignPrediction("VIPER", {"truck": 0.5, "van": 0.3, "car": 0.2})
     gt = ("Vistas", "car")
-    assert conditional_score(foreign, gt, uid["pickup"], col, tax, maps) == 0.5
-    assert conditional_score(foreign, gt, uid["van"], col, tax, maps) == 0.3
-    assert conditional_score(foreign, gt, uid["car"], col, tax, maps) == 0.2
-    label, scores, flags = ensemble_pseudo_label([foreign], gt, col, tax, maps)
+    assert conditional_score(foreign, gt, uid["pickup"], col, maps) == 0.5
+    assert conditional_score(foreign, gt, uid["van"], col, maps) == 0.3
+    assert conditional_score(foreign, gt, uid["car"], col, maps) == 0.2
+    label, scores, flags = ensemble_pseudo_label([foreign], gt, col, maps)
     assert label == uid["pickup"]
     assert scores[uid["pickup"]] == 0.5
     assert flags == []
@@ -81,15 +81,15 @@ def test_renormalization_over_intersecting_classes():
         "VIPER", {"truck": 0.25, "van": 0.15, "car": 0.1, "bus": 0.5}
     )
     gt = ("Vistas", "car")
-    assert conditional_score(foreign, gt, uid["pickup"], col, tax, maps) == pytest.approx(0.5)
-    assert conditional_score(foreign, gt, uid["van"], col, tax, maps) == pytest.approx(0.3)
-    assert conditional_score(foreign, gt, uid["car"], col, tax, maps) == pytest.approx(0.2)
+    assert conditional_score(foreign, gt, uid["pickup"], col, maps) == pytest.approx(0.5)
+    assert conditional_score(foreign, gt, uid["van"], col, maps) == pytest.approx(0.3)
+    assert conditional_score(foreign, gt, uid["car"], col, maps) == pytest.approx(0.2)
 
 
 def test_confident_foreign_truck_selects_pickup():
     col, tax, maps, uid = vehicle_setup()
     foreign = ForeignPrediction("VIPER", {"truck": 1.0})
-    label, scores, _ = ensemble_pseudo_label([foreign], ("Vistas", "car"), col, tax, maps)
+    label, scores, _ = ensemble_pseudo_label([foreign], ("Vistas", "car"), col, maps)
     assert label == uid["pickup"]
     assert scores[uid["pickup"]] == 1.0
 
@@ -111,7 +111,7 @@ def test_pseudo_label_always_in_mapped_set():
         foreign = ForeignPrediction(
             foreign_ds, {c: w / total for c, w in zip(classes, weights)}
         )
-        label, scores, _ = ensemble_pseudo_label([foreign], gt, col, tax, maps)
+        label, scores, _ = ensemble_pseudo_label([foreign], gt, col, maps)
         mapped = maps.mapped(*gt)
         assert label in mapped
         assert set(scores) == set(mapped)
@@ -137,8 +137,8 @@ def test_orthogonal_dataset_flagged():
     foreign = ForeignPrediction("D2", {"w": 0.0, "z": 1.0})
     with pytest.raises(OrthogonalDataset):
         uid = next(iter(maps.mapped("D1", "x")))
-        conditional_score(foreign, ("D1", "x"), uid, col, tax, maps)
-    label, scores, flags = ensemble_pseudo_label([foreign], ("D1", "x"), col, tax, maps)
+        conditional_score(foreign, ("D1", "x"), uid, col, maps)
+    label, scores, flags = ensemble_pseudo_label([foreign], ("D1", "x"), col, maps)
     assert "orthogonal:D2" in flags
     assert "all-zero-fallback" in flags
     assert label == sorted(maps.mapped("D1", "x"))[0]
@@ -161,20 +161,20 @@ def test_orthogonal_means_no_mass_where_the_ground_truth_is_met():
     (uid,) = maps.mapped("D1", "x")
     massless = ForeignPrediction("D2", {"v": 0.0, "t": 1.0})
     with pytest.raises(OrthogonalDataset) as info:
-        conditional_score(massless, ("D1", "x"), uid, col, tax, maps)
+        conditional_score(massless, ("D1", "x"), uid, col, maps)
     assert str(info.value) == "the classes of 'D2' that meet D1.x carry no probability mass"
-    assert ensemble_pseudo_label([massless], ("D1", "x"), col, tax, maps)[2] == [
+    assert ensemble_pseudo_label([massless], ("D1", "x"), col, maps)[2] == [
         "all-zero-fallback", "orthogonal:D2"]
     disjoint = ForeignPrediction("D3", {"w": 1.0})
-    assert conditional_score(disjoint, ("D1", "x"), uid, col, tax, maps) == 0.0
-    assert ensemble_pseudo_label([disjoint], ("D1", "x"), col, tax, maps)[2] == [
+    assert conditional_score(disjoint, ("D1", "x"), uid, col, maps) == 0.0
+    assert ensemble_pseudo_label([disjoint], ("D1", "x"), col, maps)[2] == [
         "all-zero-fallback"]
 
 
 def test_same_dataset_predictions_are_skipped():
     col, tax, maps, uid = vehicle_setup()
     native = ForeignPrediction("Vistas", {"car": 1.0})
-    label, scores, flags = ensemble_pseudo_label([native], ("Vistas", "car"), col, tax, maps)
+    label, scores, flags = ensemble_pseudo_label([native], ("Vistas", "car"), col, maps)
     assert "all-zero-fallback" in flags
 
 
@@ -203,13 +203,24 @@ def test_foreign_prediction_rejects_values_that_cancel_to_one():
     ForeignPrediction("VIPER", {"truck": 1, "car": 0}).validate(col)
 
 
+@pytest.mark.parametrize("posterior, named", [
+    ({"truck": float("nan")}, "truck"), ({"truck": 2.0}, "truck"),
+    ({"truck": -1.0}, "truck"), ({"truck": "x"}, "truck"), ({"spaceship": 1.0}, "spaceship"),
+])
+def test_conditional_score_validates_its_posterior(posterior, named):
+    col, _, maps, uid = vehicle_setup()
+    foreign = ForeignPrediction("VIPER", posterior)
+    with pytest.raises(ValidationError, match=f"'VIPER'.*'{named}'"):
+        conditional_score(foreign, ("Vistas", "car"), uid["pickup"], col, maps)
+
+
 def test_unknown_ground_truth_rejected():
     col = collection_from_dict(problems.rider_collection())
     tax, maps = build_universal_from_atoms(col)
     with pytest.raises(NotFound):
-        ensemble_pseudo_label([], ("CamVid", "no-such-class"), col, tax, maps)
+        ensemble_pseudo_label([], ("CamVid", "no-such-class"), col, maps)
     with pytest.raises(NotFound):
-        ensemble_pseudo_label([], ("A", "bicycle"), col, tax, maps)
+        ensemble_pseudo_label([], ("A", "bicycle"), col, maps)
 
 
 def test_relabel_stream_round_trip():
@@ -371,8 +382,8 @@ def _check_against_the_reference_scan(foreign, gt, col, tax, maps, plans, seen):
     conditional_score, bit for bit against the reference scan; ``seen``
     counts the cases met."""
     expected = _reference_ensemble(foreign, gt, col, tax, maps)
-    for got in (ensemble_pseudo_label(foreign, gt, col, tax, maps, plans),
-                ensemble_pseudo_label(foreign, gt, col, tax, maps)):
+    for got in (ensemble_pseudo_label(foreign, gt, col, maps, plans),
+                ensemble_pseudo_label(foreign, gt, col, maps)):
         assert got[0] == expected[0] and got[2] == expected[2]
         assert {u: s.hex() for u, s in got[1].items()} == {
             u: s.hex() for u, s in expected[1].items()}
@@ -383,7 +394,7 @@ def _check_against_the_reference_scan(foreign, gt, col, tax, maps, plans, seen):
             except OrthogonalDataset as exc:
                 want = str(exc)
             try:
-                have = conditional_score(f, gt, u, col, tax, maps).hex()
+                have = conditional_score(f, gt, u, col, maps).hex()
             except OrthogonalDataset as exc:
                 have = str(exc)
             assert have == want

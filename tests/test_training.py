@@ -111,7 +111,7 @@ def _readers_of_an_empty_mapped_set():
                                spec, tax, broken, data),
         "dataset_scores": lambda: dataset_scores(space, model, data.test_points[:4],
                                                  label[0], broken, col),
-        "ensemble_pseudo_label": lambda: ensemble_pseudo_label([], label, col, tax, broken),
+        "ensemble_pseudo_label": lambda: ensemble_pseudo_label([], label, col, broken),
         "nll_plus": lambda: nll_plus(np.zeros(space.k), label, broken),
     }
 
@@ -412,6 +412,25 @@ def test_mode_names_appear_only_in_the_mode_table():
                     stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert stray == []
     assert in_table == set(MODES)
+
+
+def test_every_parameter_is_read():
+    """Each function of the package, methods included, reads every
+    parameter it takes (self and cls aside), so that no argument is
+    threaded through and dropped."""
+    unread = []
+    for path in sorted(Path(training.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}: {node.name}({p})" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert unread == []
 
 
 def test_exp_and_log_appear_only_in_losses():
