@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from .errors import NotFound, OrthogonalDataset, ValidationError, require_field
 from .taxonomy import Collection, MappingSet, UniversalTaxonomy
 
+# json.loads(s) for a str is this decoder's raw_decode plus a BOM check and
+# an "Extra data" check, which relabel_stream makes itself on each line.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 @dataclass(frozen=True)
 class ForeignPrediction:
@@ -117,41 +121,53 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     the foreign datasets that put no mass on their classes meeting the
     ground truth ("orthogonal:<dataset>") and the all-zero fallback to the
     lowest candidate id.  A foreign dataset with no class meeting the
-    ground truth scores zero and is not flagged.
+    ground truth scores zero and is not flagged.  Every posterior is
+    checked by ForeignPrediction.validate, that of the ground truth's own
+    dataset too, which is then skipped.
 
-    ``plans`` memoises the scan of the foreign classes per (ground-truth
-    label, foreign dataset); one dict serves every call on the same
-    collection and mappings.
+    ``plans`` memoises what a record's ground-truth label fixes: per label,
+    its sorted candidates and their output keys (the ids as str), and per
+    (label, foreign dataset) the scan of the foreign classes.  One dict
+    serves every call on the same collection and mappings.
     """
     gt_dataset, gt_class = gt_label
-    candidates = sorted(maps.mapped(gt_dataset, gt_class))
     if plans is None:
         plans = {}
+    label_plan = plans.get((gt_dataset, gt_class))
+    if label_plan is None:
+        candidates = tuple(sorted(maps.mapped(gt_dataset, gt_class)))
+        label_plan = plans[gt_dataset, gt_class] = (
+            candidates, tuple(map(str, candidates)), {})
+    candidates, _, foreign_plans = label_plan
     scores = dict.fromkeys(candidates, 0.0)
-    flags = []
+    orthogonal = []
     for foreign in foreign_predictions:
+        foreign.validate(col)
         if foreign.dataset == gt_dataset:
             continue
-        foreign.validate(col)
-        key = (gt_dataset, gt_class, foreign.dataset)
-        plan = plans.get(key)
+        plan = foreign_plans.get(foreign.dataset)
         if plan is None:
-            plan = plans[key] = _plan(gt_label, foreign.dataset, col, maps)
+            plan = foreign_plans[foreign.dataset] = _plan(gt_label, foreign.dataset, col, maps)
         meeting, owners = plan
         if not meeting:
             continue
         denominator = _mass(foreign.posterior, meeting)
         if denominator == 0.0:
-            flags.append(f"orthogonal:{foreign.dataset}")
+            orthogonal.append(f"orthogonal:{foreign.dataset}")
             continue
         for u, owner in zip(candidates, owners):
             if owner is not None:
                 scores[u] += float(foreign.posterior.get(owner, 0.0)) / denominator
-    best = max(candidates, key=lambda u: (scores[u], -u))
-    if all(s == 0.0 for s in scores.values()):
-        flags.append("all-zero-fallback")
-        best = candidates[0]
-    return best, scores, sorted(set(flags))
+    best = candidates[0]
+    if len(candidates) > 1:
+        best = max(candidates, key=lambda u: (scores[u], -u))
+    flags = sorted(set(orthogonal)) if orthogonal else []
+    # Scores are sums of non-negative terms, so the best is 0.0 only when
+    # all are, and max then picks the lowest id; "all-zero-fallback" sorts
+    # before every "orthogonal:" flag.
+    if scores[best] == 0.0:
+        flags.insert(0, "all-zero-fallback")
+    return best, scores, flags
 
 
 def _foreign_predictions(foreign) -> list:
@@ -176,14 +192,25 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
     "foreign": {dataset: {class: prob}}}.  Yields output dicts with the
     pseudo-label, per-candidate scores, and flags.  A record of another
     shape raises a ValidationError naming its line and field.
+
+    Each line is stripped of whitespace (str.strip) and, unless empty,
+    decoded as ``json.loads`` decodes a str: a leading U+FEFF (BOM) and
+    any text after the first JSON value are errors.  A blank line is
+    skipped but still counted in the line numbers.
     """
     plans = {}
+    names = [u.display_name for u in tax.classes]
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            record = json.loads(raw)
+            if raw[0] == "\ufeff":
+                raise json.JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+            record, end = _raw_decode(raw)
+            if end != len(raw):
+                raise json.JSONDecodeError("Extra data", raw, end)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"line {lineno}: not valid JSON ({exc.msg})")
         try:
@@ -196,7 +223,7 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
         yield {
             "sample_id": record.get("sample_id", lineno),
             "pseudo_label": label,
-            "display_name": tax.classes[label].display_name,
-            "scores": {str(u): s for u, s in sorted(scores.items())},
+            "display_name": names[label],
+            "scores": dict(zip(plans[gt][1], scores.values())),
             "flags": flags,
         }

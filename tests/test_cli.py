@@ -537,6 +537,9 @@ BAD_INPUTS = {
         ["in.jsonl", "line 1", "'foreign.VIPER'"]),
     "foreign-null": lambda tmp, vehicles: (
         _pseudo_label(tmp, vehicles, None), 1, ["in.jsonl", "line 1", "'foreign'"]),
+    "foreign-own-dataset-negative": lambda tmp, vehicles: (
+        _pseudo_label(tmp, vehicles, {"VIPER": {"truck": 1.0}, "Vistas": {"car": -3.0}}), 1,
+        ["in.jsonl", "line 1", "'Vistas'", "'car'", "-3.0"]),
     "build-out-directory": lambda tmp, vehicles: (
         ["build", "--atoms", vehicles, "--out", str(tmp)], 2, [str(tmp)]),
     "check-not-utf8": lambda tmp, vehicles: (
@@ -1015,3 +1018,37 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
                 break
             argv = [str(path) if a == "FUZZ" else a for a in huge.choice(commands)]
             exits_cleanly(render(enlarged), argv)
+
+
+def test_mutated_records_name_the_file_and_the_line(tmp_path, capsys):
+    rng = random.Random(2026)
+    atoms = write_json(tmp_path / "vehicles.json", problems.vehicle_mini_collection())
+    path = tmp_path / "records.jsonl"
+    argv = ["pseudo-label", "--atoms", atoms, "--in", str(path),
+            "--out", str(tmp_path / "out.jsonl")]
+    # Vistas car has three candidates, the others two; the first and last
+    # records carry a posterior of their own dataset
+    records = [{"sample_id": "s1", "gt_dataset": "Vistas", "gt_class": "car",
+                "foreign": {"VIPER": {"truck": 1.0}, "ADE20k": {"van": 1.0},
+                            "Vistas": {"car": 1.0}}},
+               {"gt_dataset": "VIPER", "gt_class": "truck", "foreign": {"Vistas": {"car": 1.0}}},
+               {"sample_id": 3, "gt_dataset": "ADE20k", "gt_class": "van",
+                "foreign": {"VIPER": {"truck": 1.0}, "ADE20k": {"van": 1}}}]
+    codes = []
+    for _ in range(150):
+        data = _as_lines(_mutate(rng, records, FUZZ_VALUES) if rng.random() < 0.9 else records,
+                         json.dumps)
+        if rng.random() < 0.2:
+            data = _damage(rng, data)
+        path.write_bytes(data)
+        try:
+            code = run(argv)
+        except Exception as exc:
+            pytest.fail(f"pseudo-label on {data!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "Traceback" not in err, (data, err)
+        if code == 1:
+            assert re.fullmatch(rf"error: {re.escape(str(path))}: "
+                                r"(line \d+: .+|not UTF-8 text \(byte \d+\))\n", err), (data, err)
+        codes.append(code)
+    assert 0 in codes and 1 in codes

@@ -255,6 +255,130 @@ def test_relabel_stream_rejects_bad_lines():
         list(relabel_stream([json.dumps({"gt_dataset": "Vistas"})], col, tax, maps))
 
 
+@pytest.mark.parametrize("posterior, message", [
+    ({"car": "x"}, "gives class 'car' the probability 'x', not a number in [0, 1]"),
+    ({"nope": float("nan")}, "names unknown classes ['nope']"),
+    ({"car": -3.0}, "gives class 'car' the probability -3.0, not a number in [0, 1]"),
+], ids=["text", "unknown-class", "negative"])
+def test_own_dataset_posterior_is_validated_before_it_is_skipped(posterior, message):
+    col, tax, maps, _ = vehicle_setup()
+    own = ForeignPrediction("Vistas", posterior)
+    with pytest.raises(ValidationError) as info:
+        ensemble_pseudo_label([own], ("Vistas", "car"), col, maps)
+    assert str(info.value) == f"foreign posterior for 'Vistas' {message}"
+    line = json.dumps({"gt_dataset": "Vistas", "gt_class": "car",
+                       "foreign": {"VIPER": {"truck": 1.0}, "Vistas": posterior}})
+    with pytest.raises(ValidationError) as info:
+        list(relabel_stream([line], col, tax, maps))
+    assert str(info.value) == f"line 1: foreign posterior for 'Vistas' {message}"
+
+
+GOOD_RECORD = json.dumps({"gt_dataset": "Vistas", "gt_class": "car",
+                          "foreign": {"VIPER": {"truck": 1.0}}})
+
+
+@pytest.mark.parametrize("line, message", [
+    (GOOD_RECORD + " x", "line 1: not valid JSON (Extra data)"),
+    (GOOD_RECORD + GOOD_RECORD, "line 1: not valid JSON (Extra data)"),
+    ("\ufeff" + GOOD_RECORD, "line 1: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (GOOD_RECORD.replace("1.0", "NaN"),
+     "line 1: foreign posterior for 'VIPER' gives class 'truck' the probability nan, "
+     "not a number in [0, 1]"),
+    ("[" + GOOD_RECORD + "]", "line 1: field 'gt_dataset' is missing or not str"),
+    ("3", "line 1: field 'gt_dataset' is missing or not str"),
+], ids=["trailing-text", "two-objects", "bom", "nan", "array", "number"])
+def test_relabel_stream_decodes_each_line_as_json_loads_does(line, message):
+    col, tax, maps, _ = vehicle_setup()
+    with pytest.raises(ValidationError) as info:
+        list(relabel_stream([line], col, tax, maps))
+    assert str(info.value) == message
+
+
+def test_relabel_stream_strips_lines_and_counts_blank_ones():
+    col, tax, maps, uid = vehicle_setup()
+    lines = ["\x0c" + GOOD_RECORD + "\x0c", "\xa0" + GOOD_RECORD + " \xa0", " \t\x0c\xa0 "]
+    out = list(relabel_stream(lines, col, tax, maps))
+    assert [r["pseudo_label"] for r in out] == [uid["pickup"]] * 2
+    assert [r["sample_id"] for r in out] == [1, 2]
+    with pytest.raises(ValidationError) as info:
+        list(relabel_stream(lines + ["not json"], col, tax, maps))
+    assert str(info.value) == "line 4: not valid JSON (Expecting value)"
+
+
+def _stream_collection():
+    """Vehicles and a bus over three datasets.  Vistas car maps to three
+    universal classes and VIPER truck to two; filtering drops the truck
+    class, which the pickup dominates, so VIPER truck keeps one.  No VIPER
+    class meets Vistas sky, and only Vistas bus meets VIPER bus."""
+    return collection_from_dict({
+        "atoms": ["truck", "pickup", "car", "van", "bus", "sky"],
+        "datasets": [
+            {"name": "VIPER", "classes": [
+                {"name": "truck", "atoms": ["truck", "pickup"]},
+                {"name": "car", "atoms": ["car"]},
+                {"name": "van", "atoms": ["van"]},
+                {"name": "bus", "atoms": ["bus"]},
+            ]},
+            {"name": "Vistas", "classes": [
+                {"name": "car", "atoms": ["car", "van", "pickup"]},
+                {"name": "bus", "atoms": ["bus"]},
+                {"name": "sky", "atoms": ["sky"]},
+            ]},
+            {"name": "ADE20k", "classes": [
+                {"name": "van", "atoms": ["van", "pickup"]},
+                {"name": "sky", "atoms": ["sky"]},
+            ]},
+        ],
+    })
+
+
+def test_relabel_stream_matches_the_function_record_by_record():
+    rng = random.Random(97)
+    col = _stream_collection()
+    built = build_universal_from_atoms(col)
+    filtered = filter_untrainable(*built)
+    assert filtered[2]
+    labels = [(ds, c) for ds in col.datasets for c in ds.classes]
+    lines = []
+    for i in range(600):
+        gt_ds, gt_cls = rng.choice(labels)
+        chosen = [ds for ds in col.datasets if rng.random() < 0.6] or [gt_ds]
+        record = {"gt_dataset": gt_ds.name, "gt_class": gt_cls.name,
+                  "foreign": {ds.name: _random_posterior(rng, ds, gt_cls.atoms)
+                              for ds in chosen}}
+        if rng.random() < 0.8:
+            record["sample_id"] = f"s{i}"
+        lines.append(json.dumps(record))
+        if rng.random() < 0.1:
+            lines.append("")
+    seen = dict.fromkeys(["one candidate", "three candidates", "orthogonal", "all-zero",
+                          "own dataset"], 0)
+    for tax, maps, *_ in (built, filtered):
+        got = list(relabel_stream(lines, col, tax, maps))
+        expected = []
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            record = json.loads(line)
+            gt = (record["gt_dataset"], record["gt_class"])
+            foreign = [ForeignPrediction(ds, post) for ds, post in record["foreign"].items()]
+            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, maps, plans=None)
+            expected.append({"sample_id": record.get("sample_id", lineno),
+                             "pseudo_label": label,
+                             "display_name": tax.classes[label].display_name,
+                             "scores": {str(u): s for u, s in sorted(scores.items())},
+                             "flags": flags})
+            seen["one candidate"] += len(scores) == 1
+            seen["three candidates"] += len(scores) == 3
+            seen["orthogonal"] += any(f.startswith("orthogonal:") for f in flags)
+            seen["all-zero"] += "all-zero-fallback" in flags
+            seen["own dataset"] += gt[0] in record["foreign"]
+        assert len(got) == len(expected)
+        for have, want in zip(got, expected):
+            assert json.dumps(have, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert all(seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # the plan per (ground-truth label, foreign dataset) against the scan it
 # replaced
@@ -295,9 +419,9 @@ def _reference_ensemble(foreign_predictions, gt_label, col, tax, maps):
     scores = {u: 0.0 for u in candidates}
     flags = []
     for foreign in foreign_predictions:
+        foreign.validate(col)
         if foreign.dataset == gt_dataset:
             continue
-        foreign.validate(col)
         for u in candidates:
             try:
                 scores[u] += _reference_conditional_score(foreign, gt_label, u, col, tax, maps)
