@@ -84,12 +84,6 @@ class Collection:
                 return ds
         raise NotFound(f"unknown dataset {name!r}")
 
-    def all_classes(self):
-        """Iterate (dataset index, class index, DatasetClass)."""
-        for d, ds in enumerate(self.datasets):
-            for c, cls in enumerate(ds.classes):
-                yield d, c, cls
-
 
 @dataclass(frozen=True)
 class UniversalClass:
@@ -151,7 +145,10 @@ def validate_collection(col: Collection) -> None:
     if len(set(ds_names)) != len(ds_names):
         raise ValidationError("dataset names must be unique")
     referenced = set()
-    for ds in col.datasets:
+    for d, ds in enumerate(col.datasets):
+        if not ds.classes:
+            raise ValidationError(f"field 'datasets[{d}].classes' is empty: dataset "
+                                  f"{ds.name!r} must have at least one class")
         cls_names = [c.name for c in ds.classes]
         if len(set(cls_names)) != len(cls_names):
             raise ValidationError(f"class names must be unique within dataset {ds.name!r}")
@@ -176,25 +173,22 @@ def validate_collection(col: Collection) -> None:
                               f"must be referenced by at least one class")
 
 
-def _signature_groups(col: Collection):
-    """Group the atoms of ``col`` by membership signature.
+def build_universal_from_atoms(col: Collection):
+    """Group atoms by membership signature into disjoint universal classes.
 
-    Returns (groups, by_dataset): the (signature, atom ids) pair of each
-    universal class in id order, sorted by signature, then atom ids, and
-    per dataset name, per class name, the tuple of the ids of the classes
-    inside it.
+    Returns (UniversalTaxonomy, MappingSet).  Class order is deterministic:
+    sorted by signature, then atom ids.  Display names join atom names
+    with "+".
     """
-    signature_of_atom = {i: set() for i in range(len(col.atoms))}
-    for d, c, cls in col.all_classes():
-        for a in cls.atoms:
-            signature_of_atom[a].add((d, c))
-    groups = {}
-    for a in range(len(col.atoms)):
-        sig = frozenset(signature_of_atom[a])
-        groups.setdefault(sig, set()).add(a)
-    ordered = sorted(
-        groups.items(), key=lambda kv: (tuple(sorted(kv[0])), tuple(sorted(kv[1])))
-    )
+    signature_of_atom = [set() for _ in col.atoms]
+    for d, ds in enumerate(col.datasets):
+        for c, cls in enumerate(ds.classes):
+            for a in cls.atoms:
+                signature_of_atom[a].add((d, c))
+    groups = {}  # signature -> atom ids, ascending
+    for a, sig in enumerate(signature_of_atom):
+        groups.setdefault(frozenset(sig), []).append(a)
+    ordered = sorted(groups.items(), key=lambda kv: (tuple(sorted(kv[0])), kv[1]))
     holders = {}  # (dataset index, class index) -> ids of the classes inside it
     for uid, (sig, _) in enumerate(ordered):
         for pair in sig:
@@ -203,31 +197,9 @@ def _signature_groups(col: Collection):
         ds.name: {cls.name: tuple(holders[d, c]) for c, cls in enumerate(ds.classes)}
         for d, ds in enumerate(col.datasets)
     }
-    return [(sig, frozenset(atoms)) for sig, atoms in ordered], by_dataset
-
-
-def build_universal_from_atoms(col: Collection):
-    """Group atoms by membership signature into disjoint universal classes.
-
-    Returns (UniversalTaxonomy, MappingSet).  Class order is deterministic:
-    sorted by signature, then atom ids.  Display names join atom names
-    with "+".
-    """
-    groups, by_dataset = _signature_groups(col)
-    classes = tuple(UniversalClass(uid, atoms, sig, "+".join(col.atom_names(atoms)))
-                    for uid, (sig, atoms) in enumerate(groups))
+    classes = tuple(UniversalClass(uid, frozenset(ids), sig, "+".join(col.atoms[a] for a in ids))
+                    for uid, (sig, ids) in enumerate(ordered))
     return UniversalTaxonomy(classes), MappingSet(by_dataset)
-
-
-def _dominators(signatures) -> dict:
-    """Untrainable class id -> dominator id, for the universal classes whose
-    signatures ``signatures`` lists in id order (see filter_untrainable)."""
-    dominators = {}
-    for u, sig in enumerate(signatures):
-        candidates = [v for v, other in enumerate(signatures) if v != u and sig <= other]
-        if candidates:
-            dominators[u] = max(candidates, key=lambda v: (len(signatures[v]), -v))
-    return dominators
 
 
 def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
@@ -239,7 +211,12 @@ def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
     (ties broken by lowest id).  Returns (taxonomy, mappings, report) where
     the report is a list of (untrainable id, dominator id) pairs.
     """
-    dominators = _dominators([u.signature for u in tax.classes])
+    signatures = [u.signature for u in tax.classes]
+    dominators = {}
+    for u, sig in enumerate(signatures):
+        candidates = [v for v, other in enumerate(signatures) if v != u and sig <= other]
+        if candidates:
+            dominators[u] = max(candidates, key=lambda v: (len(signatures[v]), -v))
     by_dataset = {
         ds: {cls: tuple(u for u in uids if u not in dominators) for cls, uids in per.items()}
         for ds, per in maps.by_dataset.items()
@@ -392,8 +369,9 @@ def validate_universal(col: Collection, data: dict):
     universal entries are read before the mappings, each section in file
     order, and a ValidationError names the first field that is wrong.
     """
-    built, built_maps = _signature_groups(col)
-    derived = _dominators([sig for sig, _ in built])
+    tax, maps = build_universal_from_atoms(col)
+    filtered, kept_maps, _ = filter_untrainable(tax, maps)
+    built, built_maps, derived = tax.classes, maps.by_dataset, filtered.dominators
     index = {name: i for i, name in enumerate(col.atoms)}
     ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
     cls_index = {
@@ -403,7 +381,7 @@ def validate_universal(col: Collection, data: dict):
     classes = []
     dominators = {}
     differs = None  # the first class whose dominator is not the derived one
-    for i, (entry, (built_signature, built_atoms)) in enumerate(zip(entries, built)):
+    for i, (entry, u) in enumerate(zip(entries, built)):
         where = f"universal[{i}]"
         if require_field(entry, "id", int, where + ".") != i:
             raise ValidationError(f"field {where + '.id'!r} must be {i}")
@@ -429,9 +407,9 @@ def validate_universal(col: Collection, data: dict):
                     f"field {where + '.trainable'!r} is {json.dumps(trainable)} but "
                     f"{where + '.dominator'!r} is {json.dumps(dominator)}: a class is "
                     f"trainable exactly when it has no dominator")
-        if (atoms, signature) != (built_atoms, built_signature):
+        if (atoms, signature) != (u.atoms, u.signature):
             raise ValidationError(f"field {where!r} must hold the atoms "
-                                  f"{col.atom_names(built_atoms)} and the classes containing them")
+                                  f"{col.atom_names(u.atoms)} and the classes containing them")
         # The dominators are all null (an unfiltered file) or all derived:
         # a class that differs is wrong once some class has a dominator.
         if differs is None and dominator != derived.get(i):
@@ -440,7 +418,8 @@ def validate_universal(col: Collection, data: dict):
             raise ValidationError(f"field 'universal[{differs}].dominator' must be "
                                   f"{json.dumps(derived.get(differs))}, the class filter "
                                   f"derives")
-        classes.append(UniversalClass(i, atoms, signature, display))
+        classes.append(u if display == u.display_name
+                       else UniversalClass(i, atoms, signature, display))
     if len(entries) != len(built):
         raise ValidationError(f"field 'universal' must list the {len(built)} "
                               f"universal classes of the collection, not {len(entries)}")
@@ -457,12 +436,13 @@ def validate_universal(col: Collection, data: dict):
                 raise ValidationError(f"field 'mappings.{ds}.{cls}' names nothing in "
                                       f"the collection")
             uids = tuple(require_list(uids, int, f"mappings.{ds}.{cls}"))
-            contained = built_classes[cls]
-            kept = [u for u in contained if u not in dominators]
-            if sorted(uids) not in (list(contained), kept):
+            contained = list(built_classes[cls])
+            # the file's dominators are none or, checked above, the derived ones
+            kept = list(kept_maps.by_dataset[ds][cls]) if dominators else contained
+            if sorted(uids) not in (contained, kept):
                 raise ValidationError(
                     f"field 'mappings.{ds}.{cls}' must list the universal classes "
-                    f"{list(contained)} it contains, or the trainable ones {kept}")
+                    f"{contained} it contains, or the trainable ones {kept}")
             by_dataset[ds][cls] = uids
         _missing(built_classes, per_class, f"mappings.{ds}")
     _missing(built_maps, mappings, "mappings")

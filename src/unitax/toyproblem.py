@@ -25,6 +25,8 @@ from .taxonomy import (
 
 # samples per concept that a problem may ask for at most
 COUNT_MAX = 100_000
+# every HOLD_OUT-th sample of a concept is held out for testing
+HOLD_OUT = 5
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,8 @@ def problem_from_dict(data: dict):
 
     Concepts reference their universal class by one of its atom names.  A
     missing, mistyped or out-of-range field raises ValidationError naming
-    it, checked as the concept holding it is read.
+    it, checked as the concept holding it is read.  Some concept must count
+    HOLD_OUT samples or more, so that the test set is not empty.
     """
     col = collection_from_dict(data)
     tax, maps = build_universal_from_atoms(col)
@@ -82,6 +85,9 @@ def problem_from_dict(data: dict):
         if not 1 <= count <= COUNT_MAX:
             raise ValidationError(f"field {where + 'count'!r} must lie in 1..{COUNT_MAX}")
         concepts.append(Concept(owner[name], center, std, count))
+    if not any(c.count >= HOLD_OUT for c in concepts):
+        raise ValidationError(f"field 'concepts' must hold a concept with a count of at least "
+                              f"{HOLD_OUT}: every {HOLD_OUT}th sample is held out for testing")
     seed = require_field(data, "seed", int) if "seed" in data else 0
     return ToyProblemSpec(col, tuple(concepts), seed), tax, maps
 
@@ -127,7 +133,7 @@ def generate_toy(spec: ToyProblemSpec, maps: MappingSet) -> ToyData:
         # the scalar cx + std * z, with z drawn x first, then y
         xy = np.asarray(concept.center) + concept.std * stream.normals(
             2 * concept.count).reshape(-1, 2)
-        held_out = np.arange(concept.count) % 5 == 4
+        held_out = np.arange(concept.count) % HOLD_OUT == HOLD_OUT - 1
         test_points.append(xy[held_out])
         test_universal.append(np.full(int(held_out.sum()), uid, dtype=np.int64))
         if not any(uid in labels for labels in label_of):

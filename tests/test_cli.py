@@ -489,6 +489,14 @@ def _collapse_run(tmp_path, *options):
             "--out", str(tmp_path / "run")]
 
 
+def _toy_train_edited(tmp_path, problem, edit, mode="universal-nll-plus"):
+    """toy-train for two epochs on ``problem`` after ``edit`` changed it."""
+    edit(problem)
+    spec = write_json(tmp_path / "p.json", problem)
+    return ["toy-train", "--spec", spec, "--mode", mode, "--epochs", "2",
+            "--out", str(tmp_path / "run")]
+
+
 def _overflowing_model(tmp_path, command):
     """``command`` (surface or eval) on a universal-nll-plus model of the
     collapse problem whose weights, finite but near 1e300, overflow every
@@ -646,6 +654,22 @@ BAD_INPUTS = {
         _collapse_run(tmp, "--epochs", "1", "--lr", "1e308"), 1, ["--lr", "1e+308"]),
     "toy-train-epochs-above-max": lambda tmp, vehicles: (
         _collapse_run(tmp, "--epochs", "100001"), 1, ["--epochs must lie in 1..100000"]),
+    # dataset 0 of the intersection problem covers every atom, so no atom
+    # is orphaned when dataset 1 loses its classes
+    "toy-train-dataset-without-classes": lambda tmp, vehicles: (
+        _toy_train_edited(tmp, problems.intersection_problem(0),
+                          lambda p: p["datasets"][1].update(classes=[]), "naive-concat"), 1,
+        ["p.json", "'datasets[1].classes'"]),
+    "build-decls-dataset-without-classes": lambda tmp, vehicles: (
+        ["build", "--decls", _latin1(tmp, "p.decl", "dataset A:\n"),  # ASCII
+         "--out", str(tmp / "out.json")], 1, ["p.decl", "'datasets[0].classes'"]),
+    "toy-train-no-concepts": lambda tmp, vehicles: (
+        _toy_train_edited(tmp, problems.collapse_problem(0), lambda p: p.update(concepts=[])),
+        1, ["p.json", "'concepts'"]),
+    "toy-train-nothing-held-out": lambda tmp, vehicles: (
+        _toy_train_edited(tmp, problems.collapse_problem(0),
+                          lambda p: [c.update(count=4) for c in p["concepts"]]), 1,
+        ["p.json", "'concepts'"]),
     "surface-model-overflowing": lambda tmp, vehicles: (
         _overflowing_model(tmp, "surface"), 1, ["model.json", "'model'", "non-finite"]),
     "eval-model-overflowing": lambda tmp, vehicles: (

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from unitax.taxonomy import (
     DatasetClass,
     DatasetTaxonomy,
     Relation,
+    UniversalTaxonomy,
     build_universal_from_atoms,
     classify_relation,
     collection_from_dict,
@@ -26,6 +28,8 @@ from unitax.taxonomy import (
     validate_collection,
     validate_universal,
 )
+
+from test_resolve import random_collection
 
 
 def vehicles():
@@ -128,6 +132,7 @@ BROKEN_COLLECTIONS = {
     "atom-out-of-range": (["a"], [("D", [("x", [0, 1])])]),
     "overlapping-classes": (["a", "b"], [("D", [("x", [0, 1]), ("y", [1])])]),
     "orphan-atom": (["a", "b"], [("D", [("x", [0])])]),
+    "dataset-without-classes": (["a"], [("D", [("x", [0])]), ("E", [])]),
 }
 
 
@@ -172,6 +177,18 @@ def test_each_reader_checks_its_collection_once(reader, tmp_path, monkeypatch):
                         lambda col: checked.append(col) or original(col))
     read()
     assert len(checked) == 1
+
+
+def test_the_checker_derives_through_the_shipped_builder(monkeypatch):
+    read = _read_taxonomy(None)
+    calls = []
+    for name in ("build_universal_from_atoms", "filter_untrainable"):
+        original = getattr(taxonomy, name)
+        monkeypatch.setattr(taxonomy, name,
+                            lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    read()
+    assert sorted(calls) == ["build_universal_from_atoms", "filter_untrainable"]
 
 
 def test_filter_untrainable_rider():
@@ -239,6 +256,26 @@ def test_taxonomy_round_trip_and_validation():
     assert [u.display_name for u in tax2.classes] == [u.display_name for u in tax.classes]
     assert maps2.by_dataset == maps.by_dataset
     assert validate_universal(col2, taxonomy_to_dict(col2, tax2, maps2)) == (tax2, maps2)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_taxonomy_files_of_random_collections_read_back_as_written(filtered):
+    rng = random.Random(25)
+    for _ in range(40):
+        col = random_collection(rng)
+        tax, maps = build_universal_from_atoms(col)
+        if filtered:
+            tax, maps, _ = filter_untrainable(tax, maps)
+        data = json.loads(json.dumps(taxonomy_to_dict(col, tax, maps)))
+        assert taxonomy_from_dict(data) == (col, tax, maps)
+        # a renamed class comes back under the file's name, the others as built
+        u = rng.randrange(len(tax.classes))
+        data["universal"][u]["display_name"] = "renamed"
+        _, renamed, renamed_maps = taxonomy_from_dict(data)
+        assert renamed == UniversalTaxonomy(
+            tax.classes[:u] + (replace(tax.classes[u], display_name="renamed"),)
+            + tax.classes[u + 1:], tax.dominators)
+        assert renamed_maps == maps
 
 
 def test_unknown_dataset_raises():
