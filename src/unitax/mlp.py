@@ -13,6 +13,17 @@ from .rng import SplitMix64
 ROWS = 512  # forward()'s block: a 64-wide activation of 512 rows is 256 KB
 
 
+def row_blocks(n: int) -> list:
+    """The row blocks forward() runs a batch of ``n`` rows in: near-equal
+    slices of at most ``ROWS`` rows, in order, the last one the largest.
+
+    The blocks are equal, as numpy sends a one-row product to gemv, which
+    rounds unlike gemm; zero rows still make one empty block.
+    """
+    blocks = max(1, -(-n // ROWS))
+    return [slice(j * n // blocks, (j + 1) * n // blocks) for j in range(blocks)]
+
+
 @functools.cache
 def blas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None on
@@ -63,32 +74,34 @@ class MlpModel:
     def forward(self, x: np.ndarray, work: Workspace = None) -> np.ndarray:
         """Logits for inputs of shape (N, in_dim).
 
-        The rows go through all layers in near-equal blocks of at most
-        ``ROWS``, with the bits of a whole-batch pass.  A block's activations
-        stay in L2, and an uncached call holds one block's beside its (N, K)
-        result: a 1000 x 1000 surface peaks at 240-280 MB by mode, not 1 GB.
-        An uncached call allocates each hidden layer's block buffer once and
-        writes every block into a view of it, so a 200 x 200 surface maps
-        two 256 KB buffers, not 158.
+        The rows go through all layers in the blocks of ``row_blocks(N)``.
+        A block's activations stay in L2, and an uncached call holds one
+        block's beside its (N, K) result.  An uncached call allocates each
+        hidden layer's block buffer once and writes every block into a view
+        of it, so a 200 x 200 surface maps two 256 KB buffers, not 158.
 
-        Given a Workspace for ``len(x)`` rows, forward() fills its
-        activations in place, and the returned logits live in it until the
-        next call.
+        A block's logits depend only on its rows, so calling forward() on
+        each block of ``row_blocks(N)`` in turn gives the bits of one call
+        on all N rows, on every OpenBLAS kernel.  On SkylakeX and
+        Sandybridge they are also the bits of a whole-batch pass; on
+        Haswell and Nehalem the 64 x 64 hidden product rounds a row by how
+        many rows share the product, so there they are not.
+
+        Given a Workspace of at least N rows, forward() fills its
+        activations in place, and the returned logits, its first N rows,
+        live in it until the next call.  backward() needs one of exactly N.
         """
         x = np.asarray(x, dtype=np.float64)
         last = len(self.weights) - 1
-        # equal blocks, as numpy sends a one-row product to gemv, which rounds
-        # unlike gemm; zero rows still make one empty block
-        blocks = max(1, -(-len(x) // ROWS))
+        blocks = row_blocks(len(x))
         if work is None:
-            block = -(-len(x) // blocks)
+            block = blocks[-1].stop - blocks[-1].start
             acts = [np.empty((block, w.shape[1])) for w in self.weights[:last]]
             acts.append(np.empty((len(x), self.sizes[-1])))
         else:
             work.x = x
             acts = work.acts
-        for j in range(blocks):
-            rows = slice(j * len(x) // blocks, (j + 1) * len(x) // blocks)
+        for rows in blocks:
             h = x[rows]
             for i, (w, b) in enumerate(zip(self.weights, self.biases)):
                 out = acts[i][:len(h)] if work is None and i < last else acts[i][rows]
@@ -97,7 +110,7 @@ class MlpModel:
                 if i < last:
                     np.maximum(out, 0.0, out=out)
                 h = out
-        return acts[-1]
+        return acts[-1][:len(x)]
 
     def backward(self, work: Workspace, grad_logits: np.ndarray):
         """Parameter gradients given upstream dL/dlogits.

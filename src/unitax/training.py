@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InvalidLogit, TrainingDiverged, ValidationError, load_json,
                      require_field, require_list, write_json)
 from .losses import _top, nll_plus_targets, two_head_joint, universal_posteriors
-from .mlp import Adam, MlpModel, Workspace, one_blas_thread
+from .mlp import Adam, MlpModel, Workspace, one_blas_thread, row_blocks
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
 from .toyproblem import ToyData, ToyProblemSpec, generate_toy
@@ -124,6 +124,13 @@ class ModelSpace:
     def universal_weights(self) -> np.ndarray:
         """Which universal classes each output class meets (outputs x U)."""
         return projection([o.atoms for o in self.outputs], [u.atoms for u in self.universal])
+
+    @cached_property
+    def dataset_weights(self) -> dict:
+        """dataset_scores's projection weights, filled as it asks for them,
+        keyed by what they are read from: post_inference, the dataset's
+        class names and the sets they meet the output classes by."""
+        return {}
 
     @cached_property
     def universal_of(self) -> np.ndarray:
@@ -391,17 +398,22 @@ def dataset_scores(space: ModelSpace, model: MlpModel, x: np.ndarray,
     shape (len(x), len(names)).
     """
     classes = col.dataset(dataset).classes
+    names = tuple(c.name for c in classes)
     if not space.entries:
-        sources = [{u} for u in range(space.n_universal)]
-        targets = [maps.mapped(dataset, c.name) for c in classes]
+        targets = tuple(maps.mapped(dataset, name) for name in names)
     elif post_inference:
-        sources = [o.atoms for o in space.entries]
-        targets = [col.atom_names(c.atoms) for c in classes]
+        targets = tuple(tuple(col.atom_names(c.atoms)) for c in classes)
     else:
-        sources = [o.natives for o in space.entries]
-        targets = [{(dataset, c.name)} for c in classes]
-    weights = projection(sources, targets, void=True)
-    return [c.name for c in classes] + [VOID], own_posterior(space, model, x) @ weights
+        targets = tuple(((dataset, name),) for name in names)
+    key = (post_inference, names, targets)
+    weights = space.dataset_weights.get(key)
+    if weights is None:
+        if not space.entries:
+            sources = [{u} for u in range(space.n_universal)]
+        else:
+            sources = [o.atoms if post_inference else o.natives for o in space.entries]
+        weights = space.dataset_weights[key] = projection(sources, targets, void=True)
+    return [*names, VOID], own_posterior(space, model, x) @ weights
 
 
 def predict_universal(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -412,14 +424,40 @@ def predict_universal(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.n
     class of the universal modes does; otherwise the prediction stays
     unresolved (-1), which the accuracy metrics count as wrong.
     """
-    return space.universal_of[_own_argmax(space, forward_logits(model, x))]
+    return space.universal_of[_own_classes(space, model, x)]
 
 
-def _own_argmax(space: ModelSpace, logits: np.ndarray) -> np.ndarray:
+def _own_classes(space: ModelSpace, model: MlpModel, x: np.ndarray,
+                 finite: bool = False) -> np.ndarray:
+    """_own_argmax of the logits of the 2D points ``x``, one forward() row
+    block at a time.
+
+    Each block of ``mlp.row_blocks`` goes through forward() on its own,
+    which gives the bits of one call on all of ``x``, and its logits are
+    reduced before the next block overwrites them, so no (len(x), K) array
+    is ever held.  A single block takes forward()'s own buffers; more share
+    one block's Workspace.  With ``finite``, raises InvalidLogit when a
+    logit is not finite.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 2)
+    blocks = row_blocks(len(x))
+    work = None
+    if len(blocks) > 1:
+        work = Workspace(model.sizes, blocks[-1].stop - blocks[-1].start)
+    classes = np.empty(len(x), dtype=np.intp)
+    for rows in blocks:
+        logits = model.forward(x[rows], work)
+        if finite and not np.isfinite(logits).all():
+            raise InvalidLogit("logits must be finite")
+        _own_argmax(space, logits, classes[rows])
+    return classes
+
+
+def _own_argmax(space: ModelSpace, logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Argmax over the model's own output classes (ties go to the lowest
     index); sets the dataset head to -inf in place, to copy no columns."""
     logits[:, len(space.outputs):] = -np.inf
-    return np.argmax(logits, axis=1)
+    return np.argmax(logits, axis=1, out=out)
 
 
 def universal_accuracy(space, model, x, y_true) -> float:
@@ -456,18 +494,16 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
     Returns (xs, ys, classes, class_names): the nx x and the ny y
     coordinates, and the (ny, nx) array of class indices, y outer, so that
     ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The grid goes
-    through the model in row blocks of at most ``mlp.ROWS`` points, with
-    the bits of a whole-batch pass, so a 1000 x 1000 grid peaks at 240-280
-    MB by mode (about 1 GB whole-batch); argmax ties go to the lowest index.
-    Raises InvalidLogit when a logit is not finite.
+    through the model by _own_classes, one row block at a time, so a
+    1000 x 1000 grid holds no (10**6, K) logits; argmax ties go to the
+    lowest index.  Raises InvalidLogit when a logit is not finite.
     """
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    grid = np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
-    logits = forward_logits(model, grid)
-    if not np.isfinite(logits).all():
-        raise InvalidLogit("logits must be finite")
-    classes = _own_argmax(space, logits).reshape(ny, nx)
+    grid = np.empty((ny, nx, 2))
+    grid[:, :, 0] = xs
+    grid[:, :, 1] = ys[:, None]
+    classes = _own_classes(space, model, grid, finite=True).reshape(ny, nx)
     return xs, ys, classes, space.class_names()
 
 

@@ -180,6 +180,26 @@ def test_blocked_forward_and_backward_equal_whole_batch_bit_for_bit(monkeypatch,
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("rows", [0, 1, ROWS, ROWS + 1, 3 * ROWS + 24, 26_000])
+def test_row_blocks_cover_the_rows_in_near_equal_blocks(rows):
+    blocks = mlp.row_blocks(rows)
+    sizes = [b.stop - b.start for b in blocks]
+    assert len(blocks) == max(1, -(-rows // ROWS))
+    assert blocks[0].start == 0 and blocks[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert sizes[-1] == max(sizes) <= ROWS and max(sizes) - min(sizes) <= 1
+
+
+def test_forward_fills_the_first_rows_of_a_larger_workspace():
+    # the argmax callers reuse one block's workspace for every block
+    model = MlpModel([2, 64, 64, 13], SplitMix64(2))
+    x = np.random.default_rng(9).normal(scale=3.0, size=(300, 2))
+    work = Workspace(model.sizes, ROWS)
+    got = model.forward(x, work)
+    assert got.shape == (300, 13) and np.shares_memory(got, work.acts[-1])
+    assert got.tobytes() == model.forward(x).tobytes()
+
+
 def test_uncached_forward_holds_one_block_beside_its_result():
     model = MlpModel([2, 64, 64, 13], SplitMix64(3))
     x = np.random.default_rng(7).normal(size=(100_000, 2))

@@ -1,6 +1,11 @@
 import ast
+import ctypes
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,13 +13,14 @@ import numpy as np
 import pytest
 
 from unitax import problems, training
-from unitax.errors import TrainingDiverged, UnmappedLabel, ValidationError
+from unitax.errors import InvalidLogit, TrainingDiverged, UnmappedLabel, ValidationError
 from unitax.losses import (dataset_posterior, logsumexp, nll_plus, nll_plus_grad,
                            nll_plus_targets, universal_posteriors)
 from unitax.mlp import MlpModel, blas_threads
 from unitax.rng import SplitMix64
 from unitax.pseudolabel import ensemble_pseudo_label
-from unitax.taxonomy import MappingSet, build_universal_from_atoms, collection_from_dict
+from unitax.taxonomy import (MappingSet, build_universal_from_atoms, collection_from_dict,
+                             projection)
 from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
     EPOCHS_MAX,
@@ -382,6 +388,111 @@ def test_own_argmax_of_a_heads_space_copies_no_columns():
     assert peak < logits.nbytes / 8, peak
 
 
+def test_decision_surface_checks_the_logits_of_every_block(monkeypatch):
+    spec, tax, _ = cross_problem()
+    space = build_space("per-dataset-heads", spec.collection, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(5))
+    rows = []
+
+    def forward(x, work=None):
+        logits = MlpModel.forward(model, x, work)
+        rows.append(len(x))
+        if len(rows) == 3:
+            logits[-1, -1] = np.nan  # in the dataset head, which no argmax reads
+        return logits
+
+    monkeypatch.setattr(model, "forward", forward)
+    with pytest.raises(InvalidLogit):
+        decision_surface(space, model, -1, 1, -1, 1, 40, 40)
+    assert rows == [400, 400, 400]
+
+
+def test_argmax_callers_hold_no_logits_of_the_whole_batch():
+    spec, tax, _ = problem_from_dict(problems.two_split_problem(0))
+    space = build_space("per-dataset-heads", spec.collection, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(3))
+    x = np.random.default_rng(7).uniform(-4.0, 4.0, (200_000, 2))
+    for call in (lambda: predict_universal(space, model, x),
+                 lambda: decision_surface(space, model, -4, 4, -4, 4, 500, 400)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (N, K) float64 logits of 200,000 points
+        assert peak < 200_000 * space.k * 8 / 3, peak
+
+
+# Runs in a fresh process, so that OPENBLAS_CORETYPE picks the kernel.  For
+# trained two-split models, the classes of predict_universal and
+# decision_surface equal the argmax over the own columns of one forward()
+# call on all rows, and the logits they reduce have its bits.
+_ARGMAX_ON_A_KERNEL = """
+import ctypes
+import numpy as np
+
+corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode(), flush=True)
+
+from unitax import problems, training
+from unitax.toyproblem import generate_toy, problem_from_dict
+
+seen, own_argmax = [], training._own_argmax
+
+def recorded(space, logits, out=None):
+    seen.append(logits.copy())
+    return own_argmax(space, logits, out)
+
+training._own_argmax = recorded
+spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
+data = generate_toy(spec, maps)
+grids = {0: (0, 3), 1: (1, 1), 511: (7, 73), 512: (32, 16), 513: (27, 19), 1560: (40, 39),
+         40_000: (200, 200)}
+for mode in ("universal-nll-plus", "naive-concat", "per-dataset-heads"):
+    config = training.TrainConfig(mode, epochs=10, seed=1)
+    result = training.train(config, spec, tax, maps, data)
+    space, model = result.space, result.model
+    own = len(space.outputs)
+    for n, (nx, ny) in grids.items():
+        x = np.random.default_rng(n).uniform(-4.0, 4.0, (n, 2))
+        xs, ys, _, _ = training.decision_surface(space, model, -4, 4, -3, 3, nx, ny)
+        grid = np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
+        for points, classes in (
+                (x, lambda: training.predict_universal(space, model, x)),
+                (grid, lambda: training.decision_surface(space, model, -4, 4, -3, 3,
+                                                         nx, ny)[2].reshape(-1))):
+            logits = model.forward(points)
+            want = np.argmax(logits[:, :own], axis=1)
+            if points is x:
+                want = space.universal_of[want]
+            seen.clear()
+            assert np.array_equal(classes(), want), (mode, n)
+            assert np.vstack(seen).tobytes() == logits.tobytes(), (mode, n)
+"""
+
+
+@pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell", "Sandybridge", "Nehalem"])
+def test_argmax_callers_equal_the_argmax_of_forward_on_every_openblas_kernel(kernel):
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip(f"OpenBLAS x86-64 kernels do not run on {platform.machine()}")
+    try:
+        ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        pytest.skip("this numpy exports no scipy_openblas_get_corename64_")
+    src = str(Path(training.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _ARGMAX_ON_A_KERNEL],
+                          capture_output=True, text=True, env=env)
+    loaded = done.stdout.split("\n", 1)[0]
+    if done.returncode < 0 or loaded != kernel:
+        pytest.skip(f"this CPU cannot run the {kernel} kernel: it loaded "
+                    f"{loaded or 'none'} and exited with {done.returncode}")
+    assert done.returncode == 0, done.stderr
+
+
 def _docstring_nodes(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -531,6 +642,43 @@ def test_scores_equal_a_row_major_reference_bit_for_bit(mode):
                                                post_inference)
                 assert len(names) == weights.shape[1], (n, ds.name)
                 assert np.array_equal(scores, ref @ weights), (n, ds.name, post_inference)
+
+
+def test_dataset_scores_weights_of_two_mapping_sets_over_one_space():
+    spec, tax, maps = cross_problem()
+    col = spec.collection
+    other = MappingSet({**maps.by_dataset, "D2": {"b1": (0,), "b23": (1,), "b5": (2, 4)}})
+    space = build_space("universal-nll-plus", col, tax)
+    first = _dataset_weights(space, "D2", maps, col, False)
+    second = _dataset_weights(space, "D2", other, col, False)
+    assert not np.array_equal(first, second)
+    for m, weights in ((maps, first), (other, second)):
+        fresh = build_space("universal-nll-plus", col, tax)
+        assert np.array_equal(_dataset_weights(fresh, "D2", m, col, False), weights)
+        assert np.array_equal(_dataset_weights(space, "D2", m, col, False), weights)
+
+
+@pytest.mark.parametrize("mode", ["universal-nll-plus", "naive-concat", "per-dataset-heads"])
+def test_dataset_scores_builds_its_weights_once(monkeypatch, mode):
+    spec, tax, maps = cross_problem()
+    col = spec.collection
+    space = build_space(mode, col, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(1))
+    x = np.random.default_rng(2).uniform(-3.0, 3.0, (9, 2))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return projection(*args, **kwargs)
+
+    monkeypatch.setattr(training, "projection", counted)
+    for post_inference in (False, True):
+        for ds in col.datasets:
+            first = dataset_scores(space, model, x, ds.name, maps, col, post_inference)
+            built = len(calls)
+            again = dataset_scores(space, model, x, ds.name, maps, col, post_inference)
+            assert len(calls) == built, (ds.name, post_inference)
+            assert again[0] == first[0] and np.array_equal(again[1], first[1])
 
 
 # ---------------------------------------------------------------------------
