@@ -32,8 +32,13 @@ from .taxonomy import (
 )
 
 
+def _open_text(path):
+    """``path`` opened to write UTF-8 text with "\\n" line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path, text) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)
 
 
@@ -231,7 +236,9 @@ def _cmd_surface(args):
     grid = _parse_grid(args.grid)
     result = training.load_model(args.model)
     surface = _inference(args, training.decision_surface, result.space, result.model, *grid)
-    _write_text(args.out, training.surface_csv(*surface))
+    # opened only now, so that a model or grid that fails leaves no file
+    with _open_text(args.out) as fh:
+        training.surface_csv(*surface, fh)
     return 0
 
 

@@ -507,16 +507,18 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
     return xs, ys, classes, space.class_names()
 
 
-def surface_csv(xs, ys, classes, class_names) -> str:
-    """The surface as CSV lines ``x,y,class`` in row-major order (y outer,
-    x inner), each coordinate as its shortest round-trip repr.
+def surface_csv(xs, ys, classes, class_names, out) -> None:
+    """Write the surface to the text stream ``out`` as CSV lines
+    ``x,y,class`` in row-major order (y outer, x inner), each coordinate as
+    its shortest round-trip repr.
 
-    The lines go out one run at a time, a run being a stretch of equal
+    The lines are made one run at a time, a run being a stretch of equal
     classes within one grid row: every line of a run ends in the same
-    ``,y,class``, so the run is one join of its x texts.  A trained model's
-    surface has few runs (2-4% of the cells at 200 x 200), and a 1000 x 1000
-    grid takes 70-90 ms against 330-380 ms for a line per cell; a grid whose
-    every cell starts a run takes 2-3 times as long as a line per cell.
+    ``,y,class``, so the run is one join of its x texts.  Each grid row
+    goes to ``out`` as soon as its runs are made, so no more than one row's
+    text is held.  A trained model's surface has few runs (2-4% of the
+    cells at 200 x 200); a grid whose every cell starts a run takes 2-3
+    times as long as a line per cell.
     """
     x_text = [repr(x) for x in xs.tolist()]
     y_text = [repr(y) for y in ys.tolist()]
@@ -525,13 +527,17 @@ def surface_csv(xs, ys, classes, class_names) -> str:
     starts = np.ones(classes.shape, dtype=bool)
     np.not_equal(classes[:, 1:], classes[:, :-1], out=starts[:, 1:])
     starts = np.flatnonzero(starts)
-    parts = ["x,y,class\n"]
+    out.write("x,y,class\n")
+    parts = []
     for start, stop, c in zip(starts.tolist(), [*starts[1:].tolist(), classes.size],
                               classes.reshape(-1)[starts].tolist()):
         row, i = divmod(start, nx)
+        if not i:  # a new grid row: the one before it is whole
+            out.write("".join(parts))
+            parts.clear()
         tail = f",{y_text[row]},{class_names[c]}\n"
         parts += (tail.join(x_text[i:i + stop - start]), tail)
-    return "".join(parts)
+    out.write("".join(parts))
 
 
 def save_model(path, result: TrainResult) -> None:

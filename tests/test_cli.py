@@ -550,6 +550,9 @@ BAD_INPUTS = {
         ["in.jsonl", "line 1", "'Vistas'", "'car'", "-3.0"]),
     "build-out-directory": lambda tmp, vehicles: (
         ["build", "--atoms", vehicles, "--out", str(tmp)], 2, [str(tmp)]),
+    "surface-out-directory": lambda tmp, vehicles: (
+        ["surface", "--model", _cross_eval_model(tmp, "universal-nll-plus"),
+         "--grid=-1,1,-1,1,2,2", "--out", str(tmp)], 2, [str(tmp)]),
     "check-not-utf8": lambda tmp, vehicles: (
         ["check", "--in", _latin1(tmp, "c.json", LATIN1_COLLECTION)], 1, ["c.json"]),
     "build-atoms-not-utf8": lambda tmp, vehicles: (
@@ -714,6 +717,7 @@ def test_non_finite_outputs_warn_nothing_and_write_nothing(case, tmp_path, vehic
         warnings.simplefilter("error")
         assert run(argv) == expected
     assert set(tmp_path.iterdir()) == before
+    assert not os.path.exists(argv[argv.index("--out") + 1])
 
 
 @pytest.mark.parametrize("fixture", ["vehicles", "rider", "city", "two-split", "decls"])

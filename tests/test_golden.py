@@ -5,6 +5,10 @@ filter, export-matrix, pseudo-label) and the inference commands (eval,
 surface) must keep writing these exact bytes.  The models are seeded and
 untrained, written by ``save_model``, so the bytes depend only on the
 label-space and inference code, not on training numerics.
+
+Trained outputs (toy-train, then eval and surface of its model) depend on
+the training numerics too, whose bits differ between OpenBLAS kernels;
+their digests are kept per kernel, each computed in a process of its own.
 """
 
 import hashlib
@@ -19,6 +23,8 @@ from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
 from unitax.toyproblem import problem_from_dict
 from unitax.training import HIDDEN, MODES, TrainResult, build_space, save_model
+
+from openblas_kernels import KERNELS, run_on_kernel
 
 COLLECTIONS = {
     "vehicles": problems.vehicle_mini_collection,
@@ -159,6 +165,41 @@ def render_model(tmp_path, name, mode):
                     "--dataset", ds.name, "--out", str(path)]
             assert run(argv + (["--post-inference"] if post else [])) == 0
             out[path.stem] = _digest(path)
+    return out
+
+
+TRAINED_PROBLEMS = {
+    "collapse": problems.collapse_problem,
+    "cross-eval": problems.cross_eval_problem,
+    "intersection": problems.intersection_problem,
+    "two-split": problems.two_split_problem,
+}
+TRAINED_EPOCHS = "40"
+TRAINED_GRID = "--grid=-3,3,-2.5,2.5,57,43"
+
+
+def render_trained(tmp_path):
+    """{"problem/mode": digest} for every mode on every TRAINED_PROBLEMS
+    problem: one sha256 over the named digests of what toy-train writes
+    (model.json, report.json, trace.csv) at TRAINED_EPOCHS, of eval of that
+    model on each dataset, and of its surface on TRAINED_GRID."""
+    out = {}
+    for name, problem in TRAINED_PROBLEMS.items():
+        data = problem()
+        spec = _write(tmp_path / f"{name}.json", data)
+        for mode in MODES:
+            run_dir = tmp_path / name / mode
+            model = str(run_dir / "model.json")
+            assert run(["toy-train", "--spec", spec, "--mode", mode, "--epochs", TRAINED_EPOCHS,
+                        "--out", str(run_dir)]) == 0
+            for ds in data["datasets"]:
+                assert run(["eval", "--model", model, "--spec", spec, "--dataset", ds["name"],
+                            "--out", str(run_dir / f"eval-{ds['name']}.json")]) == 0
+            assert run(["surface", "--model", model, TRAINED_GRID,
+                        "--out", str(run_dir / "surface.csv")]) == 0
+            digests = "".join(f"{path.name} {_digest(path)}\n"
+                              for path in sorted(run_dir.iterdir()))
+            out[f"{name}/{mode}"] = hashlib.sha256(digests.encode()).hexdigest()
     return out
 
 
@@ -337,6 +378,212 @@ GOLDEN_SURFACES = {
 }
 
 
+# toy-train, eval and surface digests by the OpenBLAS kernel that trained the
+# models (render_trained)
+GOLDEN_TRAINED = {
+    "SkylakeX": {
+        "collapse/naive-concat":
+            "6d1c457085a075ea4f58761fc1b01a71c69db641d22cfeb8336628100f3d1eba",
+        "collapse/oracle":
+            "00dece28914f15d46d7cc67acc0644a60d49dcc0798b0a534906928178c2f7f2",
+        "collapse/partial-merge":
+            "c39e2a3ba738ba0b87ebc7a2c01ea81aa39de6c40cd9cbb6cfa3d89e7a5ed848",
+        "collapse/per-dataset-heads":
+            "ab7cc8ba32c772852dd2db9e10dc45868228395016ff27729a960507722772aa",
+        "collapse/universal-nll-max":
+            "a6f06472d8726bd1ad4d5d63135d983f251bdbbc5a73373abf62e16a45bf14fc",
+        "collapse/universal-nll-plus":
+            "6f13f3b3aaff86b57225f72485804247fbc161a94e88e1565189a25d4c3c3616",
+        "cross-eval/naive-concat":
+            "fa2358f3e8178d6640b5acd746043b31ffe9013b97654af279140d234d07d470",
+        "cross-eval/oracle":
+            "2536358ed20267a65b1670799e2c85f28783d1e2e7d130c7e60986fd88eb38be",
+        "cross-eval/partial-merge":
+            "9a00fed0f7a5857d4097312f3301cc0fc27f1b2c8c5031ee7d9ff2f78cf634bd",
+        "cross-eval/per-dataset-heads":
+            "e80334f2164330b11a3e6b562b999d14e4d910d4b646e83b9430e4018a65e120",
+        "cross-eval/universal-nll-max":
+            "f093f9577e0affb7e4dc259fe8ce5690b53ea522db7a489ade592b9e47bcc0ea",
+        "cross-eval/universal-nll-plus":
+            "9e4c2533b19b9c57df90287530202c28f63f267002228b6cf99d545b40f74a23",
+        "intersection/naive-concat":
+            "e7632963537bd8c72675b000cccffa3d2f939ecc7d900642c6a5399bd20d5c3d",
+        "intersection/oracle":
+            "a238e75b57ae0e449285fdaf0bcc5d6f5dc63982bb9024ab231535209ab01ba6",
+        "intersection/partial-merge":
+            "d9a0ec239b16ea1198658d7f4c467c340878b9fd6c0e1bf688ac5f64aa28882e",
+        "intersection/per-dataset-heads":
+            "624086186b9843cb076d74134f9af7b98062a0c19b7d2bda273d4e4d9829fe7e",
+        "intersection/universal-nll-max":
+            "b3e184ae2dc9fd8deb98d609a621bb3aee15020beeb47a053a2103da4867eb64",
+        "intersection/universal-nll-plus":
+            "32122f117d5896159110e8ec584a4d10dfbc29389df75ccd610e57fd8fb20c26",
+        "two-split/naive-concat":
+            "d3f661f171dd0d012769ef9a7807f00f1066d832a12aef6ef9be7f70c06f7cec",
+        "two-split/oracle":
+            "d3bcb2c110ca95d52c01a52ea946d9f1738e286b83150616e5fc3ae8d37e28ef",
+        "two-split/partial-merge":
+            "919c8d92f62d07c4713eeae4327430fb818ed144d6d2b41088c63ced62fabb2b",
+        "two-split/per-dataset-heads":
+            "9abbdd4cc40e0a95485394666d21bacb4ef17ea1c291c2715bcfc3a2e9617f6f",
+        "two-split/universal-nll-max":
+            "e5824d43f72cba36b3137ad1de2790f4d3cd8adb8813055f93e2502393b5ec43",
+        "two-split/universal-nll-plus":
+            "60713b3984f10d6566ae5245e91497612c66f6d933aeae5d5d5f66a06d61059e",
+    },
+    "Haswell": {
+        "collapse/naive-concat":
+            "8ae11ecb5ebfd7e7a0bbd911ceceb4d439c04802192eb72d1accd856a04af6dc",
+        "collapse/oracle":
+            "f6013cacb1d587081c0c23fd345380f583e0d0d3edb40fdf128c2602282ef033",
+        "collapse/partial-merge":
+            "60d8d3623a07abd48f40cce0918d6187e4ae8d83a3ba3b5aaac19770e7f27316",
+        "collapse/per-dataset-heads":
+            "a634040c05301ffb115a0f3d2a138e89b746d4b9bf1f93932cc6305d7957d0ef",
+        "collapse/universal-nll-max":
+            "5deb5c7e3c9e4690834f81dfd7fb76975363bf57a8f6c3a7e38b27855eeff640",
+        "collapse/universal-nll-plus":
+            "84e5330e726df96dab7cf91e3bdc4f02c2a5550e9e727e97528d170dabd7c4f7",
+        "cross-eval/naive-concat":
+            "28a70a565d9c963e2b91ea3f0667b7c18ada7944cc96957b9064784247f25622",
+        "cross-eval/oracle":
+            "4a8e9e4b7b5f01af788468448ada5df288da9b78d4352529581410fb890e844a",
+        "cross-eval/partial-merge":
+            "47d2779cacc4ac8350859d020e09f31757be8e51fc825e86987e7e2d9dc378d1",
+        "cross-eval/per-dataset-heads":
+            "2215147e7070626d006675102d16af51ba01e967b22b43049ed3673d2eef67e8",
+        "cross-eval/universal-nll-max":
+            "2b76dff4df6c955e58a471656ee87da0b400a46819662fc6e052667cf096d880",
+        "cross-eval/universal-nll-plus":
+            "2a0f87493deb74becabdc3aaca99018e20f1c1461c0ce3ce381a0f30247f8694",
+        "intersection/naive-concat":
+            "abe48ca7c9e0dfdd70ae82f89086fd4c6d1f015087773cd994b8cbc666607e5d",
+        "intersection/oracle":
+            "53a2fbe051a6cdbba309838d291980f00642c69854c6138bcc741ddcc14eeb14",
+        "intersection/partial-merge":
+            "61634591467271cd505145e9454eb0c70ca777564c628259057b8a861b153ad4",
+        "intersection/per-dataset-heads":
+            "9fd9f0d0b12b0a3c35a6f8f51ef770f08070ec41184d5f57c993473c559e34c2",
+        "intersection/universal-nll-max":
+            "1f160764b1bc2aca3e5338976f6831e14ebab93e79c39995d9defb162cbadd5d",
+        "intersection/universal-nll-plus":
+            "b8b0be89b05c23b381aaa39831114a080eeb81d19fe77cba4ad1d658279e7043",
+        "two-split/naive-concat":
+            "8bba23e010715373cee99cc16cd6c06fe272d23eb9345e1e92e2f4f82b93d6cc",
+        "two-split/oracle":
+            "a8515edab12fad2e7368b034d213062110affda7a3c862977c04feb245a660b6",
+        "two-split/partial-merge":
+            "ae70d57ab4aba2ed43fc6c9bf3d7b069f289b85af45516a65f810da987b180ab",
+        "two-split/per-dataset-heads":
+            "72f034528e56c8fef05a6175819d5ee287143bf9df21d58b0388c9cf0e39e588",
+        "two-split/universal-nll-max":
+            "1450643e82e72bcdb95b5bc3ed0bc31a6b3fbb985fece9925b821dac111f249c",
+        "two-split/universal-nll-plus":
+            "31118d3b4ac92765c9f6b7ca95955d2a8a6262a2f90cc1407ae55c3c467dfba2",
+    },
+    "Sandybridge": {
+        "collapse/naive-concat":
+            "975768a6439435c137ab074efb9a0f51537f722f566e522a8f6ef7237a83d951",
+        "collapse/oracle":
+            "d39f60779fac96fc7252d22486cec10b2352f3590ca848b77946eea3897f81b2",
+        "collapse/partial-merge":
+            "014c570f43926dbb479694f9a318b809e1bf251d6b8b18780ed35dadf3cb41ca",
+        "collapse/per-dataset-heads":
+            "32442acfcd8bce660863e554898175d9cc868164e399ac4d42fe2b025b60bdf0",
+        "collapse/universal-nll-max":
+            "5dcd2e827f7bb19e645e4b8cd7a28a664cc2e343ffb38707ba0f4d016eca250a",
+        "collapse/universal-nll-plus":
+            "cf43432ce986e4cd3567d9a98e860ba5c7fcf5b00b95d99878e4f09588c6d880",
+        "cross-eval/naive-concat":
+            "bc80c30ecd34db84bedee7f5afa399d320cda3d8a6eb68b5c0d3781e506481c8",
+        "cross-eval/oracle":
+            "e1bee3cad1c19bd0cfe17383d2f6ed4a305e39888b1b23561eef9415cb892089",
+        "cross-eval/partial-merge":
+            "d9350737c31a236bc61a513a21932d4a537d2bd3cf324966d740c6583c0e0d96",
+        "cross-eval/per-dataset-heads":
+            "6a3ec06083f2f7006feaee445edad67ad13dbda60f7507eb0bc727bcfffe1849",
+        "cross-eval/universal-nll-max":
+            "4f09da411eef7cc52e0a637b3f8071d00b472ad8ed67ba2ae3847518688f575c",
+        "cross-eval/universal-nll-plus":
+            "c6b689572c3d34c3a0cfe3c66ba504c6b692c445000c804491320461c6d66bc0",
+        "intersection/naive-concat":
+            "54e20fe2b9e0977c6f014a95b14c6d2f4b72e68f8e73117e55e14d58fa2a306e",
+        "intersection/oracle":
+            "ab88ae90eb76829783cc626daab8d18ef4484a5c758fd28e2f74715367eac63d",
+        "intersection/partial-merge":
+            "2b33ceb37c9563085ac160be7d7b81043837b7d56ddc4fd90b8c97f6ad589c81",
+        "intersection/per-dataset-heads":
+            "4247c1b6ab7293df1230bc4001a334acc74c6fa37873c88d555e06a20bfcdee5",
+        "intersection/universal-nll-max":
+            "6c875b86f5a22aab99857e0c58433ad69ff635305dcd48362fb0208e3c38bcd2",
+        "intersection/universal-nll-plus":
+            "211ef8a47168f8e87d36d478c0f0648366a72810e79ea5468fdbedccbc96e88d",
+        "two-split/naive-concat":
+            "f36783877d59f1eb09686415924afe274ab6f2a48dfbde15d5449cba77e87866",
+        "two-split/oracle":
+            "31b46215615f635d5064cba6ac0bbdb75473b17d861057598b0f04031a518621",
+        "two-split/partial-merge":
+            "ca65071116cfdb9dff90c3eef1a941f84eaa75cea252f47d557faebba08f8313",
+        "two-split/per-dataset-heads":
+            "09881a661ed08b57e6245a848ff21e59c140adc43299257e7450e07eccc294b4",
+        "two-split/universal-nll-max":
+            "7eaf0efa531604bbaee551c878be571027dd19b3f1710f9a9755095312fab21f",
+        "two-split/universal-nll-plus":
+            "0dbf6413df6eb429a1cc2d44bad0d2dbd4710998da8dcf90e0cc0118a61ae56a",
+    },
+    "Nehalem": {
+        "collapse/naive-concat":
+            "56f7ded52d896c4ad386dddea1c30c083f545c70b909752d933e55876b778916",
+        "collapse/oracle":
+            "6e303f308629e107a34774533f62ea7953c927a8e69df90a72548b3dae173633",
+        "collapse/partial-merge":
+            "fabb55933a4c14f2a7c58c4e1be4b90956f4142adb57b75f18d4df7c6c807a5d",
+        "collapse/per-dataset-heads":
+            "e60858a2c33116ed0f84e26ac2294c37dba4a2d1a3025aaddce254f404266e3e",
+        "collapse/universal-nll-max":
+            "8f0466234819725bd0f37bdaa184a927f591e480495326c1bc49c2947dffc6b9",
+        "collapse/universal-nll-plus":
+            "9c403560aed8231586b347e5814288f4f1953012c01d48c062a340950e4c24b4",
+        "cross-eval/naive-concat":
+            "79f648c8570518c306d756183e893d8878fadc0c862c3ef32e3941ca94c27450",
+        "cross-eval/oracle":
+            "8e419501ec2e895896619e7a8f418c751266bbeb2d81fdc4f6648f556f9a2b93",
+        "cross-eval/partial-merge":
+            "0bdc9a94feabbe7b9685294baebc819c6ef9c5dd587bd21bd6d6c9f0bfaccd86",
+        "cross-eval/per-dataset-heads":
+            "a4a77d1bcd629778740726f914d6d7d2c473a3a375681df34e7b5d2ce2df17a6",
+        "cross-eval/universal-nll-max":
+            "2743f6fb2cf8faee5683fccda6211d58fb60a4086c3a4f1032b77b6a5520527c",
+        "cross-eval/universal-nll-plus":
+            "01aff01bea691b1d81edfaed72f45f0ae2cee162772a61a4bf86c5987f01297d",
+        "intersection/naive-concat":
+            "b32bbe0ddfcf25bf96289be33d8d31dbdcc10e862960ffd3260bba8f3babe376",
+        "intersection/oracle":
+            "93c075173aeafe6df9421206030e9c130aaa4e47338239a6cd32a8f9a02a68f4",
+        "intersection/partial-merge":
+            "a7ca84b2b04bb9a4d3434f28c1a89e9740fc9b8b3de9b99a68798246b022e71c",
+        "intersection/per-dataset-heads":
+            "0db7b43ce73283c800c82ccc9a3e78a96e9a15a4377f63b8a21c40c9c5f60a3f",
+        "intersection/universal-nll-max":
+            "3e996caddb588bdd198e275bc4f2a0e389c003e10c225bcfbab8373d45f1f860",
+        "intersection/universal-nll-plus":
+            "b95143cec77fa63dc6fd05ababf204e93a2386e2b9eafad6662aaf28fd5b7165",
+        "two-split/naive-concat":
+            "39116b5a65ed36ce7e9b0a7dc7fa0e01bda46716025d2a679a719931587b4bd8",
+        "two-split/oracle":
+            "6e40ec6ec90dad23c7ebb612817fad85f0498982b8a0018dce946d565a2c687c",
+        "two-split/partial-merge":
+            "5b1668e732347805942fd9f5a78374fe78fadd1718347f3994ab496af27983ae",
+        "two-split/per-dataset-heads":
+            "957d8f1f4223a64ccad6283a520e2fb3e5744f9e9b5de4dea30ed2db37272619",
+        "two-split/universal-nll-max":
+            "290d488c8e11a26f1c7c38ee71f3418bf47f79839e47f1877b98e4519672f16e",
+        "two-split/universal-nll-plus":
+            "1440fd4318140c3426b67bad63c4acfc1908c375d19a752b40363aa84110f957",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(COLLECTIONS))
 def test_label_space_outputs_are_golden(tmp_path, name):
     assert render_label_space(tmp_path, name) == GOLDEN_LABEL_SPACE[name]
@@ -361,3 +608,13 @@ def test_inference_outputs_are_golden(tmp_path, name, mode):
 def test_surface_grids_are_golden(tmp_path, grid):
     *_, model_path = _write_model(tmp_path, "two-split", "per-dataset-heads")
     assert render_surface(tmp_path, model_path, grid) == GOLDEN_SURFACES[grid]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_trained_outputs_are_golden_on_every_openblas_kernel(tmp_path, kernel):
+    done = run_on_kernel(kernel, "import json, pathlib, test_golden\n"
+                                 f"print(json.dumps(test_golden.render_trained("
+                                 f"pathlib.Path({str(tmp_path)!r}))))\n")
+    assert done.returncode == 0, done.stderr
+    got, want = json.loads(done.stdout), GOLDEN_TRAINED[kernel]
+    assert got == want, sorted(key for key in want if got.get(key) != want[key])

@@ -7,6 +7,8 @@ from unitax import mlp
 from unitax.mlp import ROWS, Adam, MlpModel, Workspace
 from unitax.rng import SplitMix64
 
+from openblas_kernels import KERNELS, run_on_kernel, runtime_kernel
+
 
 def tiny_model(seed=0, sizes=(2, 4, 3, 2)):
     return MlpModel(list(sizes), SplitMix64(seed))
@@ -156,20 +158,39 @@ def whole_batch_forward(model, x):
     return h
 
 
+# the kernels whose 64 x 64 hidden product rounds a row by how many rows
+# share the product, so that a blocked forward has no whole-batch bits
+ROW_COUNT_KERNELS = ("Haswell", "Nehalem")
+
+
 # output widths of the two-split universal, concat and heads spaces
 @pytest.mark.parametrize("width", [13, 22, 24])
 @pytest.mark.parametrize("rows", [0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 24])
 def test_blocked_forward_and_backward_equal_whole_batch_bit_for_bit(monkeypatch, rows, width):
+    """Whole-batch bits, except on ROW_COUNT_KERNELS: there a batch has the
+    bits of forward() on each of its row blocks in turn, and its forward
+    and backward repeat bit for bit."""
     model = MlpModel([2, 64, 64, width], SplitMix64(width))
     rng = np.random.default_rng(rows)
     x = rng.normal(scale=3.0, size=(rows, 2))
     grad_logits = rng.normal(size=(rows, width))
-    expected = whole_batch_forward(model, x)
+    row_count_kernel = runtime_kernel() in ROW_COUNT_KERNELS
+    if row_count_kernel:
+        expected = np.vstack([model.forward(x[block]) for block in mlp.row_blocks(rows)])
+    else:
+        expected = whole_batch_forward(model, x)
     blocked = Workspace(model.sizes, rows)
     for got in (model.forward(x), model.forward(x, blocked)):
         assert got.shape == (rows, width) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
     got = model.backward(blocked, grad_logits)
+    if row_count_kernel:
+        again = Workspace(model.sizes, rows)
+        assert model.forward(x, again).tobytes() == expected.tobytes()
+        want = model.backward(again, grad_logits)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert a.tobytes() == b.tobytes()
+        return
 
     # with one block for any batch, forward fills the workspace whole-batch
     monkeypatch.setattr(mlp, "ROWS", 10**9)
@@ -178,6 +199,15 @@ def test_blocked_forward_and_backward_equal_whole_batch_bit_for_bit(monkeypatch,
     want = model.backward(whole, grad_logits)
     for a, b in zip(got[0] + got[1], want[0] + want[1]):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_blocked_forward_and_backward_hold_on_every_openblas_kernel(kernel):
+    test = f"{__file__}::test_blocked_forward_and_backward_equal_whole_batch_bit_for_bit"
+    done = run_on_kernel(kernel, f"import pytest\nraise SystemExit(pytest.main("
+                                 f"[{test!r}, '-q', '-p', 'no:cacheprovider']))\n")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "18 passed" in done.stdout, done.stdout
 
 
 @pytest.mark.parametrize("rows", [0, 1, ROWS, ROWS + 1, 3 * ROWS + 24, 26_000])

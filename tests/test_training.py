@@ -1,11 +1,7 @@
 import ast
-import ctypes
 import dataclasses
+import io
 import json
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +39,8 @@ from unitax.training import (
     universal_accuracy,
     universal_scores,
 )
+
+from openblas_kernels import KERNELS, run_on_kernel
 
 
 def cross_problem(seed=0):
@@ -245,11 +243,18 @@ def test_dead_logit_frequencies_sum_to_one():
     assert len(report["dead"]) == len(tax.classes)
 
 
+def csv_text(xs, ys, classes, class_names):
+    """What surface_csv writes, as one string."""
+    out = io.StringIO()
+    surface_csv(xs, ys, classes, class_names, out)
+    return out.getvalue()
+
+
 def test_decision_surface_grid():
     result, *_ = quick_train("oracle", epochs=5)
     xs, ys, classes, names = decision_surface(result.space, result.model, -1, 1, -1, 1, 3, 3)
     assert classes.shape == (3, 3)  # 9 cells
-    csv = surface_csv(xs, ys, classes, names)
+    csv = csv_text(xs, ys, classes, names)
     assert csv.splitlines()[0] == "x,y,class"
     assert len(csv.splitlines()) == 10
     # row-major: y outer, x inner
@@ -294,7 +299,7 @@ def test_surface_csv_matches_the_per_point_reference(mode, grid):
     spec, tax, _ = cross_problem()
     space = build_space(mode, spec.collection, tax)
     model = MlpModel([2, *HIDDEN, space.k], SplitMix64(7))
-    csv = surface_csv(*decision_surface(space, model, *grid))
+    csv = csv_text(*decision_surface(space, model, *grid))
     want = _reference_surface_csv(space, model, *grid)
     same = csv == want  # kept out of the assert, whose diff of long texts is slow
     assert same, next(((i, a, b) for i, (a, b) in
@@ -336,7 +341,34 @@ def test_surface_csv_matches_the_per_point_reference_on_given_classes(kind, shap
     ys = np.linspace(2.5, -2.5, ny)
     classes = SURFACE_CLASSES[kind](nx, ny)
     names = ["road", "car", "pickup", "truck", "van"]
-    assert surface_csv(xs, ys, classes, names) == _per_point_csv(xs, ys, classes, names)
+    assert csv_text(xs, ys, classes, names) == _per_point_csv(xs, ys, classes, names)
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_surface_csv_holds_no_more_than_a_row_of_text():
+    nx = ny = 1000
+    xs = np.linspace(-3, 1e-3, nx)
+    ys = np.linspace(2.5, -2.5, ny)
+    classes = SURFACE_CLASSES["runs-across-rows"](nx, ny)
+    names = ["road", "car"]
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        surface_csv(xs, ys, classes, names, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 30 * nx * ny
+    assert peak < sink.chars / 20, (peak, sink.chars)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -429,12 +461,7 @@ def test_argmax_callers_hold_no_logits_of_the_whole_batch():
 # decision_surface equal the argmax over the own columns of one forward()
 # call on all rows, and the logits they reduce have its bits.
 _ARGMAX_ON_A_KERNEL = """
-import ctypes
 import numpy as np
-
-corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-print(corename().decode(), flush=True)
 
 from unitax import problems, training
 from unitax.toyproblem import generate_toy, problem_from_dict
@@ -473,23 +500,9 @@ for mode in ("universal-nll-plus", "naive-concat", "per-dataset-heads"):
 """
 
 
-@pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell", "Sandybridge", "Nehalem"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_argmax_callers_equal_the_argmax_of_forward_on_every_openblas_kernel(kernel):
-    if platform.machine() not in ("x86_64", "AMD64"):
-        pytest.skip(f"OpenBLAS x86-64 kernels do not run on {platform.machine()}")
-    try:
-        ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
-    except (AttributeError, OSError):
-        pytest.skip("this numpy exports no scipy_openblas_get_corename64_")
-    src = str(Path(training.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", _ARGMAX_ON_A_KERNEL],
-                          capture_output=True, text=True, env=env)
-    loaded = done.stdout.split("\n", 1)[0]
-    if done.returncode < 0 or loaded != kernel:
-        pytest.skip(f"this CPU cannot run the {kernel} kernel: it loaded "
-                    f"{loaded or 'none'} and exited with {done.returncode}")
+    done = run_on_kernel(kernel, _ARGMAX_ON_A_KERNEL)
     assert done.returncode == 0, done.stderr
 
 
