@@ -8,6 +8,7 @@ import functools
 
 import numpy as np
 
+from .errors import ValidationError, require_field
 from .rng import SplitMix64
 
 ROWS = 512  # forward()'s block: a 64-wide activation of 512 rows is 256 KB
@@ -55,18 +56,37 @@ def one_blas_thread():
             calls[1](before)
 
 
+def _layout(sizes):
+    """One float64 vector for a network of widths ``sizes``, and its views:
+    every layer's (fan_in, fan_out) weights in turn, then every layer's
+    biases.  The vector is not initialised."""
+    layers = range(len(sizes) - 1)
+    flat = np.empty(sum([sizes[i] * sizes[i + 1] + sizes[i + 1] for i in layers]))
+    weights, biases, at = [], [], 0
+    for i in layers:
+        weights.append(flat[at:at + sizes[i] * sizes[i + 1]].reshape(sizes[i], sizes[i + 1]))
+        at += sizes[i] * sizes[i + 1]
+    for fan_out in sizes[1:]:
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return flat, weights, biases
+
+
 class MlpModel:
-    """Two hidden ReLU layers: sizes [2, 64, 64, K] by default."""
+    """Two hidden ReLU layers: sizes [2, 64, 64, K] by default.
+
+    All parameters live in one float64 vector, ``params``: every layer's
+    weights in turn, then every layer's biases, the order of parameters().
+    ``weights`` and ``biases`` are views of it, so Adam steps the vector
+    and the layers see the step.
+    """
 
     def __init__(self, sizes, rng: SplitMix64):
         self.sizes = list(sizes)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            w = rng.normals(fan_in * fan_out)
-            self.weights.append(scale * w.reshape(fan_in, fan_out))
-            self.biases.append(np.zeros(fan_out, dtype=np.float64))
+        self.params, self.weights, self.biases = _layout(self.sizes)
+        for w, b, fan_in in zip(self.weights, self.biases, self.sizes):
+            np.multiply(np.sqrt(2.0 / fan_in), rng.normals(w.size).reshape(w.shape), out=w)
+            b.fill(0.0)
 
     def parameters(self):
         return self.weights + self.biases
@@ -117,8 +137,9 @@ class MlpModel:
 
         ``work`` is the Workspace forward() filled; backward() writes the ReLU
         gates into its masks and the deltas over its hidden activations, so
-        only the logits stay.  Returns (weight grads, bias grads); they are
-        its buffers, overwritten by the next backward() on it.
+        only the logits stay.  Returns (weight grads, bias grads), the views
+        of its gradient vector ``grad``, overwritten by the next backward()
+        on it.
         """
         delta = np.asarray(grad_logits, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -141,19 +162,51 @@ class MlpModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MlpModel":
+    def from_dict(cls, data) -> "MlpModel":
+        """Read the ``model`` section to_dict writes.
+
+        Raises ValidationError naming the first missing or mistyped field
+        of ``model``: its sizes, then its weights and biases, then their
+        layer counts, shapes and values, which must be finite.  Only then
+        is ``params`` allocated and filled, layer by layer, so that no size
+        asks for more memory than the layers in the file hold.
+        """
+        sizes = require_field(data, "sizes", list, "model.")
+        layers = {key: require_field(data, key, list, "model.") for key in ("weights", "biases")}
+        if len(sizes) < 2 or not all(type(n) is int and n > 0 for n in sizes):
+            raise ValidationError("field 'model.sizes' must list at least two positive integers")
+        if sizes[0] != 2:
+            raise ValidationError("field 'model.sizes' must start with the input width 2")
+        arrays = []
+        for key, values in layers.items():
+            if len(values) != len(sizes) - 1:
+                raise ValidationError(f"field 'model.{key}' needs {len(sizes) - 1} layers "
+                                      f"for sizes {sizes}, not {len(values)}")
+            for i, value in enumerate(values):
+                shape = (sizes[i], sizes[i + 1]) if key == "weights" else (sizes[i + 1],)
+                try:
+                    array = np.asarray(value)
+                except ValueError:  # ragged nesting
+                    array = None
+                if array is None or array.dtype.kind not in "fi" or array.shape != shape:
+                    raise ValidationError(f"field 'model.{key}[{i}]' must hold numbers "
+                                          f"of shape {shape} for sizes {sizes}")
+                if not np.all(np.isfinite(array)):
+                    raise ValidationError(f"field 'model.{key}[{i}]' holds a non-finite value")
+                arrays.append(array.reshape(-1))
         model = cls.__new__(cls)
-        model.sizes = list(data["sizes"])
-        model.weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
-        model.biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
+        model.sizes = list(sizes)
+        model.params, model.weights, model.biases = _layout(model.sizes)
+        np.concatenate(arrays, out=model.params)
         return model
 
 
 class Adam:
-    """Full-batch Adam with fixed learning rate.
+    """Full-batch Adam with fixed learning rate, stepping the parameter
+    vector ``params`` in place.
 
-    The moments of all parameters live in one flat vector each, so a step
-    is a few operations on whole vectors.
+    The moments live in one vector each, the length of ``params``, so a
+    step is a few operations on whole vectors.
     """
 
     BETA1 = 0.9
@@ -161,19 +214,12 @@ class Adam:
     EPS = 1e-8
 
     def __init__(self, params, lr=1e-3):
-        self.params = params
-        self.lr = lr
-        sizes = [p.size for p in params]
-        self.m = np.zeros(sum(sizes))
-        self.v = np.zeros(sum(sizes))
-        self.grad = np.empty(sum(sizes))
-        self.update = np.empty(sum(sizes))
-        parts = np.split(self.update, np.cumsum(sizes)[:-1])
-        self.updates = [part.reshape(p.shape) for part, p in zip(parts, params)]
-        self.t = 0
+        self.params, self.lr, self.t = params, lr, 0
+        self.m, self.v, self.update = (np.zeros_like(params) for _ in range(3))
 
-    def step(self, grads):
-        """One update, in place.
+    def step(self, grad):
+        """One update of ``params`` by the gradient vector ``grad`` of the
+        same layout, in place.
 
         The bias corrections c1 = 1 - beta1**t and c2 = 1 - beta2**t are
         folded into the step size and into eps:
@@ -185,8 +231,7 @@ class Adam:
         root_c2 = np.sqrt(1 - b2 ** self.t)
         step = self.lr * root_c2 / (1 - b1 ** self.t)
         eps = self.EPS * root_c2
-        g, m, v, u = self.grad, self.m, self.v, self.update
-        np.concatenate([grad.reshape(-1) for grad in grads], out=g)
+        g, m, v, u = grad, self.m, self.v, self.update
         m *= b1
         np.multiply(g, 1 - b1, out=u)
         m += u
@@ -198,19 +243,20 @@ class Adam:
         u += eps
         np.divide(m, u, out=u)
         u *= step
-        for p, update in zip(self.params, self.updates):
-            p -= update
+        self.params -= u
 
 
 class Workspace:
     """What forward() writes (x, acts) and backward() writes (masks, deltas
-    over acts, grads), for ``rows`` inputs to a network of widths ``sizes``."""
+    over acts, grad), for ``rows`` inputs to a network of widths ``sizes``.
+
+    ``grad`` is one vector in the layout of MlpModel.params; ``grads_w``
+    and ``grads_b`` are its views per layer.
+    """
 
     def __init__(self, sizes, rows):
-        layers = list(zip(sizes, sizes[1:]))
-        self.x = None
-        self.acts = [np.empty((rows, out)) for _, out in layers]
-        self.masks = [np.empty((rows, out), dtype=bool) for _, out in layers[:-1]]
-        self.grads_w = [np.empty((fan_in, out)) for fan_in, out in layers]
-        self.grads_b = [np.empty(out) for _, out in layers]
-        self.ones = np.ones(rows)
+        self.acts = [np.empty((rows, out)) for out in sizes[1:]]
+        self.masks = [np.empty((rows, out), dtype=bool) for out in sizes[1:-1]]
+        self.grad, self.grads_w, self.grads_b = _layout(sizes)
+        self.ones = np.empty(rows)
+        self.ones.fill(1.0)  # half the time of np.ones

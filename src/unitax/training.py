@@ -40,6 +40,9 @@ HIDDEN = (64, 64)
 # training epochs that a run may ask for at most
 EPOCHS_MAX = 100_000
 
+# cells of the grid bands in which surface_csv finds run starts
+SURFACE_BAND = 65_536
+
 # dead_logit_report flags a class predicted for fewer than this share of points
 DEAD_FREQUENCY = 0.01
 
@@ -317,7 +320,7 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
     objective = _Objective(space, spec.collection, maps, data)
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5A5A5A5A5)
     model = MlpModel([2, *HIDDEN, space.k], rng)
-    optimizer = Adam(model.parameters(), lr=config.lr)
+    optimizer = Adam(model.params, lr=config.lr)
     work = Workspace(model.sizes, len(data.points))
     trace = []
     with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
@@ -327,10 +330,10 @@ def train(config: TrainConfig, spec: ToyProblemSpec, tax: UniversalTaxonomy,
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became non-finite ({loss}) "
                                        f"at learning rate (--lr) {config.lr}")
-            grads_w, grads_b = model.backward(work, grad_logits)
-            optimizer.step(grads_w + grads_b)
+            model.backward(work, grad_logits)
+            optimizer.step(work.grad)
             trace.append(loss)
-        if not all(np.isfinite(p).all() for p in model.parameters()):
+        if not np.isfinite(model.params).all():
             raise TrainingDiverged(f"the last step left a non-finite parameter "
                                    f"at learning rate (--lr) {config.lr}")
         if not np.all(np.isfinite(model.forward(data.points, work))):
@@ -514,29 +517,34 @@ def surface_csv(xs, ys, classes, class_names, out) -> None:
 
     The lines are made one run at a time, a run being a stretch of equal
     classes within one grid row: every line of a run ends in the same
-    ``,y,class``, so the run is one join of its x texts.  Each grid row
-    goes to ``out`` as soon as its runs are made, so no more than one row's
-    text is held.  A trained model's surface has few runs (2-4% of the
-    cells at 200 x 200); a grid whose every cell starts a run takes 2-3
+    ``,y,class``, so the run is one join of its x texts.  The run starts
+    are found one band of whole grid rows at a time, at most SURFACE_BAND
+    cells unless one row holds more, and each grid row goes to ``out`` as
+    soon as its runs are made, so no more than one band's starts and one
+    row's text are held.  A trained model's surface has few runs (2-4% of
+    the cells at 200 x 200); a grid whose every cell starts a run takes 2-3
     times as long as a line per cell.
     """
     x_text = [repr(x) for x in xs.tolist()]
     y_text = [repr(y) for y in ys.tolist()]
-    nx = classes.shape[1]
-    # a run starts at each row's first cell and wherever the class changes
-    starts = np.ones(classes.shape, dtype=bool)
-    np.not_equal(classes[:, 1:], classes[:, :-1], out=starts[:, 1:])
-    starts = np.flatnonzero(starts)
+    ny, nx = classes.shape
+    rows = max(1, SURFACE_BAND // max(nx, 1))
     out.write("x,y,class\n")
     parts = []
-    for start, stop, c in zip(starts.tolist(), [*starts[1:].tolist(), classes.size],
-                              classes.reshape(-1)[starts].tolist()):
-        row, i = divmod(start, nx)
-        if not i:  # a new grid row: the one before it is whole
-            out.write("".join(parts))
-            parts.clear()
-        tail = f",{y_text[row]},{class_names[c]}\n"
-        parts += (tail.join(x_text[i:i + stop - start]), tail)
+    for top in range(0, ny, rows):
+        band = classes[top:top + rows]
+        # a run starts at each row's first cell and wherever the class changes
+        starts = np.ones(band.shape, dtype=bool)
+        np.not_equal(band[:, 1:], band[:, :-1], out=starts[:, 1:])
+        starts = np.flatnonzero(starts)
+        for start, stop, c in zip(starts.tolist(), [*starts[1:].tolist(), band.size],
+                                  band.reshape(-1)[starts].tolist()):
+            row, i = divmod(start, nx)
+            if not i:  # a new grid row: the one before it is whole
+                out.write("".join(parts))
+                parts.clear()
+            tail = f",{y_text[top + row]},{class_names[c]}\n"
+            parts += (tail.join(x_text[i:i + stop - start]), tail)
     out.write("".join(parts))
 
 
@@ -557,38 +565,13 @@ def load_model(path) -> TrainResult:
 
 
 def _result_from_dict(data) -> TrainResult:
-    model = require_field(data, "model", dict)
-    sizes = require_field(model, "sizes", list, "model.")
-    weights = require_field(model, "weights", list, "model.")
-    biases = require_field(model, "biases", list, "model.")
-    if len(sizes) < 2 or not all(type(n) is int and n > 0 for n in sizes):
-        raise ValidationError("field 'model.sizes' must list at least two positive integers")
-    if sizes[0] != 2:
-        raise ValidationError("field 'model.sizes' must start with the input width 2")
-    params = {}
-    for key, values in (("weights", weights), ("biases", biases)):
-        if len(values) != len(sizes) - 1:
-            raise ValidationError(f"field 'model.{key}' needs {len(sizes) - 1} layers "
-                                  f"for sizes {sizes}, not {len(values)}")
-        params[key] = []
-        for i, value in enumerate(values):
-            shape = (sizes[i], sizes[i + 1]) if key == "weights" else (sizes[i + 1],)
-            try:
-                array = np.asarray(value)
-            except ValueError:  # ragged nesting
-                array = None
-            if array is None or array.dtype.kind not in "fi" or array.shape != shape:
-                raise ValidationError(f"field 'model.{key}[{i}]' must hold numbers "
-                                      f"of shape {shape} for sizes {sizes}")
-            if not np.all(np.isfinite(array)):
-                raise ValidationError(f"field 'model.{key}[{i}]' holds a non-finite value")
-            params[key].append(array.astype(np.float64))
+    model = MlpModel.from_dict(require_field(data, "model", dict))
     space = ModelSpace.from_dict(require_field(data, "space", dict))
-    if space.k != sizes[-1]:
+    if space.k != model.sizes[-1]:
         field = "space.entries" if space.entries else "space.universal_atoms"
-        raise ValidationError(f"field 'model.sizes' ends in {sizes[-1]} outputs, but the "
+        raise ValidationError(f"field 'model.sizes' ends in {model.sizes[-1]} outputs, but the "
                               f"{space.mode} space of field {field!r} has {space.k}")
     trace = data.get("loss_trace", [])
     if not isinstance(trace, list):
         raise ValidationError("field 'loss_trace' is not list")
-    return TrainResult(MlpModel.from_dict({"sizes": sizes, **params}), space, trace)
+    return TrainResult(model, space, trace)

@@ -28,46 +28,18 @@ from unitax.taxonomy import (
     collection_from_dict,
     filter_untrainable,
 )
-from unitax.toyproblem import generate_toy, problem_from_dict
 from unitax.training import (
-    TrainConfig,
     dataset_scores,
     dead_logit_report,
     per_class_accuracy,
-    train,
     universal_accuracy,
 )
 
-
-def random_collection(rng, max_datasets=6, max_classes=12, max_atoms=40):
-    n_atoms = rng.randint(2, max_atoms)
-    atoms = [f"a{i}" for i in range(n_atoms)]
-    datasets = []
-    for d in range(rng.randint(1, max_datasets)):
-        ids = list(range(n_atoms))
-        rng.shuffle(ids)
-        if d > 0:
-            ids = ids[: rng.randint(1, n_atoms)]
-        n_classes = rng.randint(1, min(max_classes, len(ids)))
-        cuts = sorted(rng.sample(range(1, len(ids)), n_classes - 1)) if n_classes > 1 else []
-        classes = []
-        start = 0
-        for ci, end in enumerate(cuts + [len(ids)]):
-            classes.append({"name": f"c{ci}", "atoms": [atoms[i] for i in ids[start:end]]})
-            start = end
-        datasets.append({"name": f"D{d}", "classes": classes})
-    return collection_from_dict({"atoms": atoms, "datasets": datasets})
+from helpers import random_collection, train_problem
 
 
 def uid_of(tax, name):
     return next(u.id for u in tax.classes if u.display_name == name)
-
-
-def train_problem(problem, mode, epochs, seed):
-    spec, tax, maps = problem_from_dict(problem)
-    data = generate_toy(spec, maps)
-    config = TrainConfig(mode=mode, epochs=epochs, seed=seed)
-    return train(config, spec, tax, maps, data), spec, tax, maps, data
 
 
 def test_criterion_1_construction_oracle_equivalence():

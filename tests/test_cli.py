@@ -388,16 +388,23 @@ def test_surface_rejects_unbounded_grids(tmp_path, collapse_spec, capsys):
 # every malformed input ends in exit 1 or 2 with a message naming it
 
 
-def _cross_eval_model(tmp_path, mode, edit=lambda space: None):
+def _cross_eval_model(tmp_path, mode, edit=lambda space: None, field="space"):
     """An untrained ``mode`` model.json of the cross-eval problem whose
-    space ``edit`` changes."""
+    ``field`` (the whole document for None) ``edit`` changes."""
     spec, tax, _ = problem_from_dict(problems.cross_eval_problem(0))
     space = build_space(mode, spec.collection, tax)
     path = tmp_path / "model.json"
     save_model(path, TrainResult(MlpModel([2, *HIDDEN, space.k], SplitMix64(0)), space, []))
     data = json.loads(path.read_text())
-    edit(data["space"])
+    edit(data if field is None else data[field])
     return write_json(path, data)
+
+
+def _surface_of_an_edited_model(tmp_path, edit, field):
+    """surface of a universal-nll-plus model of the cross-eval problem
+    whose ``field`` ``edit`` changes."""
+    return ["surface", "--model", _cross_eval_model(tmp_path, "universal-nll-plus", edit, field),
+            "--grid=-1,1,-1,1,2,2", "--out", str(tmp_path / "s.csv")]
 
 
 def _heads_model(tmp_path, edit):
@@ -416,6 +423,17 @@ def _pseudo_label(tmp_path, vehicle_file, foreign):
                                    "foreign": foreign}) + "\n")
     return ["pseudo-label", "--atoms", vehicle_file, "--in", str(records),
             "--out", str(tmp_path / "out.jsonl")]
+
+
+def _vehicles_without_van(tmp_path):
+    """The vehicles collection with ADE20k's class ``van`` renamed ``v``:
+    a valid collection that lacks a class the fuzz records name."""
+    collection = problems.vehicle_mini_collection()
+    for ds in collection["datasets"]:
+        for c in ds["classes"]:
+            if (ds["name"], c["name"]) == ("ADE20k", "van"):
+                c["name"] = "v"
+    return write_json(tmp_path / "renamed.json", collection)
 
 
 def _latin1(tmp_path, name, text):
@@ -548,6 +566,11 @@ BAD_INPUTS = {
     "foreign-own-dataset-negative": lambda tmp, vehicles: (
         _pseudo_label(tmp, vehicles, {"VIPER": {"truck": 1.0}, "Vistas": {"car": -3.0}}), 1,
         ["in.jsonl", "line 1", "'Vistas'", "'car'", "-3.0"]),
+    # the record, not the collection, is blamed: see
+    # test_mutated_inputs_name_the_file_and_the_field
+    "foreign-class-the-collection-lacks": lambda tmp, vehicles: (
+        _pseudo_label(tmp, _vehicles_without_van(tmp), {"ADE20k": {"van": 1.0}}), 1,
+        ["in.jsonl: line 1: ", "'ADE20k'", "['van']"]),
     "build-out-directory": lambda tmp, vehicles: (
         ["build", "--atoms", vehicles, "--out", str(tmp)], 2, [str(tmp)]),
     "surface-out-directory": lambda tmp, vehicles: (
@@ -598,6 +621,15 @@ BAD_INPUTS = {
         ["check", "--in", _built_taxonomy(
             tmp, vehicles, lambda u: u[0]["signature"].append(["VIPER", "ghost"]))], 1,
         ["tax.json", "'universal[0].signature'"]),
+    # the built vehicles taxonomy has four universal classes
+    "universal-one-class-short": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(tmp, vehicles, lambda u: u.pop())], 1,
+        ["tax.json", "field 'universal' must list the 4 universal classes of the collection, "
+                     "not 3"]),
+    "universal-one-class-long": lambda tmp, vehicles: (
+        ["check", "--in", _built_taxonomy(tmp, vehicles, lambda u: u.append(dict(u[-1])))], 1,
+        ["tax.json", "field 'universal' must list the 4 universal classes of the collection, "
+                     "not 5"]),
     "build-orphan-atom": lambda tmp, vehicles: (
         ["build", "--atoms", write_json(tmp / "o.json", ORPHAN_COLLECTION),
          "--out", str(tmp / "out.json")], 1, ["o.json", "'atoms[1]'", "'b'"]),
@@ -632,6 +664,19 @@ BAD_INPUTS = {
     "surface-universal-model-missing-a-class": lambda tmp, vehicles: (
         _surface_of_a_model_missing_an_output(tmp, "universal-nll-plus", "universal_atoms"), 1,
         ["model.json", "'model.sizes'", "'space.universal_atoms'"]),
+    "model-space-mode-unknown": lambda tmp, vehicles: (
+        _surface_of_an_edited_model(tmp, lambda space: space.update(mode="bogus"), "space"), 1,
+        ["model.json", "field 'space.mode' must be one of ('universal-nll-plus',"]),
+    "model-sizes-not-starting-at-2": lambda tmp, vehicles: (
+        _surface_of_an_edited_model(
+            tmp, lambda model: model.update(sizes=[3, *model["sizes"][1:]]), "model"), 1,
+        ["model.json", "field 'model.sizes' must start with the input width 2"]),
+    "model-weights-layer-missing": lambda tmp, vehicles: (
+        _surface_of_an_edited_model(tmp, lambda model: model["weights"].pop(), "model"), 1,
+        ["model.json", "field 'model.weights' needs 3 layers for sizes [2, 64, 64, 5], not 2"]),
+    "model-loss-trace-text": lambda tmp, vehicles: (
+        _surface_of_an_edited_model(tmp, lambda data: data.update(loss_trace="0.5"), None), 1,
+        ["model.json", "field 'loss_trace' is not list"]),
     "build-no-input": lambda tmp, vehicles: (
         _inputs(tmp, vehicles, "build"), 2,
         ["usage: unitax build", "one of the arguments --atoms --decls is required"]),
@@ -958,25 +1003,29 @@ def _copied(doc, path):
     return root, node
 
 
-def _mutate(rng, doc, values):
-    """``doc`` with one node, drawn uniformly, dropped, retyped or replaced
-    by one of ``values``."""
+# the value _mutation gives a dropped node
+DROPPED = object()
+
+
+def _mutation(rng, doc, values):
+    """(``doc`` with one node, drawn uniformly, dropped, retyped or
+    replaced by one of ``values``; the key path of that node; its new
+    value, or DROPPED)."""
     path = rng.choice(list(_paths(doc)))
     root, node = _copied(doc, path)
     key = path[-1]
     op = rng.random()
     if op < 0.25:
         del node[key]
-    elif op < 0.5:
-        node[key] = _retype(node[key])
-    else:
-        node[key] = rng.choice(values)
-    return root
+        return root, path, DROPPED
+    node[key] = _retype(node[key]) if op < 0.5 else rng.choice(values)
+    return root, path, node[key]
 
 
 def _enlarge(rng, doc):
-    """``doc`` with one number, drawn uniformly, replaced by one of
-    HUGE_VALUES; None when ``doc`` holds no number."""
+    """(``doc`` with one number, drawn uniformly, replaced by one of
+    HUGE_VALUES; the key path of that number; its new value), or None
+    when ``doc`` holds no number."""
     numbers = []
     for path in _paths(doc):
         node = doc
@@ -989,7 +1038,7 @@ def _enlarge(rng, doc):
     path = rng.choice(numbers)
     root, node = _copied(doc, path)
     node[path[-1]] = rng.choice(HUGE_VALUES)
-    return root
+    return root, path, node[path[-1]]
 
 
 def _damage(rng, data):
@@ -1013,13 +1062,43 @@ def _misuse_inputs(rng, argv):
     return argv + [rng.choice([o for o in options if o != argv[k]]), argv[k + 1]]
 
 
-def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
+def _fuzz_cases(tmp_path, path):
+    """The seeded cases of the fuzz tests, in order: (bytes to write to
+    ``path``, argv, the exit codes allowed, the change) per case.  The
+    change is None for an input left as it was or damaged, else (the
+    document's kind, the key path of the changed node, its new value),
+    the kind being "lines" for a file of one item per line."""
     rng = random.Random(2024)
     misuse = random.Random(7)  # its own stream, so that rng draws the same cases
     huge = random.Random(11)  # likewise
-    path = tmp_path / "fuzz"
+    for cases, doc, values, render, commands in _fuzz_inputs(tmp_path):
+        kind = "lines" if isinstance(doc, list) else "json"
+        for _ in range(cases):
+            change = None
+            if rng.random() < 0.85:
+                mutated, key_path, value = _mutation(rng, doc, values)
+                change = (kind, key_path, value)
+            data = render(mutated if change else doc)
+            if rng.random() < 0.2:
+                data, change = _damage(rng, data), None
+            argv = [str(path) if a == "FUZZ" else a for a in rng.choice(commands)]
+            if argv[0] not in ("check", "toy-train") and rng.random() < 0.05:
+                argv[argv.index("--out") + 1] = str(tmp_path)  # a directory
+            codes = (0, 1, 2)
+            if argv[0] in INPUT_OPTIONS and misuse.random() < 0.1:
+                argv, codes = _misuse_inputs(misuse, argv), (2,)
+            yield data, argv, codes, change
+        for _ in range(cases // 4):
+            enlarged = _enlarge(huge, doc)
+            if enlarged is None:
+                break
+            argv = [str(path) if a == "FUZZ" else a for a in huge.choice(commands)]
+            yield render(enlarged[0]), argv, (0, 1, 2), (kind, *enlarged[1:])
 
-    def exits_cleanly(data, argv, codes=(0, 1, 2)):
+
+def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
+    path = tmp_path / "fuzz"
+    for data, argv, codes, _ in _fuzz_cases(tmp_path, path):
         path.write_bytes(data)
         try:
             code = run(argv)
@@ -1028,24 +1107,59 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in codes and "Traceback" not in err, (argv, data[:300], err)
 
-    for cases, doc, values, render, commands in _fuzz_inputs(tmp_path):
-        for _ in range(cases):
-            data = render(_mutate(rng, doc, values) if rng.random() < 0.85 else doc)
-            if rng.random() < 0.2:
-                data = _damage(rng, data)
-            argv = [str(path) if a == "FUZZ" else a for a in rng.choice(commands)]
-            if argv[0] not in ("check", "toy-train") and rng.random() < 0.05:
-                argv[argv.index("--out") + 1] = str(tmp_path)  # a directory
-            codes = (0, 1, 2)
-            if argv[0] in INPUT_OPTIONS and misuse.random() < 0.1:
-                argv, codes = _misuse_inputs(misuse, argv), (2,)
-            exits_cleanly(data, argv, codes)
-        for _ in range(cases // 4):
-            enlarged = _enlarge(huge, doc)
-            if enlarged is None:
-                break
-            argv = [str(path) if a == "FUZZ" else a for a in huge.choice(commands)]
-            exits_cleanly(render(enlarged), argv)
+
+# Fields that refer to a dataset class: a class renamed or dropped is
+# reported where the reference to it no longer resolves, in a taxonomy's
+# signatures or in a model's output space.
+CLASS_REFERENCES = ("signature'", "'space")
+
+
+def _names_the_change(err, kind, key_path, value):
+    """Whether the message ``err``, stripped of file paths, names the
+    changed node: its line, for a file of one item per line; otherwise a
+    key on its path, its new value, or a field that refers to the class it
+    lies in."""
+    if kind == "lines":
+        return f"line {key_path[0] + 1}:" in err
+    if any(isinstance(key, str) and key in err for key in key_path):
+        return True
+    if value is not DROPPED and any(text in err for text in
+                                    (repr(value), str(value), json.dumps(value))):
+        return True
+    return "classes" in key_path and any(ref in err for ref in CLASS_REFERENCES)
+
+
+def test_mutated_inputs_name_the_file_and_the_field(tmp_path, capsys):
+    """The fuzz cases of test_mutated_inputs_exit_cleanly: every exit 1
+    names the changed file, and then the changed field or value (its line,
+    for a file of lines), or for a damaged file where its text breaks.
+
+    A file that passes its own checks but disagrees with another input is
+    reported against the input read against it: a pseudo-label record that
+    names a class the --atoms collection lacks names the records file and
+    its line, a model whose space is not the problem's names model.json
+    and the problem file.
+    """
+    path = tmp_path / "fuzz"
+    exits = 0
+    for data, argv, _, change in _fuzz_cases(tmp_path, path):
+        path.write_bytes(data)
+        if run(argv) != 1:
+            capsys.readouterr()
+            continue
+        exits += 1
+        err = capsys.readouterr().err
+        named = str(path) in err
+        if not named and argv[0] == "pseudo-label":
+            records = argv[argv.index("--in") + 1]
+            named = re.search(rf"{re.escape(records)}: line \d+: ", err) is not None
+        assert named, (argv, data[:300], err)
+        bare = err.replace(str(tmp_path), "")
+        if change is None:
+            assert re.search(r"\b(line|byte) \d+", bare), (argv, data[:300], err)
+        else:
+            assert _names_the_change(bare, *change), (argv, change, err)
+    assert exits > 300
 
 
 def test_mutated_records_name_the_file_and_the_line(tmp_path, capsys):
@@ -1064,8 +1178,8 @@ def test_mutated_records_name_the_file_and_the_line(tmp_path, capsys):
                 "foreign": {"VIPER": {"truck": 1.0}, "ADE20k": {"van": 1}}}]
     codes = []
     for _ in range(150):
-        data = _as_lines(_mutate(rng, records, FUZZ_VALUES) if rng.random() < 0.9 else records,
-                         json.dumps)
+        doc = _mutation(rng, records, FUZZ_VALUES)[0] if rng.random() < 0.9 else records
+        data = _as_lines(doc, json.dumps)
         if rng.random() < 0.2:
             data = _damage(rng, data)
         path.write_bytes(data)

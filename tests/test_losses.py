@@ -15,6 +15,8 @@ from unitax.losses import (
 )
 from unitax.taxonomy import MappingSet
 
+from helpers import row_major_softmax
+
 
 def make_maps(mapped):
     return MappingSet({"D": {"c": tuple(mapped)}})
@@ -39,6 +41,14 @@ def test_universal_posteriors_sum_to_one():
 def test_universal_posteriors_reject_nonfinite():
     with pytest.raises(InvalidLogit):
         universal_posteriors(np.array([0.0, np.inf]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nll_plus_rejects_a_nonfinite_logit(bad):
+    logits = np.array([0.0, bad, 1.0])
+    for loss in (nll_plus, nll_plus_grad):
+        with pytest.raises(InvalidLogit, match="^logits must be finite$"):
+            loss(logits, LABEL, make_maps([0]))
 
 
 def test_nll_plus_reduces_to_standard_nll_for_singletons():
@@ -187,14 +197,6 @@ def test_dataset_posterior_rejects_a_mapped_id_outside_the_posteriors(mapped, ba
 
 # ---------------------------------------------------------------------------
 # the class-major softmax keeps the bits of the row-major one
-
-
-def row_major_softmax(logits):
-    """The softmax as a row-major three-liner: numpy sums each contiguous
-    row of ``e`` in its own pairwise order."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 WIDTHS = [*range(1, 141), 255, 256, 257, 1000, 10000]

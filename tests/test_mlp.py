@@ -79,7 +79,7 @@ def test_adam_reduces_quadratic_loss():
     model = tiny_model(9)
     x = np.random.default_rng(3).normal(size=(32, 2))
     target = np.random.default_rng(4).normal(size=(32, 2))
-    opt = Adam(model.parameters(), lr=1e-2)
+    opt = Adam(model.params, lr=1e-2)
     first = None
     for _ in range(200):
         work = Workspace(model.sizes, len(x))
@@ -87,9 +87,73 @@ def test_adam_reduces_quadratic_loss():
         loss = 0.5 * float(np.mean((out - target) ** 2))
         if first is None:
             first = loss
-        gw, gb = model.backward(work, (out - target) / len(x))
-        opt.step(gw + gb)
+        model.backward(work, (out - target) / len(x))
+        opt.step(work.grad)
     assert loss < first * 0.5
+
+
+class PerArrayAdam:
+    """Adam over a list of parameter arrays: the gradients are concatenated
+    into one vector, stepped, and the update split back per array."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        size = sum(p.size for p in params)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = Adam.BETA1, Adam.BETA2
+        root_c2 = np.sqrt(1 - b2 ** self.t)
+        step = self.lr * root_c2 / (1 - b1 ** self.t)
+        g = np.concatenate([grad.reshape(-1) for grad in grads])
+        self.m = self.m * b1 + g * (1 - b1)
+        self.v = self.v * b2 + (g * (1 - b2)) * g
+        update = self.m / (np.sqrt(self.v) + Adam.EPS * root_c2) * step
+        parts = np.split(update, np.cumsum([p.size for p in self.params])[:-1])
+        for p, part in zip(self.params, parts):
+            p -= part.reshape(p.shape)
+
+
+def test_adam_vector_step_equals_a_per_array_step_bit_for_bit():
+    sizes = (2, 8, 8, 5)
+    model, reference = tiny_model(12, sizes), tiny_model(12, sizes)
+    per_array = [p.copy() for p in reference.parameters()]
+    rng = np.random.default_rng(10)
+    x = rng.normal(scale=3.0, size=(40, 2))
+    target = rng.normal(size=(40, 5))
+    opt, ref = Adam(model.params, lr=3e-2), PerArrayAdam(per_array, lr=3e-2)
+    work = Workspace(model.sizes, len(x))
+    for _ in range(25):
+        reference.params[...] = np.concatenate([p.reshape(-1) for p in per_array])
+        ref_work = Workspace(reference.sizes, len(x))
+        grads_w, grads_b = reference.backward(ref_work, reference.forward(x, ref_work) - target)
+        ref.step([g.copy() for g in grads_w + grads_b])
+        model.backward(work, model.forward(x, work) - target)
+        opt.step(work.grad)
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(model.parameters(), per_array))
+    assert opt.t == 25 and not np.array_equal(model.params, tiny_model(12, sizes).params)
+
+
+def test_parameters_and_gradients_are_views_of_one_vector():
+    model = tiny_model(13, (2, 6, 5, 3))
+    sizes = [(2, 6), (6, 5), (5, 3)]
+    assert model.params.shape == (2 * 6 + 6 * 5 + 5 * 3 + 6 + 5 + 3,)
+    for loaded in (model, MlpModel.from_dict(model.to_dict())):
+        assert loaded.params.tobytes() == model.params.tobytes()
+        views = loaded.parameters()
+        assert [v.shape for v in views] == sizes + [(6,), (5,), (3,)]
+        assert all(v.base is loaded.params for v in views)
+        # every weight in turn, then every bias: the order of parameters()
+        assert np.concatenate([v.reshape(-1) for v in views]).tobytes() == \
+            loaded.params.tobytes()
+    work = Workspace(model.sizes, 7)
+    grads_w, grads_b = model.backward(work, model.forward(np.ones((7, 2)), work))
+    assert work.grad.shape == model.params.shape
+    for got, views in ((grads_w, work.grads_w), (grads_b, work.grads_b)):
+        assert all(g is v and v.base is work.grad for g, v in zip(got, views))
+    assert np.concatenate([g.reshape(-1) for g in grads_w + grads_b]).tobytes() == \
+        work.grad.tobytes()
 
 
 def test_backward_of_separate_caches_do_not_alias():

@@ -31,25 +31,7 @@ from unitax.taxonomy import (
     taxonomy_to_dict,
 )
 
-
-def random_collection(rng, max_datasets=6, max_classes=12, max_atoms=40, min_atoms=2):
-    n_atoms = rng.randint(min_atoms, max_atoms)
-    atoms = [f"a{i}" for i in range(n_atoms)]
-    datasets = []
-    for d in range(rng.randint(1, max_datasets)):
-        ids = list(range(n_atoms))
-        rng.shuffle(ids)
-        if d > 0:
-            ids = ids[: rng.randint(1, n_atoms)]
-        n_classes = rng.randint(1, min(max_classes, len(ids)))
-        cuts = sorted(rng.sample(range(1, len(ids)), n_classes - 1)) if n_classes > 1 else []
-        classes = []
-        start = 0
-        for ci, end in enumerate(cuts + [len(ids)]):
-            classes.append({"name": f"c{ci}", "atoms": [atoms[i] for i in ids[start:end]]})
-            start = end
-        datasets.append({"name": f"D{d}", "classes": classes})
-    return collection_from_dict({"atoms": atoms, "datasets": datasets})
+from helpers import random_collection
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +371,22 @@ def test_overlap_program_names_the_intersection():
     ade = set(maps.mapped("ADE20k", "truck"))
     (shared,) = viper & ade
     assert tax.classes[shared].display_name == "pickup"
+
+
+@pytest.mark.parametrize("text, atoms, mapped", [
+    # a dotted dataset name and a dotted class name make the same atom name
+    ("dataset A.b: c\ndataset A: b.c", ("A.b.c", "A.b.c#2"),
+     {"A.b": {"c": (0,)}, "A": {"b.c": (1,)}}),
+    ("dataset A: x\ndataset B: y\noverlap A.x B.y name=A.x",
+     ("A.x#2", "A.x\u2216B.y", "B.y\u2216A.x"), {"A": {"x": (0, 1)}, "B": {"y": (1, 2)}}),
+    ("dataset A.b: c\ndataset A: b.c\ndataset B: y\noverlap A.b.c B.y name=A.b.c",
+     ("A.b.c", "A.b.c#3", "A.b.c\u2216B.y", "B.y\u2216A.b.c"),
+     {"A.b": {"c": (0,)}, "A": {"b.c": (1, 2)}, "B": {"y": (2, 3)}}),
+], ids=["dataset-and-class-names", "overlap-name", "third-of-a-name"])
+def test_colliding_atom_names_get_the_next_free_number(text, atoms, mapped):
+    col, _, maps = build_universal_from_declarations(parse_declarations(text))
+    assert col.atoms == atoms
+    assert maps.by_dataset == mapped
 
 
 def test_subset_chain_resolves_nested_classes():

@@ -29,7 +29,7 @@ from unitax.taxonomy import (
     validate_universal,
 )
 
-from test_resolve import random_collection
+from helpers import random_collection
 
 
 def vehicles():

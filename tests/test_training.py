@@ -40,6 +40,7 @@ from unitax.training import (
     universal_scores,
 )
 
+from helpers import row_major_softmax, train_problem
 from openblas_kernels import KERNELS, run_on_kernel
 
 
@@ -48,10 +49,7 @@ def cross_problem(seed=0):
 
 
 def quick_train(mode, seed=0, epochs=30):
-    spec, tax, maps = cross_problem(seed)
-    data = generate_toy(spec, maps)
-    config = TrainConfig(mode=mode, epochs=epochs, seed=seed)
-    return train(config, spec, tax, maps, data), spec, tax, maps, data
+    return train_problem(problems.cross_eval_problem(seed), mode, epochs, seed)
 
 
 def test_config_validation():
@@ -332,7 +330,7 @@ SURFACE_CLASSES = {
 }
 
 
-@pytest.mark.parametrize("shape", [(7, 5), (1, 6), (11, 1), (1, 1), (64, 9)],
+@pytest.mark.parametrize("shape", [(7, 5), (1, 6), (11, 1), (1, 1), (64, 9), (0, 3)],
                          ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("kind", SURFACE_CLASSES)
 def test_surface_csv_matches_the_per_point_reference_on_given_classes(kind, shape):
@@ -342,6 +340,16 @@ def test_surface_csv_matches_the_per_point_reference_on_given_classes(kind, shap
     classes = SURFACE_CLASSES[kind](nx, ny)
     names = ["road", "car", "pickup", "truck", "van"]
     assert csv_text(xs, ys, classes, names) == _per_point_csv(xs, ys, classes, names)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 6), (11, 1), (1, 1), (64, 9), (0, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("kind", SURFACE_CLASSES)
+def test_surface_csv_bands_of_three_cells_keep_every_byte(monkeypatch, kind, shape):
+    # bands of one row, or of three rows of one cell, so that every shape
+    # but a single row spans several bands
+    monkeypatch.setattr(training, "SURFACE_BAND", 3)
+    test_surface_csv_matches_the_per_point_reference_on_given_classes(kind, shape)
 
 
 class _CountingSink:
@@ -354,12 +362,13 @@ class _CountingSink:
         self.chars += len(text)
 
 
-def test_surface_csv_holds_no_more_than_a_row_of_text():
-    nx = ny = 1000
+def _surface_csv_peak(kind, nx=1000, ny=1000):
+    """(peak traced bytes, characters written) of surface_csv on an nx x ny
+    grid of the given classes."""
     xs = np.linspace(-3, 1e-3, nx)
     ys = np.linspace(2.5, -2.5, ny)
-    classes = SURFACE_CLASSES["runs-across-rows"](nx, ny)
-    names = ["road", "car"]
+    classes = SURFACE_CLASSES[kind](nx, ny)
+    names = ["road", "car", "pickup", "truck", "van"]
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -368,7 +377,21 @@ def test_surface_csv_holds_no_more_than_a_row_of_text():
     finally:
         tracemalloc.stop()
     assert sink.chars > 30 * nx * ny
-    assert peak < sink.chars / 20, (peak, sink.chars)
+    return peak, sink.chars
+
+
+def test_surface_csv_holds_no_more_than_a_row_of_text():
+    peak, chars = _surface_csv_peak("runs-across-rows")
+    assert peak < chars / 20, (peak, chars)
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "random"])
+def test_surface_csv_holds_the_run_starts_of_one_band(kind):
+    # every cell, or four in five, starts a run: a whole-grid search for the
+    # starts held 2.4 times the text (99 MiB at 1000 x 1000), one band of
+    # SURFACE_BAND cells about a sixth of it
+    peak, chars = _surface_csv_peak(kind)
+    assert peak < chars / 4, (peak, chars)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -607,22 +630,16 @@ def test_dataset_posterior_is_the_dataset_score_of_a_universal_model():
 # every output space scores with the bits of a row-major softmax
 
 
-def _row_major_softmax(logits):
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def _row_major_own_posterior(space, model, x):
     """own_posterior worked row by row on C-order arrays: each block's
     softmax over its columns, the class heads joined by a plain product
     with their dataset's column and stacked side by side."""
     logits = forward_logits(model, x)
     (_, first), *heads = space.blocks
-    post = _row_major_softmax(logits[:, first])
+    post = row_major_softmax(logits[:, first])
     if not heads:
         return post
-    return np.hstack([_row_major_softmax(logits[:, classes]) * post[:, d:d + 1]
+    return np.hstack([row_major_softmax(logits[:, classes]) * post[:, d:d + 1]
                       for d, (_, classes) in enumerate(heads)])
 
 
