@@ -68,7 +68,7 @@ def require_field(data, key, kind, where=""):
     Otherwise raises a ValidationError naming the field as ``where + key``.
     """
     value = data.get(key) if isinstance(data, dict) else None
-    if not _is(value, kind):
+    if type(value) is not kind and not _is(value, kind):
         raise ValidationError(f"field {where + key!r} is missing or not {kind.__name__}")
     return value
 
@@ -77,7 +77,8 @@ def require_list(values, kind, where, size=None):
     """``values`` when it is a list of ``kind`` values (exactly ``size`` of
     them, if given).  Otherwise raises a ValidationError naming the field
     ``where``."""
-    if (not isinstance(values, list) or not all(_is(v, kind) for v in values)
+    if (not isinstance(values, list)
+            or not (set(map(type, values)) <= {kind} or all(_is(v, kind) for v in values))
             or size not in (None, len(values))):
         count = f"{size} " if size is not None else ""
         raise ValidationError(f"field {where!r} must be a list of {count}{kind.__name__} values")

@@ -13,9 +13,10 @@ lowest position pair in the working list.  A pair's relation never
 changes, and removal keeps the working order while fresh classes are
 appended, so one engine keeps the selection incremental: it holds one
 min-heap of (rule, position, position) entries, whose order is that
-selection order, classifies each fresh class against the live classes
-only, and drops an entry whose classes are gone when it reaches the top
-of the heap.  Each pair of working classes is thus classified once per
+selection order, classifies each fresh class only against the live
+classes it meets (one AND of bitmasks passes over the others), and drops
+an entry whose classes are gone when it reaches the top of the heap.
+Each pair of working classes is thus classified at most once per
 fixpoint.  An index from each uid to the mapping keys that hold it lets a
 rewrite touch only those keys; the engine and the declaration compiler
 rewrite their mappings with one ordered substitution.  The engine holds
@@ -88,7 +89,10 @@ def _substitute(lists: dict, old, new, keys=None) -> None:
         items = lists[key]
         if old in items:
             kept = [x for x in items if x != old]
-            lists[key] = kept + [x for x in new if x not in kept]
+            for x in new:
+                if x not in kept:
+                    kept.append(x)
+            lists[key] = kept
 
 
 def _mask_rule(a: int, b: int) -> int:
@@ -111,7 +115,12 @@ def _mask(atoms) -> int:
 
 
 def _atoms(mask: int) -> frozenset:
-    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(ids)
 
 
 class _Engine:
@@ -121,8 +130,9 @@ class _Engine:
     rising ranks, so the live classes stay in rank order.  ``live`` holds
     each live class as (uid, atom bitmask), ``heap`` a (rule, rank, rank)
     entry for each pair to which a rule applies, stale ones included, and
-    ``holders`` maps each uid to the mapping keys that hold it.  The state
-    given is not modified, and its classes are handed back as they are.
+    ``holders`` maps each uid to the mapping keys that hold it.  A class
+    admitted is classified only against the live classes it meets.  The
+    state given is not modified, and its classes are handed back as they are.
     """
 
     def __init__(self, state: ResolutionState):
@@ -142,10 +152,10 @@ class _Engine:
     def _admit(self, uid: int, mask: int) -> None:
         rank = self.next_rank
         self.next_rank += 1
+        heap = self.heap
         for other, (_, known) in self.live.items():
-            rule = _mask_rule(known, mask)
-            if rule:
-                heapq.heappush(self.heap, (rule, other, rank))
+            if known & mask:
+                heapq.heappush(heap, (_mask_rule(known, mask), other, rank))
         self.live[rank] = (uid, mask)
 
     def state(self) -> ResolutionState:
@@ -158,11 +168,12 @@ class _Engine:
         """Apply the lowest rule at its lowest live pair and return its
         RuleApplication, or None when the classes are pairwise disjoint."""
         live, heap = self.live, self.heap
-        while heap and not (heap[0][1] in live and heap[0][2] in live):
-            heapq.heappop(heap)
-        if not heap:
+        while heap:
+            rule, i, j = heapq.heappop(heap)
+            if i in live and j in live:
+                break
+        else:
             return None
-        rule, i, j = heapq.heappop(heap)
         (ua, a), (ub, b) = live[i], live[j]
         if rule == 2 and a.bit_count() < b.bit_count():
             ua, a, ub, b = ub, b, ua, a  # a is the superset

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -152,20 +153,23 @@ def validate_collection(col: Collection) -> None:
         cls_names = [c.name for c in ds.classes]
         if len(set(cls_names)) != len(cls_names):
             raise ValidationError(f"class names must be unique within dataset {ds.name!r}")
-        for c in ds.classes:
-            if not c.atoms:
-                raise InvalidClass(f"class {ds.name}.{c.name} has an empty atom set")
-            bad = [i for i in c.atoms if not 0 <= i < len(col.atoms)]
-            if bad:
-                raise ValidationError(f"class {ds.name}.{c.name} references unknown atoms {bad}")
-            referenced |= c.atoms
-        for i in range(len(ds.classes)):
-            for j in range(i + 1, len(ds.classes)):
-                if ds.classes[i].atoms & ds.classes[j].atoms:
+        atoms = [c.atoms for c in ds.classes]
+        held = set().union(*atoms)
+        # One pass over the dataset decides; the class loops only name the fault.
+        if not all(atoms) or min(held) < 0 or max(held) >= len(names):
+            for c in ds.classes:
+                if not c.atoms:
+                    raise InvalidClass(f"class {ds.name}.{c.name} has an empty atom set")
+                bad = [i for i in c.atoms if not 0 <= i < len(names)]
+                if bad:
                     raise ValidationError(
-                        f"classes within a dataset must be pairwise disjoint: "
-                        f"{ds.name}.{ds.classes[i].name} intersects {ds.name}.{ds.classes[j].name}"
-                    )
+                        f"class {ds.name}.{c.name} references unknown atoms {bad}")
+        if len(held) != sum(map(len, atoms)):
+            x, y = next((x, y) for x, y in itertools.combinations(ds.classes, 2)
+                        if x.atoms & y.atoms)
+            raise ValidationError(f"classes within a dataset must be pairwise disjoint: "
+                                  f"{ds.name}.{x.name} intersects {ds.name}.{y.name}")
+        referenced |= held
     orphans = set(range(len(col.atoms))) - referenced
     if orphans:
         i = min(orphans)
@@ -180,15 +184,17 @@ def build_universal_from_atoms(col: Collection):
     sorted by signature, then atom ids.  Display names join atom names
     with "+".
     """
-    signature_of_atom = [set() for _ in col.atoms]
+    # Each atom's (dataset index, class index) pairs, ascending as the loops run
+    signature_of_atom = [[] for _ in col.atoms]
     for d, ds in enumerate(col.datasets):
         for c, cls in enumerate(ds.classes):
+            pair = (d, c)
             for a in cls.atoms:
-                signature_of_atom[a].add((d, c))
+                signature_of_atom[a].append(pair)
     groups = {}  # signature -> atom ids, ascending
     for a, sig in enumerate(signature_of_atom):
-        groups.setdefault(frozenset(sig), []).append(a)
-    ordered = sorted(groups.items(), key=lambda kv: (tuple(sorted(kv[0])), kv[1]))
+        groups.setdefault(tuple(sig), []).append(a)
+    ordered = sorted(groups.items())  # the signatures differ, so the ids never compare
     holders = {}  # (dataset index, class index) -> ids of the classes inside it
     for uid, (sig, _) in enumerate(ordered):
         for pair in sig:
@@ -197,7 +203,8 @@ def build_universal_from_atoms(col: Collection):
         ds.name: {cls.name: tuple(holders[d, c]) for c, cls in enumerate(ds.classes)}
         for d, ds in enumerate(col.datasets)
     }
-    classes = tuple(UniversalClass(uid, frozenset(ids), sig, "+".join(col.atoms[a] for a in ids))
+    classes = tuple(UniversalClass(uid, frozenset(ids), frozenset(sig),
+                                   "+".join([col.atoms[a] for a in ids]))
                     for uid, (sig, ids) in enumerate(ordered))
     return UniversalTaxonomy(classes), MappingSet(by_dataset)
 
@@ -218,7 +225,7 @@ def filter_untrainable(tax: UniversalTaxonomy, maps: MappingSet):
         if candidates:
             dominators[u] = max(candidates, key=lambda v: (len(signatures[v]), -v))
     by_dataset = {
-        ds: {cls: tuple(u for u in uids if u not in dominators) for cls, uids in per.items()}
+        ds: {cls: tuple([u for u in uids if u not in dominators]) for cls, uids in per.items()}
         for ds, per in maps.by_dataset.items()
     }
     filtered = UniversalTaxonomy(tax.classes, dominators)
@@ -237,19 +244,20 @@ def projection(sources, targets, void: bool = False) -> np.ndarray:
     so, and validate_universal holds files to it), so for them meeting a
     class and lying in it are the same.
     """
-    holders = {}  # element -> the sources holding it
+    width = len(targets) + void
+    holders = {}  # element -> where the rows of the sources holding it start in w
     for i, s in enumerate(sources):
         for e in s:
-            holders.setdefault(e, []).append(i)
-    rows = [[0.0] * (len(targets) + void) for _ in sources]
+            holders.setdefault(e, []).append(i * width)
+    w = [0.0] * (len(sources) * width)  # row-major
     for j, t in enumerate(targets):
         for e in t:
-            for i in holders.get(e, ()):
-                rows[i][j] = 1.0
+            for row in holders.get(e, ()):
+                w[row + j] = 1.0
     if void:
-        for row in rows:
-            row[-1] = 0.0 if 1.0 in row else 1.0
-    return np.array(rows, dtype=np.float64).reshape(len(sources), len(targets) + void)
+        for start in range(0, len(w), width):
+            w[start + width - 1] = 0.0 if 1.0 in w[start:start + width - 1] else 1.0
+    return np.array(w, dtype=np.float64).reshape(len(sources), width)
 
 
 def mapping_matrix(dataset: str, col: Collection, tax: UniversalTaxonomy,
@@ -261,8 +269,8 @@ def mapping_matrix(dataset: str, col: Collection, tax: UniversalTaxonomy,
     absent from every class of the dataset.
     """
     ds = col.dataset(dataset)
-    columns = [u for u, trainable in zip(tax.classes, tax.trainable) if trainable]
-    w = projection([{u.id} for u in columns],
+    columns = [u for u in tax.classes if u.id not in tax.dominators]
+    w = projection([(u.id,) for u in columns],
                    [maps.mapped(dataset, c.name) for c in ds.classes], include_void)
     row_names = [c.name for c in ds.classes] + ([VOID] if include_void else [])
     return row_names, [u.display_name for u in columns], w.T.astype(int).tolist()
@@ -293,11 +301,13 @@ def collection_from_dict(data: dict) -> Collection:
             at = f"{where}classes[{c}]."
             cls_name = require_field(cls, "name", str, at)
             members = require_field(cls, "atoms", list, at)
-            unknown = [a for a in members if not isinstance(a, str) or a not in index]
-            if unknown:
+            try:
+                atoms = frozenset([index[a] for a in members])
+            except (KeyError, TypeError):  # an unknown name, or not a name at all
+                unknown = [a for a in members if not isinstance(a, str) or a not in index]
                 raise ValidationError(f"field {at + 'atoms'!r}: class {name}.{cls_name} "
-                                      f"references unknown atoms {unknown}")
-            classes.append(DatasetClass(cls_name, frozenset(index[a] for a in members)))
+                                      f"references unknown atoms {unknown}") from None
+            classes.append(DatasetClass(cls_name, atoms))
         taxonomies.append(DatasetTaxonomy(name, tuple(classes)))
     return Collection(tuple(atom_names), tuple(taxonomies))
 
@@ -323,17 +333,16 @@ def load_collection(path) -> Collection:
 
 def taxonomy_to_dict(col: Collection, tax: UniversalTaxonomy, maps: MappingSet) -> dict:
     data = collection_to_dict(col)
+    datasets, dominators = col.datasets, tax.dominators
     data["universal"] = [
         {
             "id": u.id,
             "display_name": u.display_name,
             "atoms": col.atom_names(u.atoms),
-            "signature": [
-                [col.datasets[d].name, col.datasets[d].classes[c].name]
-                for d, c in sorted(u.signature)
-            ],
-            "trainable": u.id not in tax.dominators,
-            "dominator": tax.dominators.get(u.id),
+            "signature": [[datasets[d].name, datasets[d].classes[c].name]
+                          for d, c in sorted(u.signature)],
+            "trainable": u.id not in dominators,
+            "dominator": dominators.get(u.id),
         }
         for u in tax.classes
     ]
@@ -373,42 +382,44 @@ def validate_universal(col: Collection, data: dict):
     filtered, kept_maps, _ = filter_untrainable(tax, maps)
     built, built_maps, derived = tax.classes, maps.by_dataset, filtered.dominators
     index = {name: i for i, name in enumerate(col.atoms)}
-    ds_index = {ds.name: d for d, ds in enumerate(col.datasets)}
-    cls_index = {
-        (ds.name, c.name): ci for ds in col.datasets for ci, c in enumerate(ds.classes)
-    }
+    pair_index = {(ds.name, c.name): (d, ci)
+                  for d, ds in enumerate(col.datasets) for ci, c in enumerate(ds.classes)}
     entries = require_field(data, "universal", list)
     classes = []
     dominators = {}
     differs = None  # the first class whose dominator is not the derived one
     for i, (entry, u) in enumerate(zip(entries, built)):
-        where = f"universal[{i}]"
-        if require_field(entry, "id", int, where + ".") != i:
-            raise ValidationError(f"field {where + '.id'!r} must be {i}")
-        atoms = require_field(entry, "atoms", list, where + ".")
-        signature = require_field(entry, "signature", list, where + ".")
-        display = require_field(entry, "display_name", str, where + ".")
+        where = f"universal[{i}]."
+        if require_field(entry, "id", int, where) != i:
+            raise ValidationError(f"field {where + 'id'!r} must be {i}")
+        atoms = require_field(entry, "atoms", list, where)
+        pairs = require_field(entry, "signature", list, where)
+        display = require_field(entry, "display_name", str, where)
         try:
-            atoms = frozenset(index[a] for a in atoms)
+            atoms = frozenset([index[a] for a in atoms])
         except (KeyError, TypeError):
-            raise ValidationError(f"field {where + '.atoms'!r} names an unknown atom") from None
-        try:
-            signature = frozenset((ds_index[d], cls_index[(d, c)]) for d, c in signature)
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"field {where + '.signature'!r} holds a malformed or "
-                                  f"unknown [dataset, class] pair") from None
+            raise ValidationError(f"field {where + 'atoms'!r} names an unknown atom") from None
+        signature = []
+        for pair in pairs:
+            try:
+                d, c = pair
+                signature.append(pair_index[d, c])
+            except (KeyError, TypeError, ValueError):
+                raise ValidationError(f"field {where + 'signature'!r} holds a malformed or "
+                                      f"unknown [dataset, class] pair: {pair!r}") from None
+        signature = frozenset(signature)
         dominator = entry.get("dominator")
         if dominator is not None:
-            dominators[i] = require_field(entry, "dominator", int, where + ".")
+            dominators[i] = require_field(entry, "dominator", int, where)
         if "trainable" in entry:
-            trainable = require_field(entry, "trainable", bool, where + ".")
+            trainable = require_field(entry, "trainable", bool, where)
             if trainable != (dominator is None):
                 raise ValidationError(
-                    f"field {where + '.trainable'!r} is {json.dumps(trainable)} but "
-                    f"{where + '.dominator'!r} is {json.dumps(dominator)}: a class is "
+                    f"field {where + 'trainable'!r} is {json.dumps(trainable)} but "
+                    f"{where + 'dominator'!r} is {json.dumps(dominator)}: a class is "
                     f"trainable exactly when it has no dominator")
-        if (atoms, signature) != (u.atoms, u.signature):
-            raise ValidationError(f"field {where!r} must hold the atoms "
+        if atoms != u.atoms or signature != u.signature:
+            raise ValidationError(f"field 'universal[{i}]' must hold the atoms "
                                   f"{col.atom_names(u.atoms)} and the classes containing them")
         # The dominators are all null (an unfiltered file) or all derived:
         # a class that differs is wrong once some class has a dominator.
@@ -429,20 +440,20 @@ def validate_universal(col: Collection, data: dict):
         if ds not in built_maps:
             raise ValidationError(f"field 'mappings.{ds}' names nothing in the collection")
         per_class = require_field(mappings, ds, dict, "mappings.")
-        built_classes = built_maps[ds]
+        built_classes, kept_classes = built_maps[ds], kept_maps.by_dataset[ds]
         by_dataset[ds] = {}
         for cls, uids in per_class.items():
             if cls not in built_classes:
                 raise ValidationError(f"field 'mappings.{ds}.{cls}' names nothing in "
                                       f"the collection")
             uids = tuple(require_list(uids, int, f"mappings.{ds}.{cls}"))
-            contained = list(built_classes[cls])
+            contained = built_classes[cls]
             # the file's dominators are none or, checked above, the derived ones
-            kept = list(kept_maps.by_dataset[ds][cls]) if dominators else contained
-            if sorted(uids) not in (contained, kept):
+            kept = kept_classes[cls] if dominators else contained
+            if tuple(sorted(uids)) not in (contained, kept):
                 raise ValidationError(
                     f"field 'mappings.{ds}.{cls}' must list the universal classes "
-                    f"{contained} it contains, or the trainable ones {kept}")
+                    f"{list(contained)} it contains, or the trainable ones {list(kept)}")
             by_dataset[ds][cls] = uids
         _missing(built_classes, per_class, f"mappings.{ds}")
     _missing(built_maps, mappings, "mappings")

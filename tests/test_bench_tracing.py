@@ -2,14 +2,18 @@
 methods by name.  A rename must fail here, not only in ``--trace 1`` runs."""
 
 import importlib.util
+import json
+import random
 from pathlib import Path
 
 import numpy as np
 
-from unitax import problems, training
+from unitax import problems, resolve, taxonomy, training
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
 from unitax.toyproblem import problem_from_dict
+
+from helpers import random_collection
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -51,3 +55,30 @@ def test_traced_scores_of_a_heads_model_record_one_softmax_per_block():
     assert summary["losses.universal_posteriors"][0] == 3
     assert summary["losses.two_head_joint"][0] == 2
     assert summary["training.universal_scores"][0] == 1
+
+
+def test_a_traced_collection_pipeline_records_every_taxonomy_span():
+    tracing = load_tracing()
+
+    def pipeline():
+        # through the module globals, as the benchmark calls them
+        col = random_collection(random.Random(5), max_datasets=4)
+        tax, maps = taxonomy.build_universal_from_atoms(col)
+        ftax, fmaps, _ = taxonomy.filter_untrainable(tax, maps)
+        for ds in col.datasets:
+            taxonomy.mapping_matrix(ds.name, col, ftax, fmaps, include_void=True)
+        text = json.dumps(taxonomy.taxonomy_to_dict(col, ftax, fmaps))
+        taxonomy.taxonomy_from_dict(json.loads(text))
+        resolve.resolve_fixpoint(col)
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.call("bench.collection", pipeline)
+    finally:
+        tracer.restore()
+    summary = tracing.summarize(tracer.spans)
+    names = [f"taxonomy.{fn}" for fn in tracing.TAXONOMY_FUNCTIONS]
+    names += ["taxonomy.validate", "resolve.resolve_fixpoint"]
+    calls = {name: summary[name][0] if name in summary else 0 for name in names}
+    assert min(calls.values()) >= 1, calls

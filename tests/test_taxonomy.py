@@ -136,6 +136,43 @@ BROKEN_COLLECTIONS = {
 }
 
 
+def _message(make, *args):
+    with pytest.raises(ValidationError) as exc:
+        make(*args)
+    return str(exc.value)
+
+
+def test_the_first_intersecting_pair_in_class_order_is_named():
+    # x-y, x-z and the later w-z intersect
+    datasets = [("D", [("v", [0]), ("x", [1, 2, 3]), ("y", [2]), ("w", [4]), ("z", [3, 4])])]
+    assert _message(made, ["a", "b", "c", "d", "e"], datasets) == (
+        "classes within a dataset must be pairwise disjoint: D.x intersects D.y")
+    # a later dataset's empty class does not come first
+    datasets = [("D", [("x", [0, 1]), ("y", [1])]), ("E", [("x", [0]), ("y", [])])]
+    assert _message(made, ["a", "b"], datasets) == (
+        "classes within a dataset must be pairwise disjoint: D.x intersects D.y")
+    # within a dataset, an empty class or unknown atom comes before an intersection
+    datasets = [("D", [("x", [0, 1]), ("y", [1]), ("z", [])])]
+    assert _message(made, ["a", "b"], datasets) == "class D.z has an empty atom set"
+    datasets = [("D", [("x", [0, 1]), ("y", [1]), ("z", [7, 5])])]
+    assert _message(made, ["a", "b"], datasets) == "class D.z references unknown atoms [5, 7]"
+
+
+def test_the_orphan_message_names_the_lowest_orphan():
+    assert _message(made, ["a", "b", "c", "d"], [("D", [("x", [0, 2])])]) == (
+        "field 'atoms[1]' ('b') is in no class: every atom must be referenced by at least "
+        "one class")
+
+
+def test_a_class_read_from_a_file_lists_every_unknown_member_in_order():
+    members = ["a", "zz", 3, None, ["a"], True, "b", {"a": 1}, "yy"]
+    data = {"atoms": ["a", "b"], "datasets": [{"name": "D", "classes": [
+        {"name": "x", "atoms": ["a", "b"]}, {"name": "y", "atoms": members}]}]}
+    assert _message(collection_from_dict, data) == (
+        "field 'datasets[0].classes[1].atoms': class D.y references unknown atoms "
+        "['zz', 3, None, ['a'], True, {'a': 1}, 'yy']")
+
+
 @pytest.mark.parametrize("case", sorted(BROKEN_COLLECTIONS))
 def test_a_collection_cannot_be_made_broken(case):
     made(["a", "b"], [("D", [("x", [0]), ("y", [1])]), ("E", [("x", [0, 1])])])
@@ -256,6 +293,21 @@ def test_taxonomy_round_trip_and_validation():
     assert [u.display_name for u in tax2.classes] == [u.display_name for u in tax.classes]
     assert maps2.by_dataset == maps.by_dataset
     assert validate_universal(col2, taxonomy_to_dict(col2, tax2, maps2)) == (tax2, maps2)
+
+
+def test_an_unknown_signature_pair_is_named():
+    col = vehicles()
+    data = taxonomy_to_dict(col, *build_universal_from_atoms(col))
+    for pairs, named in [
+            ([["ADE20k", "van"], ["ADE20k", "vans"], ["Nope", "van"]], "['ADE20k', 'vans']"),
+            ([["VIPER", "truck"], ["VIPER"]], "['VIPER']"),
+            ([["VIPER", "truck", "car"]], "['VIPER', 'truck', 'car']"),
+            ([["VIPER", ["truck"]]], "['VIPER', ['truck']]"),
+            ([5], "5"), ([None, ["ADE20k", "vans"]], "None")]:
+        data["universal"][1]["signature"] = pairs
+        assert _message(taxonomy_from_dict, data) == (
+            "field 'universal[1].signature' holds a malformed or unknown [dataset, class] "
+            f"pair: {named}")
 
 
 @pytest.mark.parametrize("filtered", [False, True])
