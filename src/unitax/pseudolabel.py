@@ -28,35 +28,41 @@ class ForeignPrediction:
     posterior: dict  # class name -> probability, sums to 1
 
     def validate(self, col: Collection):
-        known = col.dataset(self.dataset).class_names
-        if not known.issuperset(self.posterior):
-            unknown = sorted(set(self.posterior) - known)
-            raise ValidationError(
-                f"foreign posterior for {self.dataset!r} names unknown classes {unknown}"
-            )
-        # Sum, minimum and the type scan run in C on the per-record path: a
-        # NaN or an infinity makes the sum miss 1, a non-number makes either
-        # raise, and a boolean is found among the types.  Only a posterior
-        # that fails is walked in Python to name the class.
-        values = self.posterior.values()
-        try:
-            if (abs(sum(values) - 1.0) <= 1e-9 and min(values) >= 0.0
-                    and bool not in map(type, values)):
-                return
-        except (TypeError, ArithmeticError):
-            pass
-        total = 0.0
-        for cls, p in self.posterior.items():
-            if (isinstance(p, bool) or not isinstance(p, numbers.Real)
-                    or not 0.0 <= p <= 1.0):
-                raise ValidationError(
-                    f"foreign posterior for {self.dataset!r} gives class {cls!r} "
-                    f"the probability {p!r}, not a number in [0, 1]"
-                )
-            total += p
+        _check_posterior(self.dataset, self.posterior, col.dataset(self.dataset).class_names)
+
+
+def _check_posterior(dataset: str, posterior: dict, known: frozenset) -> None:
+    """Raise ValidationError unless ``posterior`` gives classes among
+    ``known`` (the class names of ``dataset``) probabilities that are
+    numbers in [0, 1] and sum to 1."""
+    if not known.issuperset(posterior):
+        unknown = sorted(set(posterior) - known)
         raise ValidationError(
-            f"foreign posterior for {self.dataset!r} sums to {total}, not 1"
+            f"foreign posterior for {dataset!r} names unknown classes {unknown}"
         )
+    # Sum, minimum and the type scan run in C on the per-record path: a
+    # NaN or an infinity makes the sum miss 1, a non-number makes either
+    # raise, and a boolean is found among the types.  Only a posterior
+    # that fails is walked in Python to name the class.
+    values = posterior.values()
+    try:
+        if (abs(sum(values) - 1.0) <= 1e-9 and min(values) >= 0.0
+                and bool not in map(type, values)):
+            return
+    except (TypeError, ArithmeticError):
+        pass
+    total = 0.0
+    for cls, p in posterior.items():
+        if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+                or not 0.0 <= p <= 1.0):
+            raise ValidationError(
+                f"foreign posterior for {dataset!r} gives class {cls!r} "
+                f"the probability {p!r}, not a number in [0, 1]"
+            )
+        total += p
+    raise ValidationError(
+        f"foreign posterior for {dataset!r} sums to {total}, not 1"
+    )
 
 
 def _plan(gt_label, dataset: str, col: Collection, maps: MappingSet) -> tuple:
@@ -122,17 +128,23 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     ground truth ("orthogonal:<dataset>") and the all-zero fallback to the
     lowest candidate id.  A foreign dataset with no class meeting the
     ground truth scores zero and is not flagged.  Every posterior is
-    checked by ForeignPrediction.validate, that of the ground truth's own
-    dataset too, which is then skipped.
+    checked as ForeignPrediction.validate checks it, that of the ground
+    truth's own dataset too, which is then skipped.
 
     ``plans`` memoises what a record's ground-truth label fixes: per label,
     its sorted candidates and their output keys (the ids as str), and per
     (label, foreign dataset) the scan of the foreign classes.  One dict
     serves every call on the same collection and mappings.
     """
+    return _ensemble(((f.dataset, f.posterior) for f in foreign_predictions), gt_label,
+                     col, maps, {} if plans is None else plans)
+
+
+def _ensemble(foreign, gt_label, col: Collection, maps: MappingSet, plans: dict):
+    """ensemble_pseudo_label over ``foreign``, an iterable of (dataset name,
+    posterior) pairs: the one scoring core of the ensemble and the stream.
+    The ground-truth label is resolved before the first pair is read."""
     gt_dataset, gt_class = gt_label
-    if plans is None:
-        plans = {}
     label_plan = plans.get((gt_dataset, gt_class))
     if label_plan is None:
         candidates = tuple(sorted(maps.mapped(gt_dataset, gt_class)))
@@ -141,23 +153,23 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     candidates, _, foreign_plans = label_plan
     scores = dict.fromkeys(candidates, 0.0)
     orthogonal = []
-    for foreign in foreign_predictions:
-        foreign.validate(col)
-        if foreign.dataset == gt_dataset:
+    for dataset, posterior in foreign:
+        _check_posterior(dataset, posterior, col.dataset(dataset).class_names)
+        if dataset == gt_dataset:
             continue
-        plan = foreign_plans.get(foreign.dataset)
+        plan = foreign_plans.get(dataset)
         if plan is None:
-            plan = foreign_plans[foreign.dataset] = _plan(gt_label, foreign.dataset, col, maps)
+            plan = foreign_plans[dataset] = _plan(gt_label, dataset, col, maps)
         meeting, owners = plan
         if not meeting:
             continue
-        denominator = _mass(foreign.posterior, meeting)
+        denominator = _mass(posterior, meeting)
         if denominator == 0.0:
-            orthogonal.append(f"orthogonal:{foreign.dataset}")
+            orthogonal.append(f"orthogonal:{dataset}")
             continue
         for u, owner in zip(candidates, owners):
             if owner is not None:
-                scores[u] += float(foreign.posterior.get(owner, 0.0)) / denominator
+                scores[u] += float(posterior.get(owner, 0.0)) / denominator
     best = candidates[0]
     if len(candidates) > 1:
         best = max(candidates, key=lambda u: (scores[u], -u))
@@ -170,20 +182,6 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     return best, scores, flags
 
 
-def _foreign_predictions(foreign) -> list:
-    """One ForeignPrediction per dataset of a record's "foreign" field,
-    which maps dataset names to objects of class probabilities.  The
-    probabilities are checked by ForeignPrediction.validate."""
-    if not isinstance(foreign, dict):
-        raise ValidationError("field 'foreign' must map dataset names to class posteriors")
-    out = []
-    for ds, post in foreign.items():
-        if not isinstance(post, dict):
-            raise ValidationError(f"field 'foreign.{ds}' must map class names to probabilities")
-        out.append(ForeignPrediction(ds, post))
-    return out
-
-
 def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
                    maps: MappingSet):
     """Process JSON-lines records.
@@ -191,7 +189,12 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
     Input lines: {"sample_id", "gt_dataset", "gt_class",
     "foreign": {dataset: {class: prob}}}.  Yields output dicts with the
     pseudo-label, per-candidate scores, and flags.  A record of another
-    shape raises a ValidationError naming its line and field.
+    shape raises a ValidationError naming its line and field.  A record is
+    checked in this order: the ground-truth fields, the shape of
+    "foreign" and of each of its entries, the ground-truth label, then
+    each posterior in record order, as ForeignPrediction.validate checks
+    it.  The decoded posteriors are scored as they are, by the core of
+    ensemble_pseudo_label, with no ForeignPrediction built.
 
     Each line is stripped of whitespace (str.strip) and, unless empty,
     decoded as ``json.loads`` decodes a str: a leading U+FEFF (BOM) and
@@ -216,8 +219,15 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
         try:
             gt = (require_field(record, "gt_dataset", str),
                   require_field(record, "gt_class", str))
-            foreign = _foreign_predictions(record.get("foreign", {}))
-            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, maps, plans)
+            foreign = record.get("foreign", {})
+            if not isinstance(foreign, dict):
+                raise ValidationError(
+                    "field 'foreign' must map dataset names to class posteriors")
+            for ds, post in foreign.items():
+                if not isinstance(post, dict):
+                    raise ValidationError(
+                        f"field 'foreign.{ds}' must map class names to probabilities")
+            label, scores, flags = _ensemble(foreign.items(), gt, col, maps, plans)
         except (ValidationError, NotFound) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
         yield {

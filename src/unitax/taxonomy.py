@@ -79,11 +79,15 @@ class Collection:
     def atom_names(self, ids) -> list:
         return [self.atoms[i] for i in sorted(ids)]
 
+    @functools.cached_property
+    def _by_name(self) -> dict:
+        return {ds.name: ds for ds in self.datasets}
+
     def dataset(self, name: str) -> DatasetTaxonomy:
-        for ds in self.datasets:
-            if ds.name == name:
-                return ds
-        raise NotFound(f"unknown dataset {name!r}")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise NotFound(f"unknown dataset {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -397,8 +401,10 @@ def validate_universal(col: Collection, data: dict):
         display = require_field(entry, "display_name", str, where)
         try:
             atoms = frozenset([index[a] for a in atoms])
-        except (KeyError, TypeError):
-            raise ValidationError(f"field {where + 'atoms'!r} names an unknown atom") from None
+        except (KeyError, TypeError):  # an unknown name, or not a name at all
+            bad = next(a for a in atoms if not isinstance(a, str) or a not in index)
+            raise ValidationError(
+                f"field {where + 'atoms'!r} names an unknown atom: {bad!r}") from None
         signature = []
         for pair in pairs:
             try:

@@ -1110,23 +1110,28 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
 
 # Fields that refer to a dataset class: a class renamed or dropped is
 # reported where the reference to it no longer resolves, in a model's
-# output space.  A taxonomy's signature check names the pair it cannot
-# resolve.
-CLASS_REFERENCES = ("'space",)
+# output space or a taxonomy's signatures.  The signature check names the
+# pair it cannot resolve, which holds the class's old name.
+CLASS_REFERENCES = ("'space", "signature'")
 
 
 def _names_the_change(err, kind, key_path, value):
     """Whether the message ``err``, stripped of file paths, names the
     changed node: its line, for a file of one item per line; otherwise a
-    key on its path, its new value, or a field that refers to the class it
+    key on its path as a whole token, its new value (a string only as its
+    repr or JSON text, so quoted), or a field that refers to the class it
     lies in."""
     if kind == "lines":
         return f"line {key_path[0] + 1}:" in err
-    if any(isinstance(key, str) and key in err for key in key_path):
+    if any(isinstance(key, str) and re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", err)
+           for key in key_path):
         return True
-    if value is not DROPPED and any(text in err for text in
-                                    (repr(value), str(value), json.dumps(value))):
-        return True
+    if value is not DROPPED:
+        texts = {repr(value), json.dumps(value)}
+        if not isinstance(value, str):
+            texts.add(str(value))
+        if any(text in err for text in texts):
+            return True
     return "classes" in key_path and any(ref in err for ref in CLASS_REFERENCES)
 
 

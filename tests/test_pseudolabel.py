@@ -305,6 +305,54 @@ def test_relabel_stream_strips_lines_and_counts_blank_ones():
     assert str(info.value) == "line 4: not valid JSON (Expecting value)"
 
 
+@pytest.mark.parametrize("gt_class, foreign, error, message", [
+    ("nope", {"VIPER": {"truck": "x"}}, NotFound, "unknown class 'Vistas'.'nope'"),
+    ("nope", {"VIPER": {"truck": "x"}, "ADE20k": [1.0]}, ValidationError,
+     "field 'foreign.ADE20k' must map class names to probabilities"),
+    ("car", {"VIPER": {"truck": -1.0}, "ADE20k": 3}, ValidationError,
+     "field 'foreign.ADE20k' must map class names to probabilities"),
+    ("car", {"VIPER": {"truck": 2.0}, "ADE20k": {"van": "x"}}, ValidationError,
+     "foreign posterior for 'VIPER' gives class 'truck' the probability 2.0, "
+     "not a number in [0, 1]"),
+    ("car", {"VIPER": {"truck": 1.0}, "X": {"a": 1.0}}, NotFound, "unknown dataset 'X'"),
+], ids=["label-before-posterior", "shape-before-label", "shape-before-posterior",
+        "posteriors-in-record-order", "unknown-dataset"])
+def test_relabel_stream_checks_a_record_in_order(gt_class, foreign, error, message):
+    # the ground-truth fields, the shapes of "foreign", the ground-truth
+    # label, then each posterior in record order
+    col, tax, maps, _ = vehicle_setup()
+    line = json.dumps({"gt_dataset": "Vistas", "gt_class": gt_class, "foreign": foreign})
+    with pytest.raises(error) as info:
+        list(relabel_stream([GOOD_RECORD, line], col, tax, maps))
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_relabel_stream_builds_no_foreign_prediction(monkeypatch):
+    built = []
+    init = ForeignPrediction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ForeignPrediction, "__init__", counting_init)
+    rng = random.Random(31)
+    col = _stream_collection()
+    tax, maps = build_universal_from_atoms(col)
+    labels = [(ds, c) for ds in col.datasets for c in ds.classes]
+    lines = []
+    for _ in range(100):
+        gt_ds, gt_cls = rng.choice(labels)
+        lines.append(json.dumps({
+            "gt_dataset": gt_ds.name, "gt_class": gt_cls.name,
+            "foreign": {ds.name: _random_posterior(rng, ds, gt_cls.atoms)
+                        for ds in col.datasets}}))
+    assert len(list(relabel_stream(lines, col, tax, maps))) == 100
+    assert built == []
+    ForeignPrediction("VIPER", {"truck": 1.0})
+    assert len(built) == 1  # the count sees a construction
+
+
 def _stream_collection():
     """Vehicles and a bus over three datasets.  Vistas car maps to three
     universal classes and VIPER truck to two; filtering drops the truck

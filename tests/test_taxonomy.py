@@ -310,6 +310,16 @@ def test_an_unknown_signature_pair_is_named():
             f"pair: {named}")
 
 
+def test_an_unknown_universal_atom_is_named():
+    col = vehicles()
+    data = taxonomy_to_dict(col, *build_universal_from_atoms(col))
+    for atoms, named in [(["pickup", "pick-up", "vans"], "'pick-up'"),
+                         (["car", 3, "nope"], "3"), ([["car"]], "['car']"), ([None], "None")]:
+        data["universal"][2]["atoms"] = atoms
+        assert _message(taxonomy_from_dict, data) == (
+            f"field 'universal[2].atoms' names an unknown atom: {named}")
+
+
 @pytest.mark.parametrize("filtered", [False, True])
 def test_taxonomy_files_of_random_collections_read_back_as_written(filtered):
     rng = random.Random(25)

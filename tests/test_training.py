@@ -386,11 +386,14 @@ def test_surface_csv_holds_no_more_than_a_row_of_text():
 
 
 @pytest.mark.parametrize("kind", ["checkerboard", "random"])
-def test_surface_csv_holds_the_run_starts_of_one_band(kind):
+def test_surface_csv_holds_the_run_starts_of_one_band(monkeypatch, kind):
     # every cell, or four in five, starts a run: a whole-grid search for the
     # starts held 2.4 times the text (99 MiB at 1000 x 1000), one band of
-    # SURFACE_BAND cells about a sixth of it
-    peak, chars = _surface_csv_peak(kind)
+    # SURFACE_BAND cells about a sixth of it.  Both grow with the cells, so
+    # a 200 x 200 grid with the band cut by the same 25 times, 13 rows of
+    # 200 against 65 of 1000, keeps the ratios at a 25th of the traced time
+    monkeypatch.setattr(training, "SURFACE_BAND", training.SURFACE_BAND // 25)
+    peak, chars = _surface_csv_peak(kind, 200, 200)
     assert peak < chars / 4, (peak, chars)
 
 
