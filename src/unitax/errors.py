@@ -103,15 +103,30 @@ def write_json(path, data) -> None:
         fh.write("\n")
 
 
+def _rejected(exc):
+    """Why the JSON decoder rejected a text, from what it raised: a syntax
+    error (a JSONDecodeError), nesting deeper than the recursion limit (a
+    RecursionError), or an integer literal longer than int() converts (the
+    one other ValueError it raises)."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not valid JSON ({exc.msg})"
+    if isinstance(exc, RecursionError):
+        return "JSON nested too deeply to decode"
+    return f"JSON integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def load_json(path, parse):
     """``parse(data)`` for the JSON value in the file at ``path``.  A
-    ValidationError, for the encoding, the JSON syntax or from ``parse``,
-    names the file."""
+    ValidationError, for the encoding, the JSON text or from ``parse``,
+    names the file: a syntax error by its line, JSON nested too deeply or
+    an integer too long to decode by what it is."""
+    text = read_text(path)
     try:
-        data = json.loads(read_text(path))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
+        raise ValidationError(f"{path}: line {exc.lineno}: {_rejected(exc)}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: {_rejected(exc)}") from None
     try:
         return parse(data)
     except ValidationError as exc:

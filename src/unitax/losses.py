@@ -7,7 +7,9 @@ exponentiated probabilities, by one kernel, nll_plus_targets: the trainer
 runs it, and nll_plus and nll_plus_grad run it on a batch of one.  The
 other helpers run shipped code too: aggregate_mask_max picks with _top, as
 the trainer's top rule does; dataset_posterior weighs with projection, as
-training.dataset_scores does; training.own_posterior calls two_head_joint.
+training.dataset_scores does.  two_head_joint is the reference for the
+join that training.own_posterior makes in place, one product per class
+head of posteriors universal_posteriors has just made.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def universal_posteriors(logits: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(logits)):
         raise InvalidLogit("logits must be finite")
     z = np.ascontiguousarray(logits.T)
-    e = np.exp(z - np.max(z, axis=0))
+    e = z - np.max(z, axis=0)
+    np.exp(e, out=e)
     e /= _row_sum(e)
     return e.T
 
@@ -52,8 +55,10 @@ def universal_posteriors(logits: np.ndarray) -> np.ndarray:
 def _row_sum(e):
     """Sum of the rows of ``e``, in numpy's pairwise order for a contiguous
     run of len(e) numbers: below 8 in order; up to 128 in eight
-    accumulators (rows j, j+8, ...) combined as a tree, then the rest in
-    order; above 128 the sum of two halves split at a multiple of 8."""
+    accumulators (rows j, j+8, ...) combined as the tree
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), which three strided adds of
+    neighbours make, then the rest in order; above 128 the sum of two
+    halves split at a multiple of 8."""
     k = len(e)
     if k > 128:
         n2 = k // 2 - (k // 2) % 8
@@ -64,7 +69,9 @@ def _row_sum(e):
         r = e[:8].copy()
         for j in range(8, k - k % 8, 8):
             r += e[j:j + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
         rest = e[k - k % 8:]
     for row in rest:
         total += row
@@ -185,5 +192,6 @@ def aggregate_mask_max(stack: np.ndarray, label, maps: MappingSet):
 
 def two_head_joint(class_given_dataset, dataset_prob):
     """Joint posterior of (class, dataset): P(c | D, x) * P(D | x), of two
-    numbers or of two arrays that broadcast."""
+    numbers or of two arrays that broadcast.
+    Kept without a shipped caller: bench/tracing.py wraps it, tests compare to it."""
     return _probabilities(class_given_dataset) * _probabilities(dataset_prob)

@@ -14,7 +14,7 @@ import json
 import numbers
 from dataclasses import dataclass
 
-from .errors import NotFound, OrthogonalDataset, ValidationError, require_field
+from .errors import NotFound, OrthogonalDataset, ValidationError, _rejected, require_field
 from .taxonomy import Collection, MappingSet, UniversalTaxonomy
 
 # json.loads(s) for a str is this decoder's raw_decode plus a BOM check and
@@ -198,8 +198,9 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
 
     Each line is stripped of whitespace (str.strip) and, unless empty,
     decoded as ``json.loads`` decodes a str: a leading U+FEFF (BOM) and
-    any text after the first JSON value are errors.  A blank line is
-    skipped but still counted in the line numbers.
+    any text after the first JSON value are errors, and so are nesting too
+    deep and an integer too long to decode.  A blank line is skipped but
+    still counted in the line numbers.
     """
     plans = {}
     names = [u.display_name for u in tax.classes]
@@ -214,8 +215,8 @@ def relabel_stream(lines, col: Collection, tax: UniversalTaxonomy,
             record, end = _raw_decode(raw)
             if end != len(raw):
                 raise json.JSONDecodeError("Extra data", raw, end)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: not valid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"line {lineno}: {_rejected(exc)}") from None
         try:
             gt = (require_field(record, "gt_dataset", str),
                   require_field(record, "gt_class", str))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (InvalidLogit, TrainingDiverged, ValidationError, load_json,
                      require_field, require_list, write_json)
-from .losses import _top, nll_plus_targets, two_head_joint, universal_posteriors
+from .losses import _top, nll_plus_targets, universal_posteriors
 from .mlp import Adam, MlpModel, Workspace, one_blas_thread, row_blocks
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
@@ -353,23 +353,28 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def own_posterior(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Posterior over the model's own output classes: the softmax of the
-    first block, or in the heads space each class head's softmax joined by
-    two_head_joint with its dataset's posterior in the dataset head.
+    first block, or in the heads space each class head's softmax times its
+    dataset's posterior in the dataset head, P(c | D, x) * P(D | x).
 
     The logits are transposed once, so that each block is a contiguous run
     of class rows that universal_posteriors takes without a copy; every
-    block still checks its own logits.  The posterior is worked class-major
-    and copied to a row-major (len(x), outputs) array at the end: BLAS
-    multiplies a transposed matrix by the score weights in another
-    summation order, which would move the last bits of every score.
+    block still checks its own logits.  The heads' joint is written class
+    head by class head into one class-major buffer, by the product
+    two_head_joint makes, without its range check: a softmax of finite
+    logits lies in [0, 1].  The posterior is worked class-major and copied
+    to a row-major (len(x), outputs) array at the end: BLAS multiplies a
+    transposed matrix by the score weights in another summation order,
+    which would move the last bits of every score.
     """
     z = np.ascontiguousarray(forward_logits(model, x).T)
     (_, first), *heads = space.blocks
     post = universal_posteriors(z[first].T).T
     if heads:
         # the class heads are stacked in the order of the dataset head
-        post = np.vstack([two_head_joint(universal_posteriors(z[classes].T).T, post[d])
-                          for d, (_, classes) in enumerate(heads)])
+        joint = np.empty((len(space.entries), z.shape[1]))
+        for d, (_, classes) in enumerate(heads):
+            np.multiply(universal_posteriors(z[classes].T).T, post[d], out=joint[classes])
+        post = joint
     return np.ascontiguousarray(post.T)
 
 

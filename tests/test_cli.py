@@ -744,6 +744,39 @@ BAD_INPUTS = {
 }
 
 
+# JSON texts the decoder rejects, each with the words of the message that
+# names it: nesting deeper than the recursion limit, and an integer literal
+# longer than int() converts
+UNDECODABLE = {"nested-too-deeply": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+               "integer-too-long": ("9" * 5000, "4300 digits")}
+
+
+def _undecodable_input(tmp_path, vehicles, reader, text):
+    """argv whose input ``reader`` holds the JSON text ``text``: a file
+    option's file as its one field, or for "lines" the second record of a
+    records file as its sample id."""
+    path, out = tmp_path / "u.json", str(tmp_path / "out")
+    if reader == "lines":
+        record = json.dumps({"gt_dataset": "Vistas", "gt_class": "car",
+                             "foreign": {"VIPER": {"truck": 1.0}}})
+        path.write_text(f'{record}\n{record[:-1]}, "sample_id": {text}}}\n')
+        return ["pseudo-label", "--atoms", vehicles, "--in", str(path), "--out", out]
+    path.write_text(f'{{"atoms": {text}}}')
+    return {"--atoms": ["build", "--atoms", str(path), "--out", out],
+            "--in": ["check", "--in", str(path)],
+            "--model": ["surface", "--model", str(path), "--grid=-1,1,-1,1,2,2", "--out", out],
+            "--spec": ["toy-train", "--spec", str(path), "--mode", "universal-nll-plus",
+                       "--out", out]}[reader]
+
+
+BAD_INPUTS.update({
+    f"{reader.lstrip('-')}-{case}": lambda tmp, vehicles, reader=reader, text=text, words=words: (
+        _undecodable_input(tmp, vehicles, reader, text), 1,
+        ["u.json: line 2: " if reader == "lines" else "u.json: ", words])
+    for reader in ("--atoms", "--in", "--model", "--spec", "lines")
+    for case, (text, words) in UNDECODABLE.items()})
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_inputs_exit_with_a_message_naming_them(case, tmp_path, vehicle_file, capsys):
     argv, expected, named = BAD_INPUTS[case](tmp_path, vehicle_file)
@@ -1041,6 +1074,22 @@ def _enlarge(rng, doc):
     return root, path, node[path[-1]]
 
 
+# what _undecodable_doc sets a node to before rendering, and then replaces by an
+# UNDECODABLE text in the rendered bytes
+STAND_IN = "\u2603 stand-in"
+
+
+def _undecodable_doc(rng, doc, render):
+    """(``doc`` rendered with one node, drawn uniformly, in place of an
+    UNDECODABLE text; the key path of that node; the words of the message
+    that names the text)."""
+    path = rng.choice(list(_paths(doc)))
+    root, node = _copied(doc, path)
+    node[path[-1]] = STAND_IN
+    text, words = rng.choice(list(UNDECODABLE.values()))
+    return render(root).replace(json.dumps(STAND_IN).encode(), text.encode()), path, words
+
+
 def _damage(rng, data):
     """``data`` truncated, emptied or made invalid UTF-8."""
     cut = rng.randrange(len(data) + 1)
@@ -1067,10 +1116,13 @@ def _fuzz_cases(tmp_path, path):
     ``path``, argv, the exit codes allowed, the change) per case.  The
     change is None for an input left as it was or damaged, else (the
     document's kind, the key path of the changed node, its new value),
-    the kind being "lines" for a file of one item per line."""
+    the kind being "lines" for a file of one item per line, and
+    "undecodable" for a JSON document the decoder rejects, whose change
+    holds the words that name the rejection in place of the value."""
     rng = random.Random(2024)
     misuse = random.Random(7)  # its own stream, so that rng draws the same cases
     huge = random.Random(11)  # likewise
+    undecodable = random.Random(13)  # likewise
     for cases, doc, values, render, commands in _fuzz_inputs(tmp_path):
         kind = "lines" if isinstance(doc, list) else "json"
         for _ in range(cases):
@@ -1094,6 +1146,12 @@ def _fuzz_cases(tmp_path, path):
                 break
             argv = [str(path) if a == "FUZZ" else a for a in huge.choice(commands)]
             yield render(enlarged[0]), argv, (0, 1, 2), (kind, *enlarged[1:])
+        if values is FUZZ_TOKENS:  # declarations are not JSON
+            continue
+        for _ in range(cases // 10):
+            data, key_path, words = _undecodable_doc(undecodable, doc, render)
+            argv = [str(path) if a == "FUZZ" else a for a in undecodable.choice(commands)]
+            yield data, argv, (1,), ("undecodable" if kind == "json" else kind, key_path, words)
 
 
 def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
@@ -1117,12 +1175,15 @@ CLASS_REFERENCES = ("'space", "signature'")
 
 def _names_the_change(err, kind, key_path, value):
     """Whether the message ``err``, stripped of file paths, names the
-    changed node: its line, for a file of one item per line; otherwise a
+    changed node: its line, for a file of one item per line; what the
+    decoder rejected, for an undecodable document; otherwise a
     key on its path as a whole token, its new value (a string only as its
     repr or JSON text, so quoted), or a field that refers to the class it
     lies in."""
     if kind == "lines":
         return f"line {key_path[0] + 1}:" in err
+    if kind == "undecodable":
+        return value in err
     if any(isinstance(key, str) and re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", err)
            for key in key_path):
         return True

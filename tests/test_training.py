@@ -11,7 +11,7 @@ import pytest
 from unitax import problems, training
 from unitax.errors import InvalidLogit, TrainingDiverged, UnmappedLabel, ValidationError
 from unitax.losses import (dataset_posterior, logsumexp, nll_plus, nll_plus_grad,
-                           nll_plus_targets, universal_posteriors)
+                           nll_plus_targets, two_head_joint, universal_posteriors)
 from unitax.mlp import MlpModel, blas_threads
 from unitax.rng import SplitMix64
 from unitax.pseudolabel import ensemble_pseudo_label
@@ -675,6 +675,47 @@ def test_scores_equal_a_row_major_reference_bit_for_bit(mode):
                                                post_inference)
                 assert len(names) == weights.shape[1], (n, ds.name)
                 assert np.array_equal(scores, ref @ weights), (n, ds.name, post_inference)
+
+
+def test_heads_own_posterior_equals_two_head_joint_per_head_bit_for_bit():
+    spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
+    result = train(TrainConfig(mode="per-dataset-heads", epochs=5, seed=2), spec, tax, maps)
+    space, model = result.space, result.model
+    (_, first), *heads = space.blocks
+    assert len(heads) == 2
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 512, 513):
+        x = rng.uniform(-4.0, 4.0, (n, 2))
+        logits = forward_logits(model, x)
+        post = universal_posteriors(logits[:, first])
+        want = np.hstack([two_head_joint(universal_posteriors(logits[:, classes]),
+                                         post[:, d:d + 1])
+                          for d, (_, classes) in enumerate(heads)])
+        assert np.array_equal(training.own_posterior(space, model, x), want), n
+
+
+@pytest.mark.parametrize("block", [0, 1, 2], ids=["dataset-head", "class-head-0",
+                                                   "class-head-1"])
+def test_a_nan_in_any_head_fails_every_score(monkeypatch, block):
+    spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
+    col = spec.collection
+    space = build_space("per-dataset-heads", col, tax)
+    model = MlpModel([2, *HIDDEN, space.k], SplitMix64(3))
+    column = space.blocks[block][1].stop - 1
+
+    def forward(x, work=None):
+        logits = MlpModel.forward(model, x, work)
+        logits[len(x) // 2, column] = np.nan
+        return logits
+
+    monkeypatch.setattr(model, "forward", forward)
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, (9, 2))
+    with pytest.raises(InvalidLogit):
+        universal_scores(space, model, x)
+    for ds in col.datasets:
+        for post_inference in (False, True):
+            with pytest.raises(InvalidLogit):
+                dataset_scores(space, model, x, ds.name, maps, col, post_inference)
 
 
 def test_dataset_scores_weights_of_two_mapping_sets_over_one_space():
