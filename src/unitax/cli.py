@@ -174,18 +174,18 @@ def _cmd_eval(args):
         raise ValidationError(f"{args.model}: field 'space' is not the {mode} space "
                               f"of the problem in {args.spec}: "
                               f"{_first_difference(result.space, built)!r} differs")
-    data = toyproblem.generate_toy(spec, maps)
+    points, universal = toyproblem.held_out_points(spec)
     ds = spec.collection.dataset(args.dataset)
     # each universal id's class in the dataset, or -1 for a foreign one
     class_of = np.full(len(tax.classes), -1)
     owner = maps.class_of(args.dataset, ds.classes)
     class_of[list(owner)] = list(owner.values())
-    truths = class_of[data.test_universal]
+    truths = class_of[universal]
     keep = truths >= 0
     truths = truths[keep]
     # the score columns are the dataset's classes, then void
     _, scores = _inference(args, training.dataset_scores,
-                           result.space, result.model, data.test_points[keep], args.dataset,
+                           result.space, result.model, points[keep], args.dataset,
                            maps, spec.collection, post_inference=bool(args.post_inference))
     acc = evaluation.ConfusionAccumulator([c.name for c in ds.classes])
     acc.add(truths, np.argmax(scores, axis=1))

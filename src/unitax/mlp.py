@@ -167,9 +167,10 @@ class MlpModel:
 
         Raises ValidationError naming the first missing or mistyped field
         of ``model``: its sizes, then its weights and biases, then their
-        layer counts, shapes and values, which must be finite.  Only then
-        is ``params`` allocated and filled, layer by layer, so that no size
-        asks for more memory than the layers in the file hold.
+        layer counts, shapes and values, which must be finite numbers, not
+        true or false.  Only then is ``params`` allocated and filled, layer
+        by layer, so that no size asks for more memory than the layers in
+        the file hold.
         """
         sizes = require_field(data, "sizes", list, "model.")
         layers = {key: require_field(data, key, list, "model.") for key in ("weights", "biases")}
@@ -191,6 +192,13 @@ class MlpModel:
                 if array is None or array.dtype.kind not in "fi" or array.shape != shape:
                     raise ValidationError(f"field 'model.{key}[{i}]' must hold numbers "
                                           f"of shape {shape} for sizes {sizes}")
+                # numpy reads true and false as 1 and 0, so only a layer that
+                # holds a 1 or a 0 can hold one; only such a layer is scanned
+                if (((array == 0) | (array == 1)).any()
+                        and any(bool in map(type, row) for row in
+                                (value if array.ndim == 2 else [value]))):
+                    raise ValidationError(f"field 'model.{key}[{i}]' holds true or false, "
+                                          f"not a number")
                 if not np.all(np.isfinite(array)):
                     raise ValidationError(f"field 'model.{key}[{i}]' holds a non-finite value")
                 arrays.append(array.reshape(-1))

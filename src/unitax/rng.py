@@ -11,6 +11,12 @@ uniform scaling, the square root and the products in float64; all of
 these are exact or correctly rounded.  The transcendentals (``log``,
 ``sin``, ``cos``) stay ``math.*`` calls on each value: numpy's vectorised
 versions may differ in the last bit from platform to platform.
+
+The stream is counter-based: the k-th draw after a state is a function of
+``state + k * golden`` alone.  So pair p of ``normals()`` on a stream with
+no spare pending, made from draws 2p + 1 and 2p + 2, can be drawn without
+the pairs before it.  ``_normal_pairs`` draws any pairs of any streams at
+once this way, and ``normals()`` is its call on pairs 0, 1, 2, ...
 """
 
 from __future__ import annotations
@@ -53,20 +59,6 @@ class SplitMix64:
         self._spare_normal = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
 
-    def _uniforms(self, m: int) -> np.ndarray:
-        """The next ``m`` uniforms as a float64 array."""
-        steps = np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = steps + np.uint64(self.state)
-        self.state = (self.state + _GOLDEN * m) & _MASK
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        u = (z >> np.uint64(11)).astype(np.float64) * _UNIT
-        u[u == 0.0] = 5e-324
-        return u
-
     def normals(self, n: int) -> np.ndarray:
         """The next ``n`` normals as a float64 array, equal to ``n`` calls
         of ``normal()``, cached spare included."""
@@ -76,13 +68,9 @@ class SplitMix64:
             out[0], self._spare_normal = self._spare_normal, None
             start = 1
         pairs = (n - start + 1) // 2
-        u = self._uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * _mapped(math.log, u[0::2]))
-        theta = (2.0 * math.pi) * u[1::2]
-        both = np.empty((pairs, 2))
-        np.multiply(r, _mapped(math.cos, theta), out=both[:, 0])
-        np.multiply(r, _mapped(math.sin, theta), out=both[:, 1])
-        flat = both.reshape(-1)
+        draws = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2)
+        flat = _normal_pairs(np.uint64(self.state), draws).reshape(-1)
+        self.state = (self.state + _GOLDEN * 2 * pairs) & _MASK
         out[start:] = flat[:n - start]
         if len(flat) > n - start:
             self._spare_normal = float(flat[-1])
@@ -96,3 +84,28 @@ class SplitMix64:
 def _mapped(fn, values: np.ndarray) -> np.ndarray:
     """``fn`` of each of ``values``, one Python float at a time."""
     return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
+
+
+def _normal_pairs(states, draws: np.ndarray) -> np.ndarray:
+    """Box-Muller pairs drawn at counter positions: row i of the (m, 2)
+    uint64 ``draws`` holds the positions of two uniforms after the uint64
+    state ``states[i]`` (1 is the next draw; ``states`` is an (m, 1) array,
+    or a scalar that serves every row), and row i of the result is the
+    cosine and the sine deviate made from them.  Pair p of ``normals()`` on
+    a stream with no spare pending is the pair at draws (2p + 1, 2p + 2),
+    and no other draw is made."""
+    steps = draws * np.uint64(_GOLDEN)
+    z = steps + states
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) * _UNIT
+    u[u == 0.0] = 5e-324
+    r = np.sqrt(-2.0 * _mapped(math.log, u[:, 0]))
+    theta = (2.0 * math.pi) * u[:, 1]
+    both = np.empty((len(u), 2))
+    np.multiply(r, _mapped(math.cos, theta), out=both[:, 0])
+    np.multiply(r, _mapped(math.sin, theta), out=both[:, 1])
+    return both

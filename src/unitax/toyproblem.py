@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, load_json, require_field, require_list
-from .rng import SplitMix64
+from .rng import SplitMix64, _normal_pairs
 from .taxonomy import (
     Collection,
     MappingSet,
@@ -27,6 +27,7 @@ from .taxonomy import (
 COUNT_MAX = 100_000
 # every HOLD_OUT-th sample of a concept is held out for testing
 HOLD_OUT = 5
+_PAIR_DRAWS = np.array([1, 2], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -112,47 +113,64 @@ def load_problem(path):
     return load_json(path, problem_from_dict)
 
 
+def held_out_points(spec: ToyProblemSpec):
+    """The held-out test set: ``(points, universal)``, the (N, 2) points and
+    their (N,) true universal ids, concept by concept.
+
+    Every HOLD_OUT-th sample of a concept (the 5th, 10th, ...) is held out,
+    whether or not a dataset labels the concept.  Only those samples are
+    drawn; they equal, bit for bit, the ones a draw of every sample gives.
+    """
+    return _draw(spec, [np.arange(HOLD_OUT - 1, c.count, HOLD_OUT) for c in spec.concepts])
+
+
 def generate_toy(spec: ToyProblemSpec, maps: MappingSet) -> ToyData:
     """Sample the blobs and split 80/20 train/test.
 
-    The split is stratified per concept by deterministic interleaving: every
-    fifth sample of a concept (the 5th, 10th, ...) is held out.  A dataset
-    labels a training point with its class whose mapped set holds the
-    point's concept, and skips concepts foreign to it; points that no
-    dataset labels are dropped.
+    The split is stratified per concept by deterministic interleaving: the
+    test set is held_out_points(spec), every fifth sample of a concept, and
+    the other samples are trained.  A dataset labels a training point with
+    its class whose mapped set holds the point's concept, and skips
+    concepts foreign to it; the trained samples of a concept that no
+    dataset labels are not drawn.
     """
-    rng = SplitMix64(spec.seed)
     datasets = spec.collection.datasets
     label_of = [maps.class_of(ds.name, ds.classes) for ds in datasets]
-    points, universal, test_points, test_universal = [], [], [], []
-    parts = [[] for _ in datasets]
-    first = 0
-    for tag, concept in enumerate(spec.concepts):
-        stream = rng.fork(tag + 1)
-        uid = concept.universal_id
-        # the scalar cx + std * z, with z drawn x first, then y
-        xy = np.asarray(concept.center) + concept.std * stream.normals(
-            2 * concept.count).reshape(-1, 2)
-        held_out = np.arange(concept.count) % HOLD_OUT == HOLD_OUT - 1
-        test_points.append(xy[held_out])
-        test_universal.append(np.full(int(held_out.sum()), uid, dtype=np.int64))
-        if not any(uid in labels for labels in label_of):
-            continue
-        trained = xy[~held_out]
-        points.append(trained)
-        universal.append(np.full(len(trained), uid, dtype=np.int64))
-        index = np.arange(first, first + len(trained))
-        first += len(trained)
-        for rows, labels in zip(parts, label_of):
-            if uid in labels:
-                rows.append(np.stack([index, np.full_like(index, labels[uid])], axis=1))
-    empty_points = np.empty((0, 2))
-    empty_ids = np.empty(0, dtype=np.int64)
-    empty_rows = np.empty((0, 2), dtype=np.int64)
-    return ToyData(
-        np.concatenate([empty_points, *points]),
-        np.concatenate([empty_ids, *universal]),
-        {ds.name: np.concatenate([empty_rows, *rows]) for ds, rows in zip(datasets, parts)},
-        np.concatenate([empty_points, *test_points]),
-        np.concatenate([empty_ids, *test_universal]),
-    )
+    none = np.empty(0, dtype=np.int64)
+    samples = [np.flatnonzero(np.arange(c.count) % HOLD_OUT != HOLD_OUT - 1)
+               if any(c.universal_id in labels for labels in label_of) else none
+               for c in spec.concepts]
+    points, universal = _draw(spec, samples)
+    counts = [len(i) for i in samples]
+    train = {}
+    for ds, labels in zip(datasets, label_of):
+        # each point's index in the dataset's classes, or -1
+        classes = np.repeat(np.array([labels.get(c.universal_id, -1) for c in spec.concepts],
+                                     dtype=np.int64), counts)
+        rows = np.flatnonzero(classes >= 0)
+        train[ds.name] = np.stack([rows, classes[rows]], axis=1)
+    return ToyData(points, universal, train, *held_out_points(spec))
+
+
+def _draw(spec: ToyProblemSpec, samples: list):
+    """The points of every concept at its sample indices ``samples[tag]``,
+    concept by concept, and their universal ids.
+
+    Concept ``tag`` draws from the stream ``fork(tag + 1)`` of the seed's
+    stream; sample i is ``center + std * (x, y)`` for the normal pair i of
+    that stream, x first, as ``normals(2 * count)`` would draw it.  All
+    concepts go through one counter-position draw.
+    """
+    rng = SplitMix64(spec.seed)
+    states = np.array([rng.fork(tag + 1).state for tag in range(len(spec.concepts))],
+                      dtype=np.uint64)
+    counts = [len(i) for i in samples]
+    # sample i is the normal pair of draws 2i + 1 and 2i + 2 of its stream
+    draws = np.concatenate(samples).astype(np.uint64)[:, None] * np.uint64(2) + _PAIR_DRAWS
+    z = _normal_pairs(np.repeat(states, counts)[:, None], draws)
+    centers = np.repeat(np.array([c.center for c in spec.concepts], dtype=np.float64),
+                        counts, axis=0)
+    stds = np.repeat(np.array([c.std for c in spec.concepts]), counts)
+    universal = np.repeat(np.array([c.universal_id for c in spec.concepts], dtype=np.int64),
+                          counts)
+    return centers + stds[:, None] * z, universal

@@ -432,40 +432,41 @@ def predict_universal(space: ModelSpace, model: MlpModel, x: np.ndarray) -> np.n
     class of the universal modes does; otherwise the prediction stays
     unresolved (-1), which the accuracy metrics count as wrong.
     """
-    return space.universal_of[_own_classes(space, model, x)]
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 2)
+    return space.universal_of[_own_classes(space, model, len(x), lambda rows: x[rows])]
 
 
-def _own_classes(space: ModelSpace, model: MlpModel, x: np.ndarray,
-                 finite: bool = False) -> np.ndarray:
-    """_own_argmax of the logits of the 2D points ``x``, one forward() row
-    block at a time.
+def _own_classes(space: ModelSpace, model: MlpModel, n: int, points,
+                 finite: bool = False, dtype=np.intp) -> np.ndarray:
+    """_own_argmax of the logits of ``n`` 2D points, one forward() row
+    block at a time, as an (n,) array of ``dtype``.
 
-    Each block of ``mlp.row_blocks`` goes through forward() on its own,
-    which gives the bits of one call on all of ``x``, and its logits are
-    reduced before the next block overwrites them, so no (len(x), K) array
-    is ever held.  A single block takes forward()'s own buffers; more share
+    ``points(rows)`` gives the (len, 2) points of each block ``rows`` of
+    ``mlp.row_blocks(n)``.  Each block goes through forward() on its own,
+    which gives the bits of one call on all n points, and its logits are
+    reduced before the next block overwrites them, so no (n, K) array is
+    ever held.  A single block takes forward()'s own buffers; more share
     one block's Workspace.  With ``finite``, raises InvalidLogit when a
     logit is not finite.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 2)
-    blocks = row_blocks(len(x))
+    blocks = row_blocks(n)
     work = None
     if len(blocks) > 1:
         work = Workspace(model.sizes, blocks[-1].stop - blocks[-1].start)
-    classes = np.empty(len(x), dtype=np.intp)
+    classes = np.empty(n, dtype=dtype)
     for rows in blocks:
-        logits = model.forward(x[rows], work)
+        logits = model.forward(points(rows), work)
         if finite and not np.isfinite(logits).all():
             raise InvalidLogit("logits must be finite")
-        _own_argmax(space, logits, classes[rows])
+        classes[rows] = _own_argmax(space, logits)
     return classes
 
 
-def _own_argmax(space: ModelSpace, logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def _own_argmax(space: ModelSpace, logits: np.ndarray) -> np.ndarray:
     """Argmax over the model's own output classes (ties go to the lowest
     index); sets the dataset head to -inf in place, to copy no columns."""
     logits[:, len(space.outputs):] = -np.inf
-    return np.argmax(logits, axis=1, out=out)
+    return np.argmax(logits, axis=1)
 
 
 def universal_accuracy(space, model, x, y_true) -> float:
@@ -501,18 +502,35 @@ def decision_surface(space: ModelSpace, model: MlpModel, xmin, xmax, ymin, ymax,
 
     Returns (xs, ys, classes, class_names): the nx x and the ny y
     coordinates, and the (ny, nx) array of class indices, y outer, so that
-    ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The grid goes
-    through the model by _own_classes, one row block at a time, so a
-    1000 x 1000 grid holds no (10**6, K) logits; argmax ties go to the
-    lowest index.  Raises InvalidLogit when a logit is not finite.
+    ``classes[j, i]`` is the class at ``(xs[i], ys[j])``.  The classes are
+    of the smallest unsigned dtype that holds every class index (uint8 up
+    to 256 classes).  No grid of points is held: each row block of the
+    nx * ny cells is a slice of a band of the few whole grid rows it
+    touches, whose y column is filled from ``ys`` for that block, and goes
+    through the model by _own_classes, so a 1000 x 1000 grid holds no
+    (10**6, K) logits either; argmax ties go to the lowest index.  Raises
+    InvalidLogit when a logit is not finite.
     """
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    grid = np.empty((ny, nx, 2))
-    grid[:, :, 0] = xs
-    grid[:, :, 1] = ys[:, None]
-    classes = _own_classes(space, model, grid, finite=True).reshape(ny, nx)
-    return xs, ys, classes, space.class_names()
+    blocks = row_blocks(nx * ny)
+    width = max(nx, 1)
+    # the most grid rows a block touches; their x column is xs in every
+    # row, written once, so only the y column is written per block
+    most = min(ny, (blocks[-1].stop - blocks[-1].start + width - 2) // width + 1)
+    band = np.empty((most, nx, 2))
+    band[:, :, 0] = xs
+    cells = band.reshape(-1, 2)
+
+    def points(rows):
+        # cell r is (xs[r % nx], ys[r // nx])
+        top, bottom = rows.start // width, (rows.stop - 1) // width + 1
+        band[:bottom - top, :, 1] = ys[top:bottom, None]
+        return cells[rows.start - top * nx:rows.stop - top * nx]
+
+    classes = _own_classes(space, model, nx * ny, points, finite=True,
+                           dtype=np.min_scalar_type(len(space.outputs) - 1))
+    return xs, ys, classes.reshape(ny, nx), space.class_names()
 
 
 def surface_csv(xs, ys, classes, class_names, out) -> None:

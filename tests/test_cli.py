@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from unitax import cli, problems
+from unitax import cli, problems, toyproblem
 from unitax.cli import _parser, run
 from unitax.mlp import MlpModel
 from unitax.rng import SplitMix64
@@ -203,6 +203,23 @@ def test_eval_default_and_post_inference(tmp_path, collapse_spec):
     assert default["post_inference"] is False
     assert mapped["post_inference"] is True
     assert mapped["void_fraction"] <= default["void_fraction"]
+
+
+def test_eval_draws_only_the_held_out_points(tmp_path, collapse_spec, monkeypatch):
+    out = tmp_path / "run"
+    assert run(["toy-train", "--spec", collapse_spec, "--mode", "naive-concat",
+                "--epochs", "20", "--out", str(out)]) == 0
+    argv = ["eval", "--model", str(out / "model.json"), "--spec", collapse_spec,
+            "--dataset", "CamVid", "--out", str(tmp_path / "e.json")]
+    assert run(argv) == 0
+    want = (tmp_path / "e.json").read_bytes()
+
+    def generate_toy(*args):
+        raise AssertionError("eval drew the training points")
+
+    monkeypatch.setattr(toyproblem, "generate_toy", generate_toy)
+    assert run(argv) == 0
+    assert (tmp_path / "e.json").read_bytes() == want
 
 
 def test_eval_post_inference_needs_entry_model(tmp_path, collapse_spec):
@@ -405,6 +422,22 @@ def _surface_of_an_edited_model(tmp_path, edit, field):
     whose ``field`` ``edit`` changes."""
     return ["surface", "--model", _cross_eval_model(tmp_path, "universal-nll-plus", edit, field),
             "--grid=-1,1,-1,1,2,2", "--out", str(tmp_path / "s.csv")]
+
+
+def _eval_of_an_edited_model(tmp_path, edit, field):
+    """eval on D2 of a universal-nll-plus model of the cross-eval problem
+    whose ``field`` ``edit`` changes."""
+    return ["eval", "--model", _cross_eval_model(tmp_path, "universal-nll-plus", edit, field),
+            "--spec", write_json(tmp_path / "p.json", problems.cross_eval_problem(0)),
+            "--dataset", "D2", "--out", str(tmp_path / "e.json")]
+
+
+def _true_weight(model):
+    model["weights"][1][3][5] = True
+
+
+def _false_bias(model):
+    model["biases"][0][0] = False
 
 
 def _heads_model(tmp_path, edit):
@@ -674,6 +707,18 @@ BAD_INPUTS = {
     "model-weights-layer-missing": lambda tmp, vehicles: (
         _surface_of_an_edited_model(tmp, lambda model: model["weights"].pop(), "model"), 1,
         ["model.json", "field 'model.weights' needs 3 layers for sizes [2, 64, 64, 5], not 2"]),
+    "surface-model-weight-true": lambda tmp, vehicles: (
+        _surface_of_an_edited_model(tmp, _true_weight, "model"), 1,
+        ["model.json", "field 'model.weights[1]' holds true or false"]),
+    "surface-model-bias-false": lambda tmp, vehicles: (
+        _surface_of_an_edited_model(tmp, _false_bias, "model"), 1,
+        ["model.json", "field 'model.biases[0]' holds true or false"]),
+    "eval-model-weight-true": lambda tmp, vehicles: (
+        _eval_of_an_edited_model(tmp, _true_weight, "model"), 1,
+        ["model.json", "field 'model.weights[1]' holds true or false"]),
+    "eval-model-bias-false": lambda tmp, vehicles: (
+        _eval_of_an_edited_model(tmp, _false_bias, "model"), 1,
+        ["model.json", "field 'model.biases[0]' holds true or false"]),
     "model-loss-trace-text": lambda tmp, vehicles: (
         _surface_of_an_edited_model(tmp, lambda data: data.update(loss_trace="0.5"), None), 1,
         ["model.json", "field 'loss_trace' is not list"]),
@@ -827,6 +872,39 @@ def test_module_runs_the_command_line(tmp_path, vehicle_file):
     assert (checked.returncode, checked.stdout) == (0, f"{vehicle_file}: OK\n"), checked.stderr
     bare = subprocess.run([sys.executable, "-m", "unitax.cli"], capture_output=True, env=env)
     assert bare.returncode == 2
+
+
+# The peak RSS of the process after it ran the command in its argv, if
+# any.  VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a
+# child started from the test process would report that process's peak.
+_PEAK_RSS = """
+import sys
+from unitax import cli
+if len(sys.argv) > 1:
+    assert cli.run(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_a_surface_of_a_million_cells_peaks_near_the_import_peak(tmp_path):
+    # a held (ny, nx, 2) float64 grid (16 MB) and intp classes (8 MB) would
+    # take the peak about 24 MB above the import
+    spec, tax, _ = problem_from_dict(problems.two_split_problem(0))
+    space = build_space("per-dataset-heads", spec.collection, tax)
+    model = tmp_path / "model.json"
+    save_model(model, TrainResult(MlpModel([2, *HIDDEN, space.k], SplitMix64(0)), space, []))
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    peaks = []
+    for argv in ([], ["surface", "--model", str(model), "--grid=-3,3,-3,3,1000,1000",
+                      "--out", str(tmp_path / "s.csv")]):
+        done = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        peaks.append(int(done.stdout))  # KiB
+    assert peaks[1] - peaks[0] <= 8 * 1024, peaks
 
 
 @pytest.mark.parametrize("mode", ["universal-nll-plus", "per-dataset-heads"])

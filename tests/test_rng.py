@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from unitax.rng import SplitMix64
+from unitax.rng import SplitMix64, _normal_pairs
 
 
 def test_same_seed_same_stream():
@@ -60,3 +60,24 @@ def test_normals_equal_scalar_normals_bit_for_bit(seed, n, before):
     # the streams go on together, spare first
     assert batch.normals(3).tolist() == [scalar.normal() for _ in range(3)]
     assert batch.uniform() == scalar.uniform()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
+def test_pairs_drawn_at_counter_positions_equal_normals(n):
+    # pair p of normals(n) on a stream with no spare pending, the last pair
+    # of an odd n ending in the spare
+    seeds = [3, 2**64 - 1]
+    drawn = []
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        values = rng.normals(n).tolist()
+        drawn.append(values + ([rng.normal()] if n % 2 else []))
+    pairs = np.array([p for _ in seeds for p in range((n + 1) // 2)][::-3], dtype=np.uint64)
+    states = np.repeat(np.array(seeds, dtype=np.uint64), (n + 1) // 2)[::-3]
+    draws = pairs[:, None] * np.uint64(2) + np.array([1, 2], dtype=np.uint64)
+    got = _normal_pairs(states[:, None], draws)
+    want = [drawn[seeds.index(int(s))][2 * p:2 * p + 2] for s, p in zip(states, pairs.tolist())]
+    assert got.dtype == np.float64 and got.tolist() == want
+    # a scalar state serves every row
+    one = _normal_pairs(np.uint64(seeds[0]), draws)
+    assert one.tolist() == [drawn[0][2 * p:2 * p + 2] for p in pairs.tolist()]

@@ -8,7 +8,8 @@ import pytest
 from unitax import problems
 from unitax.errors import ValidationError
 from unitax.rng import SplitMix64
-from unitax.toyproblem import COUNT_MAX, generate_toy, problem_from_dict, problem_to_dict
+from unitax.toyproblem import (COUNT_MAX, HOLD_OUT, generate_toy, held_out_points,
+                               problem_from_dict, problem_to_dict)
 
 
 def test_split_sizes_are_exact():
@@ -161,11 +162,28 @@ def scalar_toy(spec, maps):
     return points, universal, rows, test_points, test_universal
 
 
-@pytest.mark.parametrize("factory", ["intersection_problem", "collapse_problem",
-                                     "two_split_problem", "cross_eval_problem"])
-def test_generate_toy_equals_the_scalar_reference(factory):
+FACTORIES = ["intersection_problem", "collapse_problem", "two_split_problem",
+             "cross_eval_problem"]
+
+
+def _specs(factory):
+    """(spec, maps) of ``factory`` for seeds 0-9, each as given and with
+    uneven counts: concept 0 counts HOLD_OUT - 2 samples, so none is held
+    out, and concept 1 counts 2 * HOLD_OUT + 2, which HOLD_OUT does not
+    divide."""
     for seed in range(10):
-        spec, _, maps = problem_from_dict(getattr(problems, factory)(seed))
+        for uneven in (False, True):
+            problem = getattr(problems, factory)(seed)
+            if uneven:
+                problem["concepts"][0]["count"] = HOLD_OUT - 2
+                problem["concepts"][1]["count"] = 2 * HOLD_OUT + 2
+            spec, _, maps = problem_from_dict(problem)
+            yield spec, maps
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_generate_toy_equals_the_scalar_reference(factory):
+    for spec, maps in _specs(factory):
         data = generate_toy(spec, maps)
         points, universal, rows, test_points, test_universal = scalar_toy(spec, maps)
         assert data.points.dtype == data.test_points.dtype == np.float64
@@ -178,3 +196,17 @@ def test_generate_toy_equals_the_scalar_reference(factory):
         for ds, expected in zip(data.train, rows):
             assert data.train[ds].dtype == np.int64
             assert data.train[ds].tolist() == [list(r) for r in expected]
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_held_out_points_are_the_test_split_bit_for_bit(factory):
+    for spec, maps in _specs(factory):
+        points, universal = held_out_points(spec)
+        data = generate_toy(spec, maps)
+        _, _, _, test_points, test_universal = scalar_toy(spec, maps)
+        assert points.dtype == np.float64 and universal.dtype == np.int64
+        assert points.tobytes() == data.test_points.tobytes()
+        assert universal.tobytes() == data.test_universal.tobytes()
+        assert points.tolist() == [list(p) for p in test_points]
+        assert universal.tolist() == test_universal
+        assert len(universal) == sum(c.count // HOLD_OUT for c in spec.concepts)

@@ -470,16 +470,22 @@ def test_argmax_callers_hold_no_logits_of_the_whole_batch():
     space = build_space("per-dataset-heads", spec.collection, tax)
     model = MlpModel([2, *HIDDEN, space.k], SplitMix64(3))
     x = np.random.default_rng(7).uniform(-4.0, 4.0, (200_000, 2))
+    peaks = []
     for call in (lambda: predict_universal(space, model, x),
                  lambda: decision_surface(space, model, -4, 4, -4, 4, 500, 400)):
         tracemalloc.start()
         try:
-            call()
+            got = call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the (N, K) float64 logits of 200,000 points
         assert peak < 200_000 * space.k * 8 / 3, peak
+        peaks.append(peak)
+    # the surface holds no grid: half of the (400, 500, 2) float64 points
+    assert peaks[1] < 400 * 500 * 2 * 8 / 2, peaks
+    classes = got[2]
+    assert classes.shape == (400, 500) and classes.dtype == np.uint8
 
 
 # Runs in a fresh process, so that OPENBLAS_CORETYPE picks the kernel.  For
@@ -494,9 +500,9 @@ from unitax.toyproblem import generate_toy, problem_from_dict
 
 seen, own_argmax = [], training._own_argmax
 
-def recorded(space, logits, out=None):
+def recorded(space, logits):
     seen.append(logits.copy())
-    return own_argmax(space, logits, out)
+    return own_argmax(space, logits)
 
 training._own_argmax = recorded
 spec, tax, maps = problem_from_dict(problems.two_split_problem(0))
