@@ -153,14 +153,13 @@ def _inference(args, fn, *fn_args, **kwargs):
 
 def _first_difference(space, built) -> str:
     """The first field of a model file's ``space`` that differs from the
-    space ``built``, of the same mode."""
+    space ``built``, of the same mode, whose entries fix its datasets."""
     for field, mine, theirs in (("universal_atoms", space.universal, built.universal),
                                 ("entries", space.entries, built.entries)):
         i = next((i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b),
                  min(len(mine), len(theirs)))
         if i < max(len(mine), len(theirs)):
             return f"space.{field}[{i}]"
-    return "space.datasets"
 
 
 def _cmd_eval(args):
@@ -283,8 +282,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="toy problem JSON")
     p.add_argument("--mode", required=True, choices=training.MODES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=training.TrainConfig.lr)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("eval", help="dataset-space evaluation of a trained model")

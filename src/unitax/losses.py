@@ -28,6 +28,11 @@ def logsumexp(values: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
+def _require_finite(logits: np.ndarray) -> None:
+    if not np.all(np.isfinite(logits)):
+        raise InvalidLogit("logits must be finite")
+
+
 def universal_posteriors(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of finite logits, computed with max
     subtraction.
@@ -43,8 +48,7 @@ def universal_posteriors(logits: np.ndarray) -> np.ndarray:
     depends on those bits.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidLogit("logits must be finite")
+    _require_finite(logits)
     z = np.ascontiguousarray(logits.T)
     e = z - np.max(z, axis=0)
     np.exp(e, out=e)
@@ -148,8 +152,7 @@ def nll_plus_targets(logits, blocks, point, block, targets):
 def _nll_plus_row(logits, label, maps: MappingSet):
     """Loss and gradient of one logit vector, through nll_plus_targets."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidLogit("logits must be finite")
+    _require_finite(logits)
     zero = np.zeros(1, dtype=np.int64)
     loss, grad = nll_plus_targets(logits.reshape(1, -1), (slice(None),), zero, zero,
                                   np.asarray(maps.mapped(*label)).reshape(-1, 1))

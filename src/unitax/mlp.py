@@ -73,7 +73,7 @@ def _layout(sizes):
 
 
 class MlpModel:
-    """Two hidden ReLU layers: sizes [2, 64, 64, K] by default.
+    """A ReLU network of the layer widths ``sizes``, [2, *training.HIDDEN, K] in train().
 
     All parameters live in one float64 vector, ``params``: every layer's
     weights in turn, then every layer's biases, the order of parameters().
@@ -210,8 +210,8 @@ class MlpModel:
 
 
 class Adam:
-    """Full-batch Adam with fixed learning rate, stepping the parameter
-    vector ``params`` in place.
+    """Adam(params, lr): full-batch Adam with the fixed learning rate
+    ``lr``, stepping the parameter vector ``params`` in place.
 
     The moments live in one vector each, the length of ``params``, so a
     step is a few operations on whole vectors.
@@ -221,7 +221,7 @@ class Adam:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr):
         self.params, self.lr, self.t = params, lr, 0
         self.m, self.v, self.update = (np.zeros_like(params) for _ in range(3))
 

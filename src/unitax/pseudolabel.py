@@ -120,7 +120,7 @@ def conditional_score(foreign: ForeignPrediction, gt_label, u: int,
 
 
 def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
-                          maps: MappingSet, plans=None):
+                          maps: MappingSet):
     """Universal pseudo-label for one sample.
 
     Returns (universal id, per-candidate score dict, flags).  Flags record
@@ -129,21 +129,20 @@ def ensemble_pseudo_label(foreign_predictions, gt_label, col: Collection,
     lowest candidate id.  A foreign dataset with no class meeting the
     ground truth scores zero and is not flagged.  Every posterior is
     checked as ForeignPrediction.validate checks it, that of the ground
-    truth's own dataset too, which is then skipped.
-
-    ``plans`` memoises what a record's ground-truth label fixes: per label,
-    its sorted candidates and their output keys (the ids as str), and per
-    (label, foreign dataset) the scan of the foreign classes.  One dict
-    serves every call on the same collection and mappings.
+    truth's own dataset too, which is then skipped.  The label is planned
+    afresh on each call; relabel_stream keeps one dict of plans per stream.
     """
     return _ensemble(((f.dataset, f.posterior) for f in foreign_predictions), gt_label,
-                     col, maps, {} if plans is None else plans)
+                     col, maps, {})
 
 
 def _ensemble(foreign, gt_label, col: Collection, maps: MappingSet, plans: dict):
     """ensemble_pseudo_label over ``foreign``, an iterable of (dataset name,
     posterior) pairs: the one scoring core of the ensemble and the stream.
-    The ground-truth label is resolved before the first pair is read."""
+    The ground-truth label is resolved before the first pair is read.
+    ``plans`` memoises per label its sorted candidates and their output
+    keys (the ids as str), and per (label, foreign dataset) the scan of the
+    foreign classes: one dict serves every call on one collection and mappings."""
     gt_dataset, gt_class = gt_label
     label_plan = plans.get((gt_dataset, gt_class))
     if label_plan is None:

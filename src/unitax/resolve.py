@@ -22,7 +22,8 @@ rewrite touch only those keys; the engine and the declaration compiler
 rewrite their mappings with one ordered substitution.  The engine holds
 each live class's atoms as an int bitmask, so relating two classes and
 making the fresh parts are a few int operations; atom sets are turned into
-masks when the engine is built from a state, and back only in ``state()``.
+masks when the engine is built from a state, and back, for every live
+class, only in ``state()``.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class _Engine:
     entry for each pair to which a rule applies, stale ones included, and
     ``holders`` maps each uid to the mapping keys that hold it.  A class
     admitted is classified only against the live classes it meets.  The
-    state given is not modified, and its classes are handed back as they are.
+    state given is not modified.
     """
 
     def __init__(self, state: ResolutionState):
@@ -145,7 +146,6 @@ class _Engine:
         for key, uids in self.mappings.items():
             for uid in uids:
                 self.holders.setdefault(uid, {})[key] = None
-        self.given = {wc.uid: wc for wc in state.classes}
         for wc in state.classes:
             self._admit(wc.uid, _mask(wc.atoms))
 
@@ -159,9 +159,7 @@ class _Engine:
         self.live[rank] = (uid, mask)
 
     def state(self) -> ResolutionState:
-        given = self.given
-        classes = [given[uid] if uid in given else WorkingClass(uid, _atoms(mask))
-                   for uid, mask in self.live.values()]
+        classes = [WorkingClass(uid, _atoms(mask)) for uid, mask in self.live.values()]
         return ResolutionState(classes, self.mappings, self.next_uid)
 
     def step(self):

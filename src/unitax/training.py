@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidLogit, TrainingDiverged, ValidationError, load_json,
-                     require_field, require_list, write_json)
-from .losses import _top, nll_plus_targets, universal_posteriors
+from .errors import (TrainingDiverged, ValidationError, load_json, require_field,
+                     require_list, write_json)
+from .losses import _require_finite, _top, nll_plus_targets, universal_posteriors
 from .mlp import Adam, MlpModel, Workspace, one_blas_thread, row_blocks
 from .rng import SplitMix64
 from .taxonomy import VOID, Collection, MappingSet, UniversalTaxonomy, projection
@@ -456,8 +456,8 @@ def _own_classes(space: ModelSpace, model: MlpModel, n: int, points,
     classes = np.empty(n, dtype=dtype)
     for rows in blocks:
         logits = model.forward(points(rows), work)
-        if finite and not np.isfinite(logits).all():
-            raise InvalidLogit("logits must be finite")
+        if finite:
+            _require_finite(logits)
         classes[rows] = _own_argmax(space, logits)
     return classes
 

@@ -222,6 +222,26 @@ def test_eval_draws_only_the_held_out_points(tmp_path, collapse_spec, monkeypatc
     assert (tmp_path / "e.json").read_bytes() == want
 
 
+@pytest.mark.parametrize("mode", ["universal-nll-plus", "naive-concat", "per-dataset-heads"])
+def test_eval_of_a_dataset_with_no_held_out_point(tmp_path, mode):
+    # D2's one class holds the atom c, of which no concept draws a point
+    problem = {"atoms": ["a", "b", "c"],
+               "datasets": [{"name": "D1", "classes": [{"name": "x", "atoms": ["a", "b"]}]},
+                            {"name": "D2", "classes": [{"name": "y", "atoms": ["c"]}]}],
+               "concepts": [{"atom": atom, "center": [x, 0.0], "std": 0.5, "count": 20}
+                            for atom, x in (("a", -1.0), ("b", 1.0))],
+               "seed": 0}
+    spec, out = write_json(tmp_path / "p.json", problem), tmp_path / "run"
+    assert run(["toy-train", "--spec", spec, "--mode", mode, "--epochs", "5",
+                "--out", str(out)]) == 0
+    assert run(["eval", "--model", str(out / "model.json"), "--spec", spec,
+                "--dataset", "D2", "--out", str(tmp_path / "e.json")]) == 0
+    report = json.loads((tmp_path / "e.json").read_text())
+    assert {key: report[key] for key in ("samples", "miou", "void_fraction",
+                                         "per_class_iou")} == {
+        "samples": 0, "miou": 0.0, "void_fraction": 0.0, "per_class_iou": {}}
+
+
 def test_eval_post_inference_needs_entry_model(tmp_path, collapse_spec):
     out = tmp_path / "run"
     assert run(["toy-train", "--spec", collapse_spec, "--mode", "universal-nll-plus",

@@ -410,7 +410,7 @@ def test_relabel_stream_matches_the_function_record_by_record():
             record = json.loads(line)
             gt = (record["gt_dataset"], record["gt_class"])
             foreign = [ForeignPrediction(ds, post) for ds, post in record["foreign"].items()]
-            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, maps, plans=None)
+            label, scores, flags = ensemble_pseudo_label(foreign, gt, col, maps)
             expected.append({"sample_id": record.get("sample_id", lineno),
                              "pseudo_label": label,
                              "display_name": tax.classes[label].display_name,
@@ -526,6 +526,9 @@ def _random_posterior(rng, ds, gt_atoms):
 
 
 def test_plans_score_bit_for_bit_like_the_reference_scan():
+    """relabel_stream keeps one dict of plans per stream: each collection's
+    20 records go through one stream per mappings, so later records read
+    the plans earlier ones made."""
     rng = random.Random(41)
     seen = dict.fromkeys(["several foreign", "unowned candidate", "orthogonal", "all-zero",
                           "no class meets", "own dataset", "integer 1", "-0.0",
@@ -535,27 +538,34 @@ def test_plans_score_bit_for_bit_like_the_reference_scan():
         built = build_universal_from_atoms(col)
         filtered = filter_untrainable(*built)
         seen["untrainable"] += bool(filtered[2])
-        # the built mappings, and the filtered ones, which hold the trainable ids alone
-        inputs = [(*built, {}), (*filtered[:2], {})]
+        lines = []
         for _ in range(20):
             gt_ds = rng.choice(col.datasets)
             gt_cls = rng.choice(gt_ds.classes)
-            gt = (gt_ds.name, gt_cls.name)
             chosen = [ds for ds in col.datasets if rng.random() < 0.7] or [gt_ds]
-            foreign = [ForeignPrediction(ds.name, _random_posterior(rng, ds, gt_cls.atoms))
-                       for ds in chosen]
-            for tax, maps, plans in inputs:
-                _check_against_the_reference_scan(foreign, gt, col, tax, maps, plans, seen)
+            lines.append(json.dumps({
+                "gt_dataset": gt_ds.name, "gt_class": gt_cls.name,
+                "foreign": {ds.name: _random_posterior(rng, ds, gt_cls.atoms)
+                            for ds in chosen}}))
+        # the built mappings, and the filtered ones, which hold the trainable ids alone
+        for tax, maps in (built, filtered[:2]):
+            for line, record in zip(lines, relabel_stream(lines, col, tax, maps), strict=True):
+                # what the stream decoded: JSON keeps -0.0 and the integer 1
+                sample = json.loads(line)
+                foreign = [ForeignPrediction(ds, post) for ds, post in sample["foreign"].items()]
+                gt = (sample["gt_dataset"], sample["gt_class"])
+                _check_against_the_reference_scan(foreign, gt, col, tax, maps, record, seen)
     assert all(seen.values()), seen
 
 
-def _check_against_the_reference_scan(foreign, gt, col, tax, maps, plans, seen):
-    """ensemble_pseudo_label, with and without ``plans``, and every
+def _check_against_the_reference_scan(foreign, gt, col, tax, maps, record, seen):
+    """The stream's ``record`` and ensemble_pseudo_label, and every
     conditional_score, bit for bit against the reference scan; ``seen``
     counts the cases met."""
     expected = _reference_ensemble(foreign, gt, col, tax, maps)
-    for got in (ensemble_pseudo_label(foreign, gt, col, maps, plans),
-                ensemble_pseudo_label(foreign, gt, col, maps)):
+    streamed = (record["pseudo_label"], {int(u): s for u, s in record["scores"].items()},
+                record["flags"])
+    for got in (streamed, ensemble_pseudo_label(foreign, gt, col, maps)):
         assert got[0] == expected[0] and got[2] == expected[2]
         assert {u: s.hex() for u, s in got[1].items()} == {
             u: s.hex() for u, s in expected[1].items()}

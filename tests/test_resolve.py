@@ -12,8 +12,10 @@ from unitax.errors import (
     ValidationError,
 )
 from unitax.resolve import (
+    DeclarationProgram,
     ResolutionState,
     RuleApplication,
+    Statement,
     WorkingClass,
     build_universal_from_declarations,
     fixpoint_partition,
@@ -429,6 +431,15 @@ def test_declaration_failures_name_the_statement(text, error, message):
     with pytest.raises(error) as info:
         build_universal_from_declarations(parse_declarations(text))
     assert str(info.value) == message
+
+
+def test_a_hand_built_program_naming_an_undeclared_class_is_rejected():
+    # parse_declarations registers every class a statement names, so only
+    # a program built by hand can name one its datasets lack
+    program = DeclarationProgram({"A": ["x"], "B": []},
+                                 [Statement("equiv", ("A", "x"), ("B", "y"), line=3)])
+    with pytest.raises(ValidationError, match=r"^line 3: unknown class B\.y$"):
+        build_universal_from_declarations(program)
 
 
 def test_equiv_after_subset_is_ambiguous():

@@ -12,7 +12,7 @@ from unitax import problems, training
 from unitax.errors import InvalidLogit, TrainingDiverged, UnmappedLabel, ValidationError
 from unitax.losses import (dataset_posterior, logsumexp, nll_plus, nll_plus_grad,
                            nll_plus_targets, two_head_joint, universal_posteriors)
-from unitax.mlp import MlpModel, blas_threads
+from unitax.mlp import Adam, MlpModel, blas_threads
 from unitax.rng import SplitMix64
 from unitax.pseudolabel import ensemble_pseudo_label
 from unitax.taxonomy import (MappingSet, build_universal_from_atoms, collection_from_dict,
@@ -74,6 +74,27 @@ def test_a_diverging_run_raises_before_returning(epochs):
     spec, tax, maps = cross_problem()
     with pytest.raises(TrainingDiverged, match=r"at learning rate \(--lr\) 1e\+308$"):
         train(TrainConfig("universal-nll-plus", epochs=epochs, lr=1e308), spec, tax, maps)
+
+
+def test_a_last_step_that_leaves_a_non_finite_parameter_raises(monkeypatch):
+    step = Adam.step
+
+    def overflowing_last_step(self, grad):
+        step(self, grad)
+        if self.t == 3:
+            self.params[0] = np.inf
+
+    monkeypatch.setattr(Adam, "step", overflowing_last_step)
+    spec, tax, maps = cross_problem()
+    with pytest.raises(TrainingDiverged, match=r"^the last step left a non-finite parameter "
+                                               r"at learning rate \(--lr\) 0\.001$"):
+        train(TrainConfig("oracle", epochs=3), spec, tax, maps)
+
+
+def test_build_space_rejects_an_unknown_mode():
+    spec, tax, _ = cross_problem()
+    with pytest.raises(ValidationError, match=r"^unknown mode 'bogus'$"):
+        build_space("bogus", spec.collection, tax)
 
 
 def test_train_leaves_the_blas_thread_count_as_it_found_it():
